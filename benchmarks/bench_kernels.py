@@ -3,7 +3,11 @@
 
 Workloads mirror the package's hot paths:
   * partition-series build: a chain of div_one_minus over all parts < order
-    (how every pochhammer_inv / genfun denominator is realized),
+    (how ps_div_pochhammer divides out residues that form no pair, triple
+    or (q^B; q^B)_inf product),
+  * sparse theta division: div_sparse by theta_{3,1} = (q, q^2, q^3; q^3)_inf
+    (how the family and pochhammer_inv denominators are divided out; it has
+    no compiled twin),
   * dense truncated convolution (ps_mul),
   * series inverse (ps_inv).
 
@@ -15,6 +19,7 @@ import random
 import time
 
 from theta_trunc import _kernels_py
+from theta_trunc.series import theta_exponents
 
 try:
     from theta_trunc import _speedups
@@ -37,6 +42,18 @@ def bench_partition_chain(mod, order):
         c[0] = 1
         for m in range(1, order):
             mod.div_one_minus(c, m)
+        return c
+
+    return run
+
+
+def bench_sparse_division(mod, order):
+    plus, minus = theta_exponents(3, 1, order)
+
+    def run():
+        c = [0] * order
+        c[0] = 1
+        mod.div_sparse(c, plus, minus)
         return c
 
     return run
@@ -65,6 +82,9 @@ def main():
         ("partition chain (order %d)" % args.order,
          bench_partition_chain(_kernels_py, args.order),
          None if _speedups is None else bench_partition_chain(_speedups, args.order)),
+        ("sparse theta division (order %d)" % args.order,
+         bench_sparse_division(_kernels_py, args.order),
+         None),
         ("dense conv (order %d)" % args.conv_order,
          bench_conv(_kernels_py, args.conv_order, a, b),
          None if _speedups is None else bench_conv(_speedups, args.conv_order, a, b)),
@@ -73,14 +93,14 @@ def main():
          None if _speedups is None else bench_inv(_speedups, f)),
     ]
 
-    print("%-32s %12s %12s %9s" % ("workload", "python [s]", "compiled [s]", "speedup"))
+    print("%-36s %12s %12s %9s" % ("workload", "python [s]", "compiled [s]", "speedup"))
     for name, py_fn, c_fn in rows:
         t_py = time_it(py_fn)
         if c_fn is None:
-            print("%-32s %12.4f %12s %9s" % (name, t_py, "n/a", "n/a"))
+            print("%-36s %12.4f %12s %9s" % (name, t_py, "n/a", "n/a"))
         else:
             t_c = time_it(c_fn)
-            print("%-32s %12.4f %12.4f %8.1fx" % (name, t_py, t_c, t_py / t_c))
+            print("%-36s %12.4f %12.4f %8.1fx" % (name, t_py, t_c, t_py / t_c))
     if _speedups is None:
         print("\ncompiled extension not built; run pip install -e . --no-build-isolation")
 

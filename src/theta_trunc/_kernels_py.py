@@ -2,9 +2,9 @@
 
 These are the hot inner loops of the package: everything here operates on
 plain lists of arbitrary-precision Python ints indexed by exponent.  The
-compiled twin ``theta_trunc._speedups`` implements the same four functions
+compiled twin ``theta_trunc._speedups`` implements the first four functions
 with C-level loop counters; ``theta_trunc.kernels`` picks whichever is
-available at import time.
+available at import time.  ``div_sparse`` has no compiled twin.
 """
 
 
@@ -63,7 +63,35 @@ def div_one_minus(c, m):
     """In place c <- c / (1 - q^m), truncated to len(c).
 
     Equivalent to multiplying by 1 + q^m + q^{2m} + ...; this is the
-    partition-counting prefix sum with stride m.
+    partition-counting prefix sum with stride m, and the special case
+    ``div_sparse(c, [], [m])``.
     """
     for i in range(m, len(c)):
         c[i] += c[i - m]
+
+
+def div_sparse(c, plus, minus):
+    """In place c <- c / (1 + sum_plus q^e - sum_minus q^e), truncated.
+
+    ``plus`` and ``minus`` are ascending exponents >= 1 (repeats count
+    twice).  With g the quotient, g[i] = c[i] + sum_minus g[i-e]
+    - sum_plus g[i-e]; the range of i is cut where a new exponent becomes
+    active, so each stretch runs over fixed lists and uses adds only.
+    """
+    n = len(c)
+    cuts = sorted(set(e for e in plus + minus if e < n))
+    cuts.append(n)
+    start = 1
+    for stop in cuts:
+        if stop <= start:
+            continue
+        active_minus = [e for e in minus if e < stop]
+        active_plus = [e for e in plus if e < stop]
+        for i in range(start, stop):
+            acc = c[i]
+            for e in active_minus:
+                acc += c[i - e]
+            for e in active_plus:
+                acc -= c[i - e]
+            c[i] = acc
+        start = stop

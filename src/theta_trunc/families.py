@@ -223,7 +223,7 @@ def _c_numerator(R, S, k, order, sign_k):
     """(-1)^k * sum_{j>=k} (-1)^j q^(Rj(j+1)/2) (q^(-jS) - q^(jS+S)).
 
     Exponents R j(j+1)/2 -+ jS are collected until the smaller one passes
-    the order; one safety j is checked to contribute nothing.
+    the order.
     """
     terms = []
     j = k
@@ -232,9 +232,8 @@ def _c_numerator(R, S, k, order, sign_k):
         lo = base - j * S
         hi = base + j * S + S
         if lo >= order:
-            # safety margin: the next j must clear the order as well
-            nxt = R * (j + 1) * (j + 2) // 2 - (j + 1) * S
-            assert nxt >= order
+            # lo grows by R(j+1) - S > 0 per step (S < R) and hi > lo, so
+            # no later j lands below the order either
             break
         s = sign_k * (1 if (j - k) % 2 == 0 else -1)
         terms.append((lo, s))
@@ -292,15 +291,23 @@ def genfun_family(spec: FamilySpec, order: int) -> PowerSeries:
 
 
 def genfun_family_via_decomposition(spec: FamilySpec, order: int) -> PowerSeries:
-    """Signed sum of genfun_B / genfun_Bprime over the decomposition."""
-    terms = decompose_family(spec)
+    """Signed sum of genfun_B / genfun_Bprime over the decomposition.
+
+    The blocks share their denominator, so the signed theta numerators are
+    summed first and divided once.
+    """
+    numerators = {}
+    for t in decompose_family(spec):
+        block = theta_partial(t.params, order)
+        total = numerators.get(t.denominator, PowerSeries.zero(order))
+        numerators[t.denominator] = total + block if t.sign > 0 else total - block
+    denominators = {
+        PAIR: pair_product_spec(spec.R, spec.S),
+        TRIPLE: triple_product_spec(spec.R, spec.S),
+    }
     total = PowerSeries.zero(order)
-    for t in terms:
-        if t.denominator == PAIR:
-            block = genfun_B(t.params, spec.R, spec.S, order)
-        else:
-            block = genfun_Bprime(t.params, spec.R, spec.S, order)
-        total = total + block if t.sign > 0 else total - block
+    for den, num in numerators.items():
+        total = total + ps_div_pochhammer(num, denominators[den])
     if spec.family == "Cprime":
         const = 1 if (spec.k - 1) % 2 == 0 else -1
         total = total + PowerSeries.from_terms([(0, const)], order)

@@ -25,3 +25,6 @@ conv_trunc = _impl.conv_trunc
 inv_unit = _impl.inv_unit
 mul_one_minus = _impl.mul_one_minus
 div_one_minus = _impl.div_one_minus
+# Pure Python on both backends: _speedups.pyx has no twin of it, and
+# ROADMAP item 2 decides whether the extension stays at all.
+div_sparse = _kernels_py.div_sparse

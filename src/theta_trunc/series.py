@@ -13,6 +13,7 @@ Conventions:
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -258,24 +259,102 @@ def pochhammer_inv(spec: ProductSpec, order: int) -> PowerSeries:
     multiset of allowed part sizes (a part size occurring in two residue
     pairs may be used with two colours).
     """
+    return ps_div_pochhammer(PowerSeries.one(order), spec)
+
+
+def theta_exponents(R: int, S: int, order: int):
+    """Exponents of theta_{R,S} below ``order``, split by sign.
+
+    By the Jacobi triple product, for 0 < S < R,
+
+        theta_{R,S} = (q^S, q^(R-S), q^R; q^R)_inf
+                    = sum_{n in Z} (-1)^n q^(R n(n-1)/2 + S n).
+
+    Returns ascending lists (plus, minus) of the exponents >= 1 with
+    coefficient +1 and -1; the constant term is 1.  An exponent is listed
+    twice when two n share it (only R = 2S, where n and -n collide).
+    """
+    if not 0 < S < R:
+        raise ValueError("need 0 < S < R, got R=%d S=%d" % (R, S))
+    plus, minus = [], []
+    n = 1
+    while True:
+        # the exponents of n and -n (n >= 1) both increase with n
+        e_pos = R * n * (n - 1) // 2 + S * n
+        e_neg = R * n * (n + 1) // 2 - S * n
+        if min(e_pos, e_neg) >= order:
+            break
+        out = minus if n % 2 else plus
+        out.extend(e for e in (e_pos, e_neg) if e < order)
+        n += 1
+    plus.sort()
+    minus.sort()
+    return plus, minus
+
+
+def theta_series(R: int, S: int, order: int) -> PowerSeries:
+    """theta_{R,S} truncated below ``order`` (see ``theta_exponents``)."""
+    plus, minus = theta_exponents(R, S, order)
     c = [0] * order
     c[0] = 1
-    for m in sorted(spec.parts(order)):
-        kernels.div_one_minus(c, m)
+    for e in plus:
+        c[e] += 1
+    for e in minus:
+        c[e] -= 1
     return PowerSeries(c, order)
 
 
-def ps_div_pochhammer(f: PowerSeries, spec: ProductSpec) -> PowerSeries:
-    """f times pochhammer_inv(spec, f.order), without the dense product.
+def _theta_factors(spec: ProductSpec):
+    """Split a spec into theta_{R,S} factors and leftover residue pairs.
 
-    Same result as ps_mul(f, pochhammer_inv(spec, f.order)); dividing the
-    numerator in place by each factor (1 - q^m) is much cheaper when f is
-    sparse.
+    Per modulus B the residues match, triples first:
+      {S, B-S, B}  ->  1 / theta_{B,S}
+      {S, B-S}     ->  theta_{3B,B} / theta_{B,S}
+      {B}          ->  1 / theta_{3B,B}      ((q^B; q^B)_inf)
+    Returns (mul, div, leftover): (R, S) of the theta series to multiply
+    by and to divide by, and the unmatched (A, B) pairs.
     """
+    by_modulus = {}
+    for a, b in spec.residues:
+        by_modulus.setdefault(b, Counter())[a] += 1
+    mul, div, leftover = [], [], []
+    for b, count in by_modulus.items():
+        fulls = count.pop(b, 0)
+        pairs = []
+        for s in sorted(count):
+            if 2 * s > b:
+                continue
+            k = count[s] // 2 if 2 * s == b else min(count[s], count[b - s])
+            pairs += [s] * k
+            count[s] -= k
+            count[b - s] -= k
+        leftover += [(a, b) for a, k in count.items() for _ in range(k)]
+        triples = min(fulls, len(pairs))
+        div += [(b, s) for s in pairs]
+        mul += [(3 * b, b)] * (len(pairs) - triples)
+        div += [(3 * b, b)] * (fulls - triples)
+    return mul, div, leftover
+
+
+def ps_div_pochhammer(f: PowerSeries, spec: ProductSpec) -> PowerSeries:
+    """f times pochhammer_inv(spec, f.order), without the dense inverse.
+
+    Pair and triple products and (q^B; q^B)_inf are sparse theta series
+    (see ``_theta_factors``): multiply by them with ``conv_trunc`` and
+    divide by them with ``div_sparse``, O(order^1.5) adds each.  Residues
+    that fit none of these shapes are divided out one factor (1 - q^m) at
+    a time.
+    """
+    order = f.order
     c = list(f.coeffs)
-    for m in sorted(spec.parts(f.order)):
+    mul, div, leftover = _theta_factors(spec)
+    for R, S in mul:
+        c = kernels.conv_trunc(theta_series(R, S, order).coeffs, c, order)
+    for R, S in div:
+        kernels.div_sparse(c, *theta_exponents(R, S, order))
+    for m in sorted(ProductSpec(leftover).parts(order)):
         kernels.div_one_minus(c, m)
-    return PowerSeries(c, f.order)
+    return PowerSeries(c, order)
 
 
 def euler_product(order: int) -> PowerSeries:

@@ -26,6 +26,22 @@ def count_partitions(n, parts):
     return rec(n, len(parts) - 1)
 
 
+def divide_by_parts(coeffs, residues):
+    """coeffs / prod (q^A; q^B)_inf, one factor (1 - q^m) at a time.
+
+    The per-part division chain, written as a plain loop: every part
+    m = A + j B below len(coeffs) of every (A, B) in ``residues`` divides
+    out as the prefix sum c[i] += c[i - m].
+    """
+    c = list(coeffs)
+    order = len(c)
+    for a, b in residues:
+        for m in range(a, order, b):
+            for i in range(m, order):
+                c[i] += c[i - m]
+    return c
+
+
 def naive_poly_mul(a, b, order):
     """Schoolbook product of coefficient lists, truncated (no kernels)."""
     out = [0] * order

@@ -1,4 +1,8 @@
-"""Backend parity: the compiled kernels must match the pure-Python ones."""
+"""Backend parity: the compiled kernels must match the pure-Python ones.
+
+``div_sparse`` has no compiled twin; it is checked against the kernels it
+generalizes.
+"""
 
 import random
 
@@ -50,3 +54,32 @@ def test_big_integer_coefficients():
     b = [3, 10**41]
     assert kernels.conv_trunc(a, b, 4) == _kernels_py.conv_trunc(a, b, 4)
     assert kernels.conv_trunc(a, b, 4)[1] == 10**81 - 3 * 10**39
+
+
+def test_div_sparse_single_term_is_div_one_minus():
+    rng = random.Random(4)
+    for m in (1, 2, 5, 13, 40):
+        base = [rng.randrange(-(10**45), 10**45) for _ in range(30)]
+        a, b = list(base), list(base)
+        kernels.div_one_minus(a, m)
+        kernels.div_sparse(b, [], [m])
+        assert a == b
+
+
+def test_div_sparse_undoes_sparse_product():
+    rng = random.Random(5)
+    for _ in range(25):
+        n = rng.randrange(1, 70)
+        exps = sorted(rng.sample(range(1, 80), rng.randrange(0, 8)))
+        plus = sorted(rng.sample(exps, len(exps) // 2))
+        minus = [e for e in exps if e not in plus]
+        d = [0] * (max(exps, default=0) + 1)
+        d[0] = 1
+        for e in plus:
+            d[e] += 1
+        for e in minus:
+            d[e] -= 1
+        base = [rng.randrange(-(10**30), 10**30) for _ in range(n)]
+        c = kernels.conv_trunc(d, base, n)
+        kernels.div_sparse(c, plus, minus)
+        assert c == base

@@ -2,8 +2,10 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from theta_trunc.series import (
     NonIntegralExponent,
@@ -13,14 +15,23 @@ from theta_trunc.series import (
     ThetaParams,
     euler_product,
     finite_pochhammer,
+    pochhammer,
     pochhammer_inv,
     ps_div_pochhammer,
     ps_inv,
     ps_mul,
     qbinomial,
+    theta_exponents,
     theta_partial,
+    theta_series,
 )
-from oracles import count_partitions, naive_finite_pochhammer, qbinomial_by_division
+from theta_trunc.families import pair_product_spec, triple_product_spec
+from oracles import (
+    count_partitions,
+    divide_by_parts,
+    naive_finite_pochhammer,
+    qbinomial_by_division,
+)
 
 
 def geometric(order):
@@ -160,6 +171,71 @@ class TestPochhammerInv:
         # parts of two colours: generating function 1/(q;q)_inf^2
         single = pochhammer_inv(ProductSpec([(1, 1)]), 5)
         assert got == ps_mul(single, single)
+
+
+@st.composite
+def product_specs(draw):
+    """Pair, triple, (R, R) and lone residues mod R, in any mix of 1-3."""
+    R = draw(st.integers(2, 12))
+    S = draw(st.sampled_from([s for s in range(1, R) if gcd(R, s) == 1]))
+    blocks = {
+        "pair": [(S, R), (R - S, R)],
+        "triple": [(S, R), (R - S, R), (R, R)],
+        "full": [(R, R)],
+        "lone": [(S, R)],
+    }
+    names = draw(st.lists(st.sampled_from(sorted(blocks)), min_size=1, max_size=3))
+    return ProductSpec([r for name in names for r in blocks[name]])
+
+
+@st.composite
+def numerators(draw):
+    order = draw(st.integers(1, 400))
+    coeffs = draw(
+        st.lists(st.integers(-(10**6), 10**6), min_size=order, max_size=order)
+    )
+    return PowerSeries(coeffs, order)
+
+
+class TestThetaDivision:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(numerators(), product_specs())
+    @example(PowerSeries([1, -2, 3] * 50), pair_product_spec(7, 3))
+    @example(PowerSeries([5, 0, -1, 4] * 60), triple_product_spec(11, 4))
+    @example(PowerSeries([1] * 90), ProductSpec([(6, 6)]))
+    @example(PowerSeries([2, -1] * 70), ProductSpec([(1, 5), (4, 5), (1, 5)]))
+    @example(PowerSeries([1, 3] * 80), ProductSpec([(1, 2), (2, 5), (1, 4), (3, 4)]))
+    def test_matches_per_part_chain(self, f, spec):
+        got = ps_div_pochhammer(f, spec)
+        assert got.coeffs == divide_by_parts(f.coeffs, spec.residues)
+
+    def test_theta_is_the_triple_product(self):
+        # Jacobi triple product, exactly; S | R covers (q^B; q^B) = theta_{3B,B}
+        for R in range(2, 10):
+            for S in range(1, R):
+                forward = pochhammer(triple_product_spec(R, S), 600)
+                assert theta_series(R, S, 600) == forward, (R, S)
+
+    def test_theta_is_sparse(self):
+        plus, minus = theta_exponents(3, 1, 8001)
+        assert len(plus) + len(minus) == 145
+        assert plus == sorted(plus) and minus == sorted(minus)
+        assert min(plus + minus) == 1
+
+    def test_theta_repeats_colliding_exponents(self):
+        # theta_{2,1} = sum (-1)^n q^(n^2) = 1 - 2q + 2q^4 - 2q^9 + ...
+        assert theta_series(2, 1, 17).coeffs[:10] == [1, -2, 0, 0, 2, 0, 0, 0, 0, -2]
+
+    def test_theta_rejects_bad_residue(self):
+        for R, S in ((3, 0), (3, 3), (2, 5)):
+            with pytest.raises(ValueError):
+                theta_exponents(R, S, 10)
+
+    def test_pair_inverse_counts_partitions(self):
+        for R, S in ((4, 1), (5, 1), (5, 2), (7, 3)):
+            got = pochhammer_inv(pair_product_spec(R, S), 60)
+            parts = [p for p in range(1, 60) if p % R in (S, R - S)]
+            assert got.coeffs == [count_partitions(n, parts) for n in range(60)]
 
 
 class TestProductSpec:
