@@ -11,7 +11,6 @@ Layers:
   cli          the ``theta-trunc`` command line front end
 """
 
-from .kernels import BACKEND
 from .series import (
     NonIntegralExponent,
     NonUnitConstantTerm,

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import namedtuple
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -24,6 +26,7 @@ from math import gcd
 import numpy as np
 
 from .asymptotics import TWO_R, THREE_R, bernoulli_poly, e_constant
+from .families import pair_product_spec, triple_product_spec
 from .series import ProductSpec, ThetaParams
 
 
@@ -119,6 +122,24 @@ def min_samples(N: int, R: int, variant: str = THREE_R, tail_tol: float = 1e-20)
 # scalar evaluation
 # ---------------------------------------------------------------------------
 
+# The scalar arithmetic a formula body runs on: exp, sin, pi and the real
+# and complex constructors.  Float literals in a body convert exactly in
+# mpmath, so one body serves both.
+_Arith = namedtuple("_Arith", "exp sin pi real cplx")
+
+
+@contextmanager
+def _arith(dps):
+    """cmath/math floats for ``dps=None``, else mpmath at ``dps`` digits."""
+    if dps is None:
+        yield _Arith(cmath.exp, math.sin, math.pi, float, complex)
+        return
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        yield _Arith(mp.exp, mp.sin, mp.pi, mp.mpf, mp.mpc)
+
+
 def _theta_exponents(p: ThetaParams, cutoff: float):
     """Integer exponents a j^2 + c j + d not exceeding ``cutoff``."""
     exps = []
@@ -155,32 +176,22 @@ def eval_product_inv(
         raise ValueError("tol must be positive")
     cutoff = math.log(1.0 / tol) / (2 * math.pi * tau.y)
     parts = sorted(spec.parts(max(2, math.ceil(cutoff) + 1)))
-    if dps is None:
-        ln_q = 2j * math.pi * tau.tau
-        acc = complex(1.0)
+    with _arith(dps) as num:
+        ln_q = 2j * num.pi * num.cplx(tau.x, tau.y)
+        acc = num.cplx(1)
         for m in parts:
-            acc /= 1.0 - cmath.exp(m * ln_q)
-        return acc
-    import mpmath as mp
-
-    with mp.workdps(dps):
-        ln_q = 2j * mp.pi * mp.mpc(tau.x, tau.y)
-        acc = mp.mpc(1)
-        for m in parts:
-            acc /= 1 - mp.exp(m * ln_q)
+            acc /= 1.0 - num.exp(m * ln_q)
         return acc
 
 
 def eval_L(p: ThetaParams, R: int, S: int, tau: TauPoint, tol: float = 1e-16) -> complex:
     """G_{a,c,d}(q) / (q^S, q^(R-S); q^R)_inf at the point q."""
-    spec = ProductSpec([(S, R), (R - S, R)])
-    return eval_G(p, tau, tol) * eval_product_inv(spec, tau, tol)
+    return eval_G(p, tau, tol) * eval_product_inv(pair_product_spec(R, S), tau, tol)
 
 
 def eval_Lprime(p: ThetaParams, R: int, S: int, tau: TauPoint, tol: float = 1e-16) -> complex:
     """G_{a,c,d}(q) / (q^S, q^(R-S), q^R; q^R)_inf at the point q."""
-    spec = ProductSpec([(S, R), (R - S, R), (R, R)])
-    return eval_G(p, tau, tol) * eval_product_inv(spec, tau, tol)
+    return eval_G(p, tau, tol) * eval_product_inv(triple_product_spec(R, S), tau, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -253,40 +264,21 @@ def transformed_pair_product(
     """
     if gcd(R, S) != 1 or not 1 <= S < R:
         raise ValueError("need gcd(R,S)=1 and 1 <= S < R")
-    if dps is None:
-        t = tau.tau
+    with _arith(dps) as num:
+        t = num.cplx(tau.x, tau.y)
         main = (
-            cmath.exp(1j * math.pi * t * (R / 6.0 - S + S * S / R))
-            * cmath.exp(1j * math.pi / (6.0 * R * t))
-            / (2.0 * math.sin(math.pi * S / R))
+            num.exp(1j * num.pi * t * (num.real(R) / 6 - S + num.real(S * S) / R))
+            * num.exp(1j * num.pi / (6.0 * R * t))
+            / (2.0 * num.sin(num.pi * S / R))
         )
         if not corrected:
             return main
-        w = cmath.exp(-2j * math.pi / (R * t))
-        alpha = cmath.exp(2j * math.pi * S / R)
-        corr = complex(1.0)
+        w = num.exp(-2j * num.pi / (R * t))
+        alpha = num.exp(2j * num.pi * S / R)
+        corr = num.cplx(1)
         wj = w
         while abs(wj) >= tol:
             corr /= (1.0 - alpha * wj) * (1.0 - wj / alpha)
-            wj *= w
-        return main * corr
-    import mpmath as mp
-
-    with mp.workdps(dps):
-        t = mp.mpc(tau.x, tau.y)
-        main = (
-            mp.exp(1j * mp.pi * t * (mp.mpf(R) / 6 - S + mp.mpf(S * S) / R))
-            * mp.exp(1j * mp.pi / (6 * R * t))
-            / (2 * mp.sin(mp.pi * S / R))
-        )
-        if not corrected:
-            return main
-        w = mp.exp(-2j * mp.pi / (R * t))
-        alpha = mp.exp(2j * mp.pi * S / R)
-        corr = mp.mpc(1)
-        wj = w
-        while abs(wj) >= tol:
-            corr /= (1 - alpha * wj) * (1 - wj / alpha)
             wj *= w
         return main * corr
 
@@ -346,9 +338,9 @@ def _integrand_grid(p, R, S, N, samples, variant, which, tail_tol):
         g += np.exp(e * ln_q)
 
     if which == "B":
-        spec = ProductSpec([(S, R), (R - S, R)])
+        spec = pair_product_spec(R, S)
     elif which == "Bprime":
-        spec = ProductSpec([(S, R), (R - S, R), (R, R)])
+        spec = triple_product_spec(R, S)
     else:
         raise ValueError("which must be 'B' or 'Bprime'")
     p_cut = math.log(1.0 / tail_tol) / (2 * math.pi * y)
@@ -399,14 +391,20 @@ class ArcSplit:
 
 
 def arc_split_diagnostic(
-    p: ThetaParams, R: int, S: int, N: int, samples: int, tail_tol: float = 1e-20
+    p: ThetaParams, R: int, S: int, N: int, samples: int, tail_tol: float = 1e-20,
+    variant: str = THREE_R,
 ) -> ArcSplit:
-    """Main-arc / error-arc split of the B-coefficient quadrature (threeR)."""
-    quad = QuadratureSpec(N, samples, THREE_R, tail_tol)
+    """Main-arc / error-arc split of the coefficient quadrature.
+
+    threeR splits the B (L) quadrature, twoR the B' (L') one, each on its
+    own circle.
+    """
+    quad = QuadratureSpec(N, samples, variant, tail_tol)
     _check_bandwidth(quad, R)
-    y = circle_y(N, R, THREE_R)
+    y = circle_y(N, R, variant)
     x = -0.5 + np.arange(samples) / samples
-    vals = _integrand_grid(p, R, S, N, samples, THREE_R, "B", tail_tol)
+    which = "B" if variant == THREE_R else "Bprime"
+    vals = _integrand_grid(p, R, S, N, samples, variant, which, tail_tol)
     mask = np.abs(x) <= y
     main = _pairwise_reduce(np.where(mask, vals, 0.0)) / samples
     err = _pairwise_reduce(np.where(mask, 0.0, vals)) / samples

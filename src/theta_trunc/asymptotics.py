@@ -284,28 +284,43 @@ def _sin_factor(R: int, S: int) -> float:
     return math.sin(math.pi * S / R)
 
 
+# Per variant: the power of the first rung of the four-rung ladder, and the
+# prefactors (even rungs, odd rungs) as functions of (a, R).
+_BLOCK_LADDERS = {
+    THREE_R: (Fraction(1, 2), lambda a, R: (math.sqrt(math.pi / a), 1.0)),
+    TWO_R: (Fraction(1), lambda a, R: (math.sqrt(R / (2 * a)), math.sqrt(R / (2 * math.pi)))),
+}
+
+
+def _mainterm_block(p: ThetaParams, R: int, S: int, N: int, variant: str):
+    """Shared body of mainterm_B and mainterm_Bprime (see the module docstring)."""
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    first, prefactors = _BLOCK_LADDERS[variant]
+    even, odd = prefactors(float(p.a), R)
+    sin0 = _sin_factor(R, S)
+    b1 = float(bernoulli_poly(1, p.c / (2 * p.a)))
+    b3 = float(bernoulli_poly(3, p.c / (2 * p.a)))
+    e = float(e_constant(p, R, S, variant))
+    coeffs = (
+        even / (4 * sin0),
+        -odd * b1 / (2 * sin0),
+        -even * e / (4 * sin0),
+        (e * b1 + float(p.a) * b3 / 3) * odd / (2 * sin0),
+    )
+    powers = [first + Fraction(i, 2) for i in range(4)]
+    terms = tuple((coeff, -w, w) for coeff, w in zip(coeffs, powers))
+    exp = BesselExpansion(bessel_argument(N, R, variant), terms, variant)
+    return exp, expansion_to_logvalue(exp, N, R)
+
+
 def mainterm_B(p: ThetaParams, R: int, S: int, N: int):
     """Four-term Bessel main term for a B block; returns (expansion, value).
 
     Term ladder: powers 1/2, 1, 3/2, 2 with orders -1/2, -1, -3/2, -2 and
     signs +, -, -, +.
     """
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    sin0 = _sin_factor(R, S)
-    half = Fraction(1, 2)
-    b1 = float(bernoulli_poly(1, p.c / (2 * p.a)))
-    b3 = float(bernoulli_poly(3, p.c / (2 * p.a)))
-    e = float(e_constant(p, R, S, THREE_R))
-    sqa = math.sqrt(math.pi / float(p.a))
-    terms = (
-        (sqa / (4 * sin0), -half, half),
-        (-b1 / (2 * sin0), Fraction(-1), Fraction(1)),
-        (-sqa * e / (4 * sin0), -3 * half, 3 * half),
-        ((e * b1 + float(p.a) * b3 / 3) / (2 * sin0), Fraction(-2), Fraction(2)),
-    )
-    exp = BesselExpansion(bessel_argument(N, R, THREE_R), terms, THREE_R)
-    return exp, expansion_to_logvalue(exp, N, R)
+    return _mainterm_block(p, R, S, N, THREE_R)
 
 
 def mainterm_Bprime(p: ThetaParams, R: int, S: int, N: int):
@@ -314,23 +329,7 @@ def mainterm_Bprime(p: ThetaParams, R: int, S: int, N: int):
     Term ladder: powers 1, 3/2, 2, 5/2 with orders -1, -3/2, -2, -5/2 and
     signs +, -, -, +; E carries R/8 in place of R/12.
     """
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    sin0 = _sin_factor(R, S)
-    half = Fraction(1, 2)
-    b1 = float(bernoulli_poly(1, p.c / (2 * p.a)))
-    b3 = float(bernoulli_poly(3, p.c / (2 * p.a)))
-    e = float(e_constant(p, R, S, TWO_R))
-    sq_r2a = math.sqrt(R / (2 * float(p.a)))
-    sq_r2pi = math.sqrt(R / (2 * math.pi))
-    terms = (
-        (sq_r2a / (4 * sin0), Fraction(-1), Fraction(1)),
-        (-sq_r2pi * b1 / (2 * sin0), -3 * half, 3 * half),
-        (-sq_r2a * e / (4 * sin0), Fraction(-2), Fraction(2)),
-        ((e * b1 + float(p.a) * b3 / 3) * sq_r2pi / (2 * sin0), -5 * half, 5 * half),
-    )
-    exp = BesselExpansion(bessel_argument(N, R, TWO_R), terms, TWO_R)
-    return exp, expansion_to_logvalue(exp, N, R)
+    return _mainterm_block(p, R, S, N, TWO_R)
 
 
 def family_bessel_expansion(spec: FamilySpec, N: int) -> BesselExpansion:

@@ -220,9 +220,7 @@ def cmd_circle(p: ThetaParams, R: int, S: int, N: int, samples=None, variant=asy
     try:
         quad = QuadratureSpec(N, samples, variant)
         value = analytic.wright_coefficient(p, R, S, quad, which)
-        split = analytic.arc_split_diagnostic(
-            p, R, S, N, analytic.min_samples(N, R, asymptotics.THREE_R)
-        )
+        split = analytic.arc_split_diagnostic(p, R, S, N, samples, variant=variant)
     except (BandwidthTooSmall, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE

@@ -134,6 +134,24 @@ def decompose_C(spec: FamilySpec):
     ]
 
 
+def _quintuple_blocks(spec: FamilySpec, c_last: Fraction, h3: Fraction, h4: Fraction):
+    """Blocks of D / Dprime: H1 and H2 of decompose_D, then the family's own
+    last two, c = c_last -+ 3S at offsets h3, h4 with signs -, +."""
+    R, S, k = spec.R, spec.S, spec.k
+    a = Fraction(3 * R, 2)
+    h12 = Fraction(R * (3 * k + 2) * (k + 1), 2)
+    c12 = Fraction((6 * k + 5) * R, 2)
+    cs = [
+        (-1, c12 + 3 * S, h12 + S * (3 * k + 3)),
+        (1, c12 - 3 * S, h12 - S * (3 * k + 2)),
+        (-1, c_last - 3 * S, h3),
+        (1, c_last + 3 * S, h4),
+    ]
+    return [
+        SignedThetaTerm(s, ThetaParams(a, c, int(d)), PAIR) for s, c, d in cs
+    ]
+
+
 def decompose_D(spec: FamilySpec):
     """Four-term decomposition of the D family (a = 3R/2).
 
@@ -145,20 +163,8 @@ def decompose_D(spec: FamilySpec):
     if spec.family != "D":
         raise ValueError("decompose_D needs family D")
     R, S, k = spec.R, spec.S, spec.k
-    a = Fraction(3 * R, 2)
-    h1 = Fraction(R * (3 * k + 2) * (k + 1), 2) + S * (3 * k + 3)
-    h2 = Fraction(R * (3 * k + 2) * (k + 1), 2) - S * (3 * k + 2)
-    h3 = Fraction(R * (3 * k + 4) * (k + 1), 2) - S * (3 * k + 3)
-    h4 = Fraction(R * (3 * k + 4) * (k + 1), 2) + S * (3 * k + 4)
-    cs = [
-        (-1, Fraction((6 * k + 5) * R, 2) + 3 * S, h1),
-        (1, Fraction((6 * k + 5) * R, 2) - 3 * S, h2),
-        (-1, Fraction((6 * k + 7) * R, 2) - 3 * S, h3),
-        (1, Fraction((6 * k + 7) * R, 2) + 3 * S, h4),
-    ]
-    return [
-        SignedThetaTerm(s, ThetaParams(a, c, int(d)), PAIR) for s, c, d in cs
-    ]
+    h = Fraction(R * (3 * k + 4) * (k + 1), 2)
+    return _quintuple_blocks(spec, Fraction((6 * k + 7) * R, 2), h - S * (3 * k + 3), h + S * (3 * k + 4))
 
 
 def decompose_Dprime(spec: FamilySpec):
@@ -171,20 +177,8 @@ def decompose_Dprime(spec: FamilySpec):
     if spec.family != "Dprime":
         raise ValueError("decompose_Dprime needs family Dprime")
     R, S, k = spec.R, spec.S, spec.k
-    a = Fraction(3 * R, 2)
-    h1 = Fraction(R * (3 * k + 2) * (k + 1), 2) + S * (3 * k + 3)
-    h2 = Fraction(R * (3 * k + 2) * (k + 1), 2) - S * (3 * k + 2)
-    h3p = Fraction(R * k * (3 * k + 1), 2) - 3 * k * S
-    h4p = Fraction(R * k * (3 * k + 1), 2) + S * (3 * k + 1)
-    cs = [
-        (-1, Fraction((6 * k + 5) * R, 2) + 3 * S, h1),
-        (1, Fraction((6 * k + 5) * R, 2) - 3 * S, h2),
-        (-1, Fraction((6 * k + 1) * R, 2) - 3 * S, h3p),
-        (1, Fraction((6 * k + 1) * R, 2) + 3 * S, h4p),
-    ]
-    return [
-        SignedThetaTerm(s, ThetaParams(a, c, int(d)), PAIR) for s, c, d in cs
-    ]
+    h = Fraction(R * k * (3 * k + 1), 2)
+    return _quintuple_blocks(spec, Fraction((6 * k + 1) * R, 2), h - 3 * k * S, h + S * (3 * k + 1))
 
 
 def decompose_family(spec: FamilySpec):

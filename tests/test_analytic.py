@@ -264,13 +264,14 @@ class TestQuadrature:
 class TestArcSplit:
     def test_partition_of_range(self):
         N = 100
-        M = min_samples(N, 3)
-        split = arc_split_diagnostic(P672, 3, 1, N, M)
-        total = wright_coefficient(P672, 3, 1, QuadratureSpec(N, M), "B")
-        assert isinstance(split, ArcSplit)
-        recombined = (split.I_main + split.I_error).real
-        assert recombined == pytest.approx(total, rel=1e-12)
-        assert split.ratio < 1
+        for variant, which in (("threeR", "B"), ("twoR", "Bprime")):
+            M = min_samples(N, 3, variant)
+            split = arc_split_diagnostic(P672, 3, 1, N, M, variant=variant)
+            total = wright_coefficient(P672, 3, 1, QuadratureSpec(N, M, variant), which)
+            assert isinstance(split, ArcSplit)
+            recombined = (split.I_main + split.I_error).real
+            assert recombined == pytest.approx(total, rel=1e-12)
+            assert split.ratio < 1
 
     def test_ratio_decreases(self):
         prev = None

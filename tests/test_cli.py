@@ -2,11 +2,12 @@
 
 import csv
 import json
+from fractions import Fraction
 
 from theta_trunc import cli
 from theta_trunc.asymptotics import LogValue
 from theta_trunc.families import FamilySpec
-from theta_trunc.series import PowerSeries
+from theta_trunc.series import PowerSeries, ThetaParams
 
 
 def run(argv):
@@ -185,6 +186,20 @@ class TestCircle:
     def test_two_r_variant(self):
         argv = "circle --a 6 --c 7 --d 2 --R 3 --S 1 --N 20 --variant twoR".split()
         assert run(argv) == 0
+
+    def test_two_r_arc_split_uses_the_two_r_grid(self, capsys):
+        argv = "circle --a 6 --c 7 --d 2 --R 3 --S 1 --N 20 --variant twoR".split()
+        assert run(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        p = ThetaParams(Fraction(6), Fraction(7), 2)
+        ratios = {
+            variant: cli.analytic.arc_split_diagnostic(
+                p, 3, 1, 20, cli.analytic.min_samples(20, 3, variant), variant=variant
+            ).ratio
+            for variant in ("threeR", "twoR")
+        }
+        assert ratios["twoR"] != ratios["threeR"]
+        assert "|I''|/|I'|       : %s" % cli._fmt_real(ratios["twoR"]) in lines
 
     def test_fractional_a(self):
         argv = "circle --a 9/2 --c 21/2 --d 6 --R 3 --S 1 --N 20".split()
