@@ -6,7 +6,10 @@ defining series and products directly to a tolerance.  The coefficient
 quadrature integrates L(q) q^(-N) over the circle |q| = exp(-2 pi y) with
 y = 1/(2 sqrt(3RN)) (threeR) or 1/(2 sqrt(2RN)) (twoR); on that circle the
 trapezoid rule is exact for band-limited integrands, which gives back the
-exact integer coefficients at desk scale.
+exact integer coefficients at desk scale.  The integrand grid is evaluated
+on its lower half only (the upper half is the conjugate mirror, since L has
+real coefficients) and the last grid is cached, so a coefficient and its
+arc split cost one grid evaluation between them.
 
 eval_product_inv and transformed_pair_product accept an optional ``dps``:
 the identity they satisfy holds to exp(-2 pi / (R y)) relative, far below
@@ -21,6 +24,7 @@ from collections import namedtuple
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 import numpy as np
@@ -322,33 +326,45 @@ def mainarc_L_expansion(p: ThetaParams, R: int, S: int, tau: TauPoint) -> comple
 # circle-method quadrature
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=1)
 def _integrand_grid(p, R, S, N, samples, variant, which, tail_tol):
     """Values of L(q) exp(2 pi N y - 2 pi i N x) on the sample grid.
 
     Vectorized over the grid; the reduction order is fixed separately.
+    L has real coefficients, so the value at -x is the conjugate of the
+    value at x: only x = -1/2 + k/samples for k = 0..samples/2 is
+    evaluated, and the upper half is the mirrored conjugate.  The grid
+    is exactly symmetric (samples is a power of two) and complex exp, *
+    and / commute with conjugation, so the result is bit-identical to
+    evaluating every sample.  The last grid is cached and returned
+    read-only, so a coefficient and its arc split share one evaluation.
     """
-    y = circle_y(N, R, variant)
-    x = -0.5 + np.arange(samples) / samples
-    ln_q = (-2 * math.pi * y) + (2j * math.pi) * x
-
-    qa = math.exp(-2 * math.pi * y)
-    g_cut = (math.log(1.0 / tail_tol) - math.log(1.0 - qa)) / (2 * math.pi * y)
-    g = np.zeros(samples, dtype=np.complex128)
-    for e in _theta_exponents(p, g_cut):
-        g += np.exp(e * ln_q)
-
     if which == "B":
         spec = pair_product_spec(R, S)
     elif which == "Bprime":
         spec = triple_product_spec(R, S)
     else:
         raise ValueError("which must be 'B' or 'Bprime'")
+    y = circle_y(N, R, variant)
+    half = samples // 2
+    x = -0.5 + np.arange(half + 1) / samples
+    ln_q = (-2 * math.pi * y) + (2j * math.pi) * x
+
+    qa = math.exp(-2 * math.pi * y)
+    g_cut = (math.log(1.0 / tail_tol) - math.log(1.0 - qa)) / (2 * math.pi * y)
+    g = np.zeros(half + 1, dtype=np.complex128)
+    for e in _theta_exponents(p, g_cut):
+        g += np.exp(e * ln_q)
+
     p_cut = math.log(1.0 / tail_tol) / (2 * math.pi * y)
-    prod = np.ones(samples, dtype=np.complex128)
+    prod = np.ones(half + 1, dtype=np.complex128)
     for m in sorted(spec.parts(max(2, math.ceil(p_cut) + 1))):
         prod /= 1.0 - np.exp(m * ln_q)
 
-    return g * prod * np.exp(-N * ln_q)
+    lower = g * prod * np.exp(-N * ln_q)
+    vals = np.concatenate((lower, np.conj(lower[half - 1:0:-1])))
+    vals.flags.writeable = False
+    return vals
 
 
 def _pairwise_reduce(values: np.ndarray) -> complex:

@@ -26,7 +26,7 @@ from datetime import datetime, timezone
 from fractions import Fraction
 
 from . import analytic, asymptotics, families
-from .analytic import BandwidthTooSmall, QuadratureSpec
+from .analytic import QuadratureSpec
 from .asymptotics import LogValue, logvalue_ratio
 from .families import FamilySpec
 from .series import ThetaParams
@@ -213,7 +213,12 @@ def cmd_compare(spec: FamilySpec, n_list, form="elementary", fmt="csv", out=None
 
 
 def cmd_circle(p: ThetaParams, R: int, S: int, N: int, samples=None, variant=asymptotics.THREE_R) -> int:
-    """Quadrature versus exact coefficient; exit 4 unless they round equal."""
+    """Quadrature versus exact coefficient; exit 4 unless they round equal.
+
+    Besides the value, its rounding and the exact coefficient, prints the
+    arc split, the integer margin |v - round v| and the float headroom
+    53 - bit length of the exact coefficient (negative past float64).
+    """
     which = "B" if variant == asymptotics.THREE_R else "Bprime"
     if samples is None:
         samples = analytic.min_samples(N, R, variant)
@@ -221,7 +226,7 @@ def cmd_circle(p: ThetaParams, R: int, S: int, N: int, samples=None, variant=asy
         quad = QuadratureSpec(N, samples, variant)
         value = analytic.wright_coefficient(p, R, S, quad, which)
         split = analytic.arc_split_diagnostic(p, R, S, N, samples, variant=variant)
-    except (BandwidthTooSmall, ValueError) as exc:
+    except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
     genfun = families.genfun_B if which == "B" else families.genfun_Bprime
@@ -231,6 +236,8 @@ def cmd_circle(p: ThetaParams, R: int, S: int, N: int, samples=None, variant=asy
     print("rounded          : %d" % rounded)
     print("exact            : %d" % exact)
     print("|I''|/|I'|       : %s" % _fmt_real(split.ratio))
+    print("integer margin   : %s" % _fmt_real(abs(value - rounded)))
+    print("float headroom   : %d" % (53 - exact.bit_length()))
     return EXIT_OK if rounded == exact else EXIT_QUADRATURE
 
 
@@ -328,6 +335,12 @@ def main(argv=None) -> int:
             code, _ = cmd_compare(spec, args.n_list, args.form, args.format, out, args.stamp)
             return code
         if args.command == "circle":
+            if args.N < 1:
+                print("error: N must be >= 1", file=sys.stderr)
+                return EXIT_USAGE
+            if not 1 <= args.S < args.R:
+                print("error: need 1 <= S < R", file=sys.stderr)
+                return EXIT_USAGE
             p = ThetaParams(args.a, args.c, args.d)
             return cmd_circle(p, args.R, args.S, args.N, args.samples, args.variant)
     except ValueError as exc:

@@ -5,7 +5,10 @@ counts come from literal enumeration, products from naive convolution, and
 special functions from mpmath at high precision.
 """
 
+import math
 from fractions import Fraction
+
+import numpy as np
 
 
 def count_partitions(n, parts):
@@ -91,3 +94,36 @@ def qbinomial_by_division(L, K, order):
     out = poly_divide_exact(num, den, order)
     assert all(c.denominator == 1 for c in out)
     return [c.numerator for c in out]
+
+
+def full_integrand_grid(p, R, S, N, samples, variant, which, tail_tol):
+    """The circle integrand evaluated at every sample, with no symmetry.
+
+    The all-samples loop that the half-grid ``analytic._integrand_grid``
+    replaces; it shares that function's cutoffs and product specs.
+    """
+    from theta_trunc.analytic import _theta_exponents, circle_y
+    from theta_trunc.families import pair_product_spec, triple_product_spec
+
+    y = circle_y(N, R, variant)
+    x = -0.5 + np.arange(samples) / samples
+    ln_q = (-2 * math.pi * y) + (2j * math.pi) * x
+
+    qa = math.exp(-2 * math.pi * y)
+    g_cut = (math.log(1.0 / tail_tol) - math.log(1.0 - qa)) / (2 * math.pi * y)
+    g = np.zeros(samples, dtype=np.complex128)
+    for e in _theta_exponents(p, g_cut):
+        g += np.exp(e * ln_q)
+
+    if which == "B":
+        spec = pair_product_spec(R, S)
+    elif which == "Bprime":
+        spec = triple_product_spec(R, S)
+    else:
+        raise ValueError("which must be 'B' or 'Bprime'")
+    p_cut = math.log(1.0 / tail_tol) / (2 * math.pi * y)
+    prod = np.ones(samples, dtype=np.complex128)
+    for m in sorted(spec.parts(max(2, math.ceil(p_cut) + 1))):
+        prod /= 1.0 - np.exp(m * ln_q)
+
+    return g * prod * np.exp(-N * ln_q)

@@ -6,9 +6,12 @@ import random
 from fractions import Fraction
 
 import mpmath as mp
+import numpy as np
 import pytest
 
+from theta_trunc import cli
 from theta_trunc.analytic import (
+    _integrand_grid,
     ArcSplit,
     BandwidthTooSmall,
     MainArcViolation,
@@ -32,6 +35,8 @@ from theta_trunc.analytic import (
 )
 from theta_trunc.families import genfun_B, genfun_Bprime
 from theta_trunc.series import ProductSpec, ThetaParams
+from oracles import full_integrand_grid
+from test_acceptance import QUAD_INSTANCES
 
 P672 = ThetaParams(Fraction(6), Fraction(7), 2)
 P210 = ThetaParams(Fraction(2), Fraction(1), 0)
@@ -259,6 +264,35 @@ class TestQuadrature:
         quad = QuadratureSpec(1, min_samples(1, 3))
         val = wright_coefficient(p, 3, 1, quad, "B")
         assert round(val) == genfun_B(p, 3, 1, 2)[1]
+
+
+class TestIntegrandGrid:
+    CASES = [
+        (ThetaParams(a, c, d), R, S, N, which, variant)
+        for a, c, d, R, S in QUAD_INSTANCES
+        for which, variant in (("B", "threeR"), ("Bprime", "twoR"))
+        for N in (50, 300)
+    ]
+
+    @pytest.mark.parametrize("p, R, S, N, which, variant", CASES)
+    def test_half_grid_matches_full_grid_bitwise(self, p, R, S, N, which, variant):
+        args = (p, R, S, N, min_samples(N, R, variant), variant, which, 1e-20)
+        half = _integrand_grid(*args)
+        full = full_integrand_grid(*args)
+        assert half.shape == full.shape
+        assert np.array_equal(half.view(np.uint64), full.view(np.uint64))
+
+    def test_grid_is_read_only(self):
+        vals = _integrand_grid(P672, 3, 1, 20, min_samples(20, 3), "threeR", "B", 1e-20)
+        assert not vals.flags.writeable
+        with pytest.raises(ValueError):
+            vals[0] = 0.0
+
+    def test_cmd_circle_builds_one_grid(self, capsys):
+        _integrand_grid.cache_clear()
+        assert cli.cmd_circle(P672, 3, 1, 20) == 0
+        info = _integrand_grid.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
 
 
 class TestArcSplit:

@@ -4,6 +4,8 @@ import csv
 import json
 from fractions import Fraction
 
+import pytest
+
 from theta_trunc import cli
 from theta_trunc.asymptotics import LogValue
 from theta_trunc.families import FamilySpec
@@ -215,6 +217,39 @@ class TestCircle:
         )
         argv = "circle --a 6 --c 7 --d 2 --R 3 --S 1 --N 20".split()
         assert run(argv) == 4
+
+    def test_margin_and_headroom_lines(self, capsys):
+        argv = "circle --a 6 --c 7 --d 2 --R 3 --S 1 --N 20".split()
+        assert run(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        fields = {k.strip(): v.strip() for k, _, v in (l.partition(":") for l in lines)}
+        assert len(lines) == 6
+        value, exact = float(fields["quadrature value"]), int(fields["exact"])
+        assert fields["integer margin"] == cli._fmt_real(abs(value - round(value)))
+        assert 0.0 <= float(fields["integer margin"]) < 1e-3
+        assert int(fields["float headroom"]) == 53 - exact.bit_length() > 0
+
+    def test_headroom_negative_past_float64(self, monkeypatch, capsys):
+        monkeypatch.setattr(
+            cli.analytic, "wright_coefficient", lambda *a, **k: 12345.25
+        )
+        monkeypatch.setattr(cli.families, "genfun_B", lambda p, R, S, n: [2**60] * n)
+        argv = "circle --a 6 --c 7 --d 2 --R 3 --S 1 --N 20".split()
+        assert run(argv) == 4
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-2:] == ["integer margin   : 0.25", "float headroom   : -8"]
+
+    @pytest.mark.parametrize("flags, message", [
+        ("--R 0 --S 1 --N 20", "need 1 <= S < R"),
+        ("--R 3 --S 3 --N 20", "need 1 <= S < R"),
+        ("--R 3 --S 1 --N -5", "N must be >= 1"),
+    ])
+    def test_invalid_input_exits_2(self, flags, message, capsys):
+        argv = ("circle --a 6 --c 7 --d 2 " + flags).split()
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: %s\n" % message
 
 
 class TestDeterminism:
