@@ -29,7 +29,6 @@ from .series import (
 )
 from .families import (
     FamilySpec,
-    InsufficientRange,
     SignedThetaTerm,
     decompose_C,
     decompose_D,

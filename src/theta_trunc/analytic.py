@@ -2,11 +2,13 @@
 
 Everything here works with q = exp(2 pi i tau), tau = x + i y, y > 0.  The
 scalar evaluators (eval_G, eval_product_inv, eval_L, ...) sum/multiply the
-defining series and products directly to a tolerance.  The coefficient
-quadrature integrates L(q) q^(-N) over the circle |q| = exp(-2 pi y) with
-y = 1/(2 sqrt(3RN)) (threeR) or 1/(2 sqrt(2RN)) (twoR); on that circle the
-trapezoid rule is exact for band-limited integrands, which gives back the
-exact integer coefficients at desk scale.  The integrand grid is evaluated
+defining series and products directly to a tolerance; eval_G and the
+integrand grid sum q^e over the exponents e <= cutoff in the order
+``series.theta_terms`` lists them (at order floor(cutoff) + 1).  The
+coefficient quadrature integrates L(q) q^(-N) over the circle
+|q| = exp(-2 pi y) with y = 1/(2 sqrt(3RN)) (threeR) or 1/(2 sqrt(2RN))
+(twoR); on that circle the trapezoid rule is exact for band-limited
+integrands, which gives back the exact integer coefficients at desk scale.  The integrand grid is evaluated
 on its lower half only (the upper half is the conjugate mirror, since L has
 real coefficients) and the last grid is cached, so a coefficient and its
 arc split cost one grid evaluation between them.
@@ -31,7 +33,7 @@ import numpy as np
 
 from .asymptotics import TWO_R, THREE_R, bernoulli_poly, e_constant
 from .families import pair_product_spec, triple_product_spec
-from .series import ProductSpec, ThetaParams
+from .series import ProductSpec, ThetaParams, theta_terms
 
 
 class SectorViolation(ValueError):
@@ -144,20 +146,6 @@ def _arith(dps):
         yield _Arith(mp.exp, mp.sin, mp.pi, mp.mpf, mp.mpc)
 
 
-def _theta_exponents(p: ThetaParams, cutoff: float):
-    """Integer exponents a j^2 + c j + d not exceeding ``cutoff``."""
-    exps = []
-    j = 0
-    while True:
-        e = p.exponent(j)
-        if e <= cutoff:
-            exps.append(e)
-        elif 2 * p.a * j + p.c > 0:
-            break
-        j += 1
-    return exps
-
-
 def eval_G(p: ThetaParams, tau: TauPoint, tol: float = 1e-16) -> complex:
     """sum_j q^(a j^2 + c j + d), summed until |q|^e < tol (1 - |q|)."""
     if not tol > 0:
@@ -165,7 +153,7 @@ def eval_G(p: ThetaParams, tau: TauPoint, tol: float = 1e-16) -> complex:
     qa = tau.q_abs
     cutoff = (math.log(1.0 / tol) - math.log(1.0 - qa)) / (2 * math.pi * tau.y)
     ln_q = 2j * math.pi * tau.tau
-    return sum(cmath.exp(e * ln_q) for e in _theta_exponents(p, cutoff))
+    return sum(cmath.exp(e * ln_q) for e, _ in theta_terms(p, math.floor(cutoff) + 1))
 
 
 def eval_product_inv(
@@ -353,7 +341,7 @@ def _integrand_grid(p, R, S, N, samples, variant, which, tail_tol):
     qa = math.exp(-2 * math.pi * y)
     g_cut = (math.log(1.0 / tail_tol) - math.log(1.0 - qa)) / (2 * math.pi * y)
     g = np.zeros(half + 1, dtype=np.complex128)
-    for e in _theta_exponents(p, g_cut):
+    for e, _ in theta_terms(p, math.floor(g_cut) + 1):
         g += np.exp(e * ln_q)
 
     p_cut = math.log(1.0 / tail_tol) / (2 * math.pi * y)

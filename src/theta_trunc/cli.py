@@ -37,6 +37,10 @@ EXIT_USAGE = 2
 EXIT_VIOLATION = 3
 EXIT_QUADRATURE = 4
 
+# Largest order or N of verify-identities and circle, and the default
+# --n-ceiling of coeffs, scan and compare.
+N_CEILING = 10_000
+
 FAMILY_FLAGS = {"C": "C", "Cp": "Cprime", "D": "D", "Dp": "Dprime"}
 
 
@@ -49,17 +53,6 @@ class ComparisonRecord:
     mainterm_ln: LogValue
     ratio: object  # float, or the string "sign-mismatch"
     form: str
-
-
-@dataclass(frozen=True)
-class ScanReport:
-    """Result of a sign scan over [n_lo, n_hi]."""
-
-    spec: FamilySpec
-    n_lo: int
-    n_hi: int
-    violations: list
-    status: str
 
 
 # ---------------------------------------------------------------------------
@@ -147,10 +140,9 @@ def cmd_verify_identities(order: int = 200, decomp_order: int = 300, quiet=False
             *families.truncated_pentagonal_sides(k, order),
         )
     for R, S in families.GRID_RS:
-        J = families.quintuple_default_range(R, S, order)
         ok &= report(
             "quintuple R=%d S=%d order=%d" % (R, S, order),
-            *families.quintuple_product_sides(R, S, J, order),
+            *families.quintuple_product_sides(R, S, order),
         )
     for spec in families.default_grid():
         ok &= report(
@@ -165,12 +157,10 @@ def cmd_verify_identities(order: int = 200, decomp_order: int = 300, quiet=False
 def cmd_scan(spec: FamilySpec, n_lo: int, n_hi: int, fmt="csv", out=None, stamp=False) -> int:
     """Check the family sign pattern on [n_lo, n_hi]; exit 3 on violation."""
     violations = families.scan_signs(spec, n_lo, n_hi)
-    report = ScanReport(
-        spec, n_lo, n_hi, violations, "clean" if not violations else "violated"
-    )
+    status = "violated" if violations else "clean"
     print(
         "scan %s R=%d S=%d k=%d N in [%d, %d]: %s (%d violations)"
-        % (spec.family, spec.R, spec.S, spec.k, n_lo, n_hi, report.status, len(violations))
+        % (spec.family, spec.R, spec.S, spec.k, n_lo, n_hi, status, len(violations))
     )
     if out is not None:
         rows = [(n, str(v)) for n, v in violations]
@@ -263,13 +253,12 @@ def build_parser() -> argparse.ArgumentParser:
         prog="theta-trunc",
         description="exact and asymptotic coefficients of truncated theta series",
     )
-    ap.add_argument("--seed", type=int, default=None, help="reserved; unused by deterministic paths")
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("coeffs", help="exact coefficient table")
     _add_family_flags(sp)
     sp.add_argument("--n-max", type=int, required=True)
-    sp.add_argument("--n-ceiling", type=int, default=10_000)
+    sp.add_argument("--n-ceiling", type=int, default=N_CEILING)
     _add_io_flags(sp)
 
     sp = sub.add_parser("verify-identities", help="exact identity suites")
@@ -280,14 +269,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_family_flags(sp)
     sp.add_argument("--n-lo", type=int, default=1)
     sp.add_argument("--n-hi", type=int, required=True)
-    sp.add_argument("--n-ceiling", type=int, default=10_000)
+    sp.add_argument("--n-ceiling", type=int, default=N_CEILING)
     _add_io_flags(sp)
 
     sp = sub.add_parser("compare", help="exact vs main-term magnitudes")
     _add_family_flags(sp)
     sp.add_argument("--n", type=int, action="append", required=True, dest="n_list")
     sp.add_argument("--form", choices=("elementary", "bessel"), default="elementary")
-    sp.add_argument("--n-ceiling", type=int, default=10_000)
+    sp.add_argument("--n-ceiling", type=int, default=N_CEILING)
     _add_io_flags(sp)
 
     sp = sub.add_parser("circle", help="circle quadrature vs exact coefficient")
@@ -316,6 +305,15 @@ def main(argv=None) -> int:
             if args.order < 50:
                 print("error: order must be >= 50", file=sys.stderr)
                 return EXIT_USAGE
+            if args.order > N_CEILING:
+                print("error: order above ceiling %d" % N_CEILING, file=sys.stderr)
+                return EXIT_USAGE
+            if args.decomp_order < 1:
+                print("error: decomp-order must be >= 1", file=sys.stderr)
+                return EXIT_USAGE
+            if args.decomp_order > N_CEILING:
+                print("error: decomp-order above ceiling %d" % N_CEILING, file=sys.stderr)
+                return EXIT_USAGE
             return cmd_verify_identities(args.order, args.decomp_order)
         if args.command == "scan":
             if not 1 <= args.n_lo <= args.n_hi:
@@ -337,6 +335,9 @@ def main(argv=None) -> int:
         if args.command == "circle":
             if args.N < 1:
                 print("error: N must be >= 1", file=sys.stderr)
+                return EXIT_USAGE
+            if args.N > N_CEILING:
+                print("error: N above ceiling %d" % N_CEILING, file=sys.stderr)
                 return EXIT_USAGE
             if not 1 <= args.S < args.R:
                 print("error: need 1 <= S < R", file=sys.stderr)

@@ -10,6 +10,12 @@ shape (signed theta tail sum) / (q-Pochhammer product):
   D        two-sided tail of the quintuple-product theta series (k >= 0),
   Dprime   the asymmetric-range variant (k >= 1).
 
+Every numerator here, and every identity side that is a theta series, is a
+signed sum of q^(a n^2 + c n + d) over a range of n, listed by
+``series.theta_terms``: C and Cprime take ranges of the Jacobi triple
+product series theta_{R,S}, D and Dprime ranges of the quintuple product
+series Q, the G_{a,c,d} blocks the range n >= 0.
+
 Each family also decomposes into four signed unilateral theta blocks
 G_{a,c,d} sharing one denominator; ``genfun_family_via_decomposition``
 rebuilds the series from that decomposition, and exact equality of the two
@@ -34,16 +40,14 @@ from .series import (
     ps_div_pochhammer,
     qbinomial,
     theta_partial,
+    theta_rs_params,
+    theta_terms,
 )
 
 FAMILIES = ("C", "Cprime", "D", "Dprime")
 
 PAIR = "pair"
 TRIPLE = "triple"
-
-
-class InsufficientRange(ValueError):
-    """The bilateral sum was cut before exceeding the truncation order."""
 
 
 @dataclass(frozen=True)
@@ -213,74 +217,57 @@ def genfun_Bprime(p: ThetaParams, R: int, S: int, order: int) -> PowerSeries:
     )
 
 
-def _c_numerator(R, S, k, order, sign_k):
-    """(-1)^k * sum_{j>=k} (-1)^j q^(Rj(j+1)/2) (q^(-jS) - q^(jS+S)).
+def _quintuple_theta(R: int, S: int):
+    """The quintuple product theta series as (sign, params) blocks:
 
-    Exponents R j(j+1)/2 -+ jS are collected until the smaller one passes
-    the order.
+      Q = sum_n q^((3R/2) n^2 + (R/2 - 3S) n)
+        - sum_n q^((3R/2) n^2 + (R/2 + 3S) n + S).
     """
-    terms = []
-    j = k
-    while True:
-        base = R * j * (j + 1) // 2
-        lo = base - j * S
-        hi = base + j * S + S
-        if lo >= order:
-            # lo grows by R(j+1) - S > 0 per step (S < R) and hi > lo, so
-            # no later j lands below the order either
-            break
-        s = sign_k * (1 if (j - k) % 2 == 0 else -1)
-        terms.append((lo, s))
-        if hi < order:
-            terms.append((hi, -s))
-        j += 1
-    return PowerSeries.from_terms(terms, order)
+    a = Fraction(3 * R, 2)
+    return [
+        (1, ThetaParams(a, Fraction(R, 2) - 3 * S, 0)),
+        (-1, ThetaParams(a, Fraction(R, 2) + 3 * S, S)),
+    ]
+
+
+def _theta_sum(blocks, order, ranges, alternating=False):
+    """Sum of sign * q^(a n^2 + c n + d) over (sign, params) in ``blocks`` and
+    n in each (n_min, n_max) of ``ranges``, truncated below ``order``."""
+    return PowerSeries.from_terms(
+        [
+            (e, sign * v)
+            for sign, p in blocks
+            for n_min, n_max in ranges
+            for e, v in theta_terms(p, order, n_min, n_max, alternating)
+        ],
+        order,
+    )
 
 
 def genfun_family(spec: FamilySpec, order: int) -> PowerSeries:
-    """Build the family series directly from its defining expression."""
+    """Build the family series directly from its defining expression.
+
+    The numerator is a signed range of a theta series:
+      C        (-1)^k     theta_{R,S} over n <= -k and n >= k+1
+      Cprime   (-1)^(k-1) theta_{R,S} over -(k-1) <= n <= k
+      D        -Q over n <= -(k+1) and n >= k+1
+      Dprime   -Q over n <= -(k+1) and n >= k
+    with theta_{R,S} from ``theta_rs_params`` and Q from
+    ``_quintuple_theta``; Cprime sits over the triple product, the others
+    over the pair product.
+    """
     R, S, k = spec.R, spec.S, spec.k
-    if spec.family == "C":
-        num = _c_numerator(R, S, k, order, 1)
-        return ps_div_pochhammer(num, pair_product_spec(R, S))
+    sign = -1 if k % 2 else 1
     if spec.family == "Cprime":
-        # (-1)^(k-1) * sum_{j=0..k-1} (-1)^j q^(Rj(j+1)/2 - Sj)(1 - q^((2j+1)S))
-        sign0 = 1 if (k - 1) % 2 == 0 else -1
-        terms = []
-        for j in range(k):
-            s = sign0 * (1 if j % 2 == 0 else -1)
-            base = R * j * (j + 1) // 2 - S * j
-            terms.append((base, s))
-            terms.append((base + (2 * j + 1) * S, -s))
-        num = PowerSeries.from_terms(
-            ((e, v) for e, v in terms if e < order), order
-        )
+        num = _theta_sum([(-sign, theta_rs_params(R, S))], order, [(1 - k, k)], True)
         return ps_div_pochhammer(num, triple_product_spec(R, S))
-    # D / Dprime: minus the two-sided tails of the quintuple theta sum
-    neg_from = k + 1
-    pos_from = k + 1 if spec.family == "D" else k
-    terms = []
-    n = pos_from
-    while True:
-        e1 = n * (3 * n + 1) * R // 2 - 3 * n * S
-        e2 = n * (3 * n + 1) * R // 2 + (3 * n + 1) * S
-        if e1 >= order:
-            break
-        terms.append((e1, -1))
-        if e2 < order:
-            terms.append((e2, 1))
-        n += 1
-    m = neg_from
-    while True:
-        e1 = m * (3 * m - 1) * R // 2 + 3 * m * S
-        e2 = m * (3 * m - 1) * R // 2 - (3 * m - 1) * S
-        if e2 >= order:
-            break
-        terms.append((e2, 1))
-        if e1 < order:
-            terms.append((e1, -1))
-        m += 1
-    num = PowerSeries.from_terms(terms, order)
+    if spec.family == "C":
+        jtp = [(sign, theta_rs_params(R, S))]
+        num = _theta_sum(jtp, order, [(None, -k), (k + 1, None)], True)
+    else:
+        first = k + 1 if spec.family == "D" else k
+        minus_q = [(-s, p) for s, p in _quintuple_theta(R, S)]
+        num = _theta_sum(minus_q, order, [(None, -(k + 1)), (first, None)])
     return ps_div_pochhammer(num, pair_product_spec(R, S))
 
 
@@ -313,40 +300,23 @@ def genfun_family_via_decomposition(spec: FamilySpec, order: int) -> PowerSeries
 # ---------------------------------------------------------------------------
 
 def pentagonal_sides(order: int):
-    """(q; q)_inf versus sum_j (-1)^j q^(j(3j+1)/2) (1 - q^(2j+1))."""
-    lhs = euler_product(order)
-    terms = []
-    j = 0
-    while j * (3 * j + 1) // 2 < order:
-        s = 1 if j % 2 == 0 else -1
-        e = j * (3 * j + 1) // 2
-        terms.append((e, s))
-        if e + 2 * j + 1 < order:
-            terms.append((e + 2 * j + 1, -s))
-        j += 1
-    return lhs, PowerSeries.from_terms(terms, order)
+    """(q; q)_inf versus theta_{3,1} = sum_n (-1)^n q^(n(3n-1)/2)."""
+    rhs = _theta_sum([(1, theta_rs_params(3, 1))], order, [(None, None)], True)
+    return euler_product(order), rhs
 
 
 def truncated_pentagonal_sides(k: int, order: int):
     """Both sides of the truncated pentagonal number theorem.
 
-    LHS: (1/(q;q)_inf) sum_{j=0..k-1} (-1)^j q^(j(3j+1)/2) (1 - q^(2j+1)).
+    LHS: (1/(q;q)_inf) sum_{j=0..k-1} (-1)^j q^(j(3j+1)/2) (1 - q^(2j+1)),
+         whose numerator is theta_{3,1} over -(k-1) <= n <= k.
     RHS: 1 + (-1)^(k-1) sum_{n>=1} q^((k+1)n + k(k-1)/2) / (q;q)_n
                                   * [n-1 choose k-1]_q.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    terms = []
-    for j in range(k):
-        e = j * (3 * j + 1) // 2
-        s = 1 if j % 2 == 0 else -1
-        if e < order:
-            terms.append((e, s))
-        if e + 2 * j + 1 < order:
-            terms.append((e + 2 * j + 1, -s))
-    lhs = ps_div_pochhammer(
-        PowerSeries.from_terms(terms, order), ProductSpec([(1, 1)])
-    )
+    num = _theta_sum([(1, theta_rs_params(3, 1))], order, [(1 - k, k)], True)
+    lhs = ps_div_pochhammer(num, ProductSpec([(1, 1)]))
 
     rhs = PowerSeries.one(order)
     sign = 1 if (k - 1) % 2 == 0 else -1
@@ -366,46 +336,17 @@ def truncated_pentagonal_sides(k: int, order: int):
     return lhs, rhs
 
 
-def quintuple_default_range(R: int, S: int, order: int) -> int:
-    """Smallest J whose |n|=J exponents clear the order, doubled."""
-    j = 1
-    while R * j * (3 * j - 1) // 2 - 3 * j * S <= order:
-        j += 1
-    return 2 * j
-
-
-def quintuple_product_sides(R: int, S: int, J: int, order: int):
+def quintuple_product_sides(R: int, S: int, order: int):
     """Both sides of the quintuple product identity, truncated.
 
-    LHS: sum_{n=-J..J} q^(n(3n+1)R/2) (q^(-3nS) - q^((3n+1)S)).
+    LHS: Q = sum_{n in Z} q^(n(3n+1)R/2) (q^(-3nS) - q^((3n+1)S)).
     RHS: (q^S, q^(R-S), q^R; q^R)_inf (q^(R-2S), q^(R+2S); q^(2R))_inf.
-    Raises InsufficientRange unless every dropped |n| > J term exceeds order.
     """
     if not (1 <= S and 2 * S < R):
         raise ValueError("need 1 <= S < R/2")
     if gcd(R, S) != 1:
         raise ValueError("R and S must be coprime")
-    m = J + 1
-    first_omitted = min(
-        m * (3 * m + 1) * R // 2 - 3 * m * S,
-        m * (3 * m + 1) * R // 2 + (3 * m + 1) * S,
-        m * (3 * m - 1) * R // 2 + 3 * m * S,
-        m * (3 * m - 1) * R // 2 - (3 * m - 1) * S,
-    )
-    if first_omitted <= order:
-        raise InsufficientRange(
-            "J=%d leaves exponent %d <= order %d" % (J, first_omitted, order)
-        )
-    terms = []
-    for n in range(-J, J + 1):
-        base = n * (3 * n + 1) * R // 2
-        e1 = base - 3 * n * S
-        e2 = base + (3 * n + 1) * S
-        if e1 < order:
-            terms.append((e1, 1))
-        if e2 < order:
-            terms.append((e2, -1))
-    lhs = PowerSeries.from_terms(terms, order)
+    lhs = _theta_sum(_quintuple_theta(R, S), order, [(None, None)])
     rhs = pochhammer(
         ProductSpec(
             [(S, R), (R - S, R), (R, R), (R - 2 * S, 2 * R), (R + 2 * S, 2 * R)]

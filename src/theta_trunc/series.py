@@ -155,15 +155,6 @@ class ThetaParams:
         if self.d < 0 or not isinstance(self.d, int):
             raise ValueError("d must be a non-negative integer")
 
-    def exponent(self, j: int) -> int:
-        """The integer exponent a*j^2 + c*j + d."""
-        e = self.a * j * j + self.c * j + self.d
-        if e.denominator != 1:
-            raise NonIntegralExponent(
-                "exponent %s at j=%d is not an integer" % (e, j)
-            )
-        return e.numerator
-
 
 @dataclass(frozen=True)
 class ProductSpec:
@@ -262,6 +253,50 @@ def pochhammer_inv(spec: ProductSpec, order: int) -> PowerSeries:
     return ps_div_pochhammer(PowerSeries.one(order), spec)
 
 
+def theta_terms(p: ThetaParams, order: int, n_min=0, n_max=None, alternating=False):
+    """Pairs (a n^2 + c n + d, sign) with exponent below ``order``.
+
+    n runs over n_min <= n <= n_max, where None leaves that side unbounded:
+    first n >= 0 ascending, then n < 0 descending.  The sign is (-1)^n
+    when ``alternating``, else +1.
+
+    Works on the integers A = 2a, C = 2c: 2(a n^2 + c n + d) is even for
+    every n exactly when A + C is.  Each direction stops at its bound, or
+    at the first exponent >= order past which the exponents only grow: the
+    step e(n + s) - e(n) = (A (2 s n + 1) + s C) / 2 increases as n moves
+    in direction s, so once it is positive no later exponent drops below
+    the order.
+    """
+    A, ra = divmod(2 * p.a.numerator, p.a.denominator)
+    C, rc = divmod(2 * p.c.numerator, p.c.denominator)
+    if ra or rc or (A + C) % 2:
+        raise NonIntegralExponent(
+            "a n^2 + c n + d is not an integer for odd n (a=%s, c=%s)" % (p.a, p.c)
+        )
+    D, top = 2 * p.d, 2 * order
+    terms = []
+    for s, n, last in (
+        (1, 0 if n_min is None else max(n_min, 0), n_max),
+        (-1, -1 if n_max is None else min(n_max, -1), n_min),
+    ):
+        while last is None or s * n <= s * last:
+            e2 = (A * n + C) * n + D
+            if e2 < top:
+                terms.append((e2 >> 1, -1 if alternating and n & 1 else 1))
+            elif A * (2 * s * n + 1) + s * C > 0:
+                break
+            n += s
+    return terms
+
+
+def theta_rs_params(R: int, S: int) -> ThetaParams:
+    """theta_{R,S} = sum_{n in Z} (-1)^n q^(R n(n-1)/2 + S n) as (a, c, d).
+
+    Enumerate it with ``theta_terms(..., n_min=None, alternating=True)``.
+    """
+    return ThetaParams(Fraction(R, 2), Fraction(2 * S - R, 2), 0)
+
+
 def theta_exponents(R: int, S: int, order: int):
     """Exponents of theta_{R,S} below ``order``, split by sign.
 
@@ -271,24 +306,15 @@ def theta_exponents(R: int, S: int, order: int):
                     = sum_{n in Z} (-1)^n q^(R n(n-1)/2 + S n).
 
     Returns ascending lists (plus, minus) of the exponents >= 1 with
-    coefficient +1 and -1; the constant term is 1.  An exponent is listed
-    twice when two n share it (only R = 2S, where n and -n collide).
+    coefficient +1 and -1; the constant term is 1 (n = 0 is the only n
+    with exponent 0).  An exponent is listed twice when two n share it
+    (only R = 2S, where n and -n collide).
     """
     if not 0 < S < R:
         raise ValueError("need 0 < S < R, got R=%d S=%d" % (R, S))
-    plus, minus = [], []
-    n = 1
-    while True:
-        # the exponents of n and -n (n >= 1) both increase with n
-        e_pos = R * n * (n - 1) // 2 + S * n
-        e_neg = R * n * (n + 1) // 2 - S * n
-        if min(e_pos, e_neg) >= order:
-            break
-        out = minus if n % 2 else plus
-        out.extend(e for e in (e_pos, e_neg) if e < order)
-        n += 1
-    plus.sort()
-    minus.sort()
+    terms = theta_terms(theta_rs_params(R, S), order, None, None, True)
+    plus = sorted(e for e, v in terms if v > 0 and e)
+    minus = sorted(e for e, v in terms if v < 0)
     return plus, minus
 
 
@@ -363,21 +389,8 @@ def euler_product(order: int) -> PowerSeries:
 
 
 def theta_partial(p: ThetaParams, order: int) -> PowerSeries:
-    """sum_j q^(a j^2 + c j + d) truncated below ``order``.
-
-    Iterates j upward; stops once the exponent is past the truncation order
-    and the exponent sequence has become increasing (a > 0 guarantees only
-    finitely many j contribute even when c < 0 makes the first few exponents
-    non-monotone).
-    """
+    """G_{a,c,d} = sum_{j>=0} q^(a j^2 + c j + d) truncated below ``order``."""
     c = [0] * order
-    j = 0
-    while True:
-        e = p.exponent(j)
-        if e < order:
-            c[e] += 1
-        elif 2 * p.a * j + p.c > 0:
-            # exponent now strictly increasing in j: nothing more can land
-            break
-        j += 1
+    for e, _ in theta_terms(p, order):
+        c[e] += 1
     return PowerSeries(c, order)

@@ -45,6 +45,29 @@ def divide_by_parts(coeffs, residues):
     return c
 
 
+def brute_theta_terms(a, c, d, order, n_min=None, n_max=None, alternating=False):
+    """Pairs (a n^2 + c n + d, sign) with exponent below ``order``, by brute force.
+
+    Tries every n with |n| < W = ceil((|c| + order) / a), n >= 0 ascending,
+    then n < 0 descending, keeping n_min <= n <= n_max (None: no bound)
+    and the sign (-1)^n if ``alternating``.  The window holds every
+    solution: for |n| >= W and d >= 0, a n^2 + c n + d >= |n| (a |n| - |c|)
+    >= 1 * order.
+    """
+    a, c = Fraction(a), Fraction(c)
+    assert a > 0 and d >= 0 and order >= 1
+    w = math.ceil((abs(c) + order) / a)
+    out = []
+    for n in list(range(w)) + list(range(-1, -w, -1)):
+        if n_min is not None and n < n_min or n_max is not None and n > n_max:
+            continue
+        e = a * n * n + c * n + d
+        if e < order:
+            assert e.denominator == 1
+            out.append((e.numerator, (-1) ** abs(n) if alternating else 1))
+    return out
+
+
 def naive_poly_mul(a, b, order):
     """Schoolbook product of coefficient lists, truncated (no kernels)."""
     out = [0] * order
@@ -102,8 +125,9 @@ def full_integrand_grid(p, R, S, N, samples, variant, which, tail_tol):
     The all-samples loop that the half-grid ``analytic._integrand_grid``
     replaces; it shares that function's cutoffs and product specs.
     """
-    from theta_trunc.analytic import _theta_exponents, circle_y
+    from theta_trunc.analytic import circle_y
     from theta_trunc.families import pair_product_spec, triple_product_spec
+    from theta_trunc.series import theta_terms
 
     y = circle_y(N, R, variant)
     x = -0.5 + np.arange(samples) / samples
@@ -112,7 +136,7 @@ def full_integrand_grid(p, R, S, N, samples, variant, which, tail_tol):
     qa = math.exp(-2 * math.pi * y)
     g_cut = (math.log(1.0 / tail_tol) - math.log(1.0 - qa)) / (2 * math.pi * y)
     g = np.zeros(samples, dtype=np.complex128)
-    for e in _theta_exponents(p, g_cut):
+    for e, _ in theta_terms(p, math.floor(g_cut) + 1):
         g += np.exp(e * ln_q)
 
     if which == "B":

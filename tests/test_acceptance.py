@@ -54,7 +54,6 @@ from theta_trunc.families import (
     genfun_family,
     genfun_family_via_decomposition,
     pentagonal_sides,
-    quintuple_default_range,
     quintuple_product_sides,
     scan_signs,
     truncated_pentagonal_sides,
@@ -80,7 +79,7 @@ def test_c1_identity_suite():
         lhs, rhs = truncated_pentagonal_sides(k, 200)
         ok &= lhs == rhs
     for R, S in GRID_RS:
-        lhs, rhs = quintuple_product_sides(R, S, quintuple_default_range(R, S, 200), 200)
+        lhs, rhs = quintuple_product_sides(R, S, 200)
         ok &= lhs == rhs
     for spec in default_grid():
         ok &= genfun_family(spec, 300) == genfun_family_via_decomposition(spec, 300)

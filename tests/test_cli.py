@@ -50,6 +50,14 @@ class TestCoeffs:
     def test_ceiling(self):
         assert run("coeffs --family C --R 3 --S 1 --k 1 --n-max 20000".split()) == 2
 
+    @pytest.mark.parametrize("command, size", [
+        ("coeffs", "--n-max"), ("scan", "--n-hi"), ("compare", "--n"),
+    ])
+    def test_n_ceiling_default_is_the_shared_ceiling(self, command, size):
+        argv = [command] + "--family C --R 3 --S 1 --k 1".split() + [size, "1"]
+        args = cli.build_parser().parse_args(argv)
+        assert args.n_ceiling == cli.N_CEILING == 10_000
+
     def test_env_output_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("THETA_TRUNC_OUT", str(tmp_path))
         assert run("coeffs --family C --R 3 --S 1 --k 1 --n-max 3".split()) == 0
@@ -78,6 +86,22 @@ class TestVerifyIdentities:
 
     def test_order_floor(self):
         assert run(["verify-identities", "--order", "10"]) == 2
+
+    @pytest.mark.parametrize("flags, message", [
+        ("--order 10001", "order above ceiling 10000"),
+        ("--decomp-order 10001", "decomp-order above ceiling 10000"),
+        ("--decomp-order 0", "decomp-order must be >= 1"),
+    ])
+    def test_bad_size_exits_2_before_any_suite(self, flags, message, capsys):
+        assert run(["verify-identities"] + flags.split()) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: %s\n" % message
+
+    def test_ceiling_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(cli, "N_CEILING", 60)
+        assert run("verify-identities --order 60 --decomp-order 60".split()) == 0
+        assert run("verify-identities --order 60 --decomp-order 61".split()) == 2
 
     def test_mismatch_exits_1(self, monkeypatch, capsys):
         import theta_trunc.families as fam
@@ -243,6 +267,7 @@ class TestCircle:
         ("--R 0 --S 1 --N 20", "need 1 <= S < R"),
         ("--R 3 --S 3 --N 20", "need 1 <= S < R"),
         ("--R 3 --S 1 --N -5", "N must be >= 1"),
+        ("--R 3 --S 1 --N 10001", "N above ceiling 10000"),
     ])
     def test_invalid_input_exits_2(self, flags, message, capsys):
         argv = ("circle --a 6 --c 7 --d 2 " + flags).split()
@@ -267,8 +292,3 @@ class TestDeterminism:
             + [str(out)]
         )
         assert out.read_text().startswith("# stamp:")
-
-    def test_seed_flag_accepted(self, tmp_path):
-        out = tmp_path / "c.csv"
-        argv = ["--seed", "7"] + "coeffs --family C --R 3 --S 1 --k 1 --n-max 2 --out".split() + [str(out)]
-        assert run(argv) == 0

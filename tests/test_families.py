@@ -6,7 +6,6 @@ import pytest
 
 from theta_trunc.families import (
     FamilySpec,
-    InsufficientRange,
     decompose_C,
     decompose_D,
     decompose_Dprime,
@@ -16,12 +15,11 @@ from theta_trunc.families import (
     genfun_Bprime,
     genfun_family,
     genfun_family_via_decomposition,
-    quintuple_default_range,
     quintuple_product_sides,
     scan_signs,
     truncated_pentagonal_sides,
 )
-from theta_trunc.series import PowerSeries, ThetaParams
+from theta_trunc.series import PowerSeries, ThetaParams, theta_terms
 from oracles import count_partitions
 
 
@@ -98,8 +96,7 @@ class TestDecompositions:
         # a j^2 + c j integral for all decomposition blocks on the grid
         for spec in default_grid():
             for t in decompose_family(spec):
-                for j in range(4):
-                    t.params.exponent(j)
+                theta_terms(t.params, 100)
 
 
 class TestGenfuns:
@@ -177,22 +174,17 @@ class TestTruncatedPentagonal:
 class TestQuintuple:
     def test_exact_31_52(self):
         for R, S in ((3, 1), (5, 2)):
-            J = quintuple_default_range(R, S, 100)
-            lhs, rhs = quintuple_product_sides(R, S, J, 100)
+            lhs, rhs = quintuple_product_sides(R, S, 100)
             assert lhs == rhs
 
     def test_n0_term(self):
-        # the n = 0 summand alone is 1 - q^S (J = 0 legal while order < R-2S)
-        lhs, _ = quintuple_product_sides(7, 1, 0, 4)
+        # below order R - 2S only the n = 0 summand 1 - q^S is left
+        lhs, _ = quintuple_product_sides(7, 1, 4)
         assert lhs.coeffs == [1, -1, 0, 0]
-
-    def test_insufficient_range(self):
-        with pytest.raises(InsufficientRange):
-            quintuple_product_sides(3, 1, 1, 100)
 
     def test_rejects_bad_rs(self):
         with pytest.raises(ValueError):
-            quintuple_product_sides(4, 2, 8, 50)
+            quintuple_product_sides(4, 2, 50)
 
 
 class TestScans:

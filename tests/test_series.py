@@ -24,9 +24,11 @@ from theta_trunc.series import (
     theta_exponents,
     theta_partial,
     theta_series,
+    theta_terms,
 )
 from theta_trunc.families import pair_product_spec, triple_product_spec
 from oracles import (
+    brute_theta_terms,
     count_partitions,
     divide_by_parts,
     naive_finite_pochhammer,
@@ -248,6 +250,35 @@ class TestProductSpec:
     def test_allows_equal_pair(self):
         # (q^R; q^R)_inf needs A == B
         assert ProductSpec([(3, 3)]).parts(10) == [3, 6, 9]
+
+
+@st.composite
+def theta_term_args(draw):
+    """Valid (a, c, d), an order, an n range and the alternating flag."""
+    two_a = draw(st.integers(1, 12))
+    a_plus_c = draw(st.integers(0, 20))
+    p = ThetaParams(Fraction(two_a, 2), Fraction(2 * a_plus_c - two_a, 2), draw(st.integers(0, 30)))
+    bound = st.one_of(st.none(), st.integers(-5, 5))
+    return p, draw(st.integers(1, 600)), draw(bound), draw(bound), draw(st.booleans())
+
+
+class TestThetaTerms:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(theta_term_args())
+    # theta_{2,1}: n and -n share each exponent
+    @example((ThetaParams(1, 0, 0), 50, None, None, True))
+    # a n^2 + c n + d negative for n < 0
+    @example((ThetaParams(Fraction(1, 2), Fraction(19, 2), 0), 30, None, None, False))
+    # n = -1, -2, -3 give 7, 6, 7: the exponent at -1 is the order, the
+    # one after it drops below, and the one after that climbs again
+    @example((ThetaParams(1, 4, 10), 7, None, None, False))
+    # an exponent equal to the order, and empty ranges
+    @example((ThetaParams(Fraction(3, 2), Fraction(-1, 2), 0), 12, -3, 3, True))
+    @example((ThetaParams(2, 1, 0), 40, 3, -2, True))
+    def test_matches_brute_force(self, args):
+        p, order, n_min, n_max, alternating = args
+        got = theta_terms(p, order, n_min, n_max, alternating)
+        assert got == brute_theta_terms(p.a, p.c, p.d, order, n_min, n_max, alternating)
 
 
 class TestThetaPartial:
