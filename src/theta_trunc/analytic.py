@@ -5,13 +5,14 @@ scalar evaluators (eval_G, eval_product_inv, eval_L, ...) sum/multiply the
 defining series and products directly to a tolerance; eval_G and the
 integrand grid sum q^e over the exponents e <= cutoff in the order
 ``series.theta_terms`` lists them (at order floor(cutoff) + 1).  The
-coefficient quadrature integrates L(q) q^(-N) over the circle
-|q| = exp(-2 pi y) with y = 1/(2 sqrt(3RN)) (threeR) or 1/(2 sqrt(2RN))
-(twoR); on that circle the trapezoid rule is exact for band-limited
-integrands, which gives back the exact integer coefficients at desk scale.  The integrand grid is evaluated
-on its lower half only (the upper half is the conjugate mirror, since L has
-real coefficients) and the last grid is cached, so a coefficient and its
-arc split cost one grid evaluation between them.
+coefficient quadrature integrates L(q) q^(-N) (threeR) or L'(q) q^(-N)
+(twoR) over the circle |q| = exp(-2 pi y) of ``asymptotics.VARIANTS``, with
+tails cut below ``TAIL_TOL``; on that circle the trapezoid rule is exact for
+band-limited integrands, which gives back the exact integer coefficients at
+desk scale.  The integrand grid is evaluated on its lower half only (the
+upper half is the conjugate mirror, since L has real coefficients) and the
+last grid is cached, so a coefficient and its arc split cost one grid
+evaluation between them.
 
 eval_product_inv and transformed_pair_product accept an optional ``dps``:
 the identity they satisfy holds to exp(-2 pi / (R y)) relative, far below
@@ -31,7 +32,7 @@ from math import gcd
 
 import numpy as np
 
-from .asymptotics import TWO_R, THREE_R, bernoulli_poly, e_constant
+from .asymptotics import THREE_R, VARIANTS, bernoulli_poly, e_constant
 from .families import pair_product_spec, triple_product_spec
 from .series import ProductSpec, ThetaParams, theta_terms
 
@@ -42,6 +43,10 @@ class SectorViolation(ValueError):
 
 class MainArcViolation(ValueError):
     """tau outside the main-arc box |x| <= y."""
+
+
+# Quadrature integrand tails below this are dropped; it also sets min_samples.
+TAIL_TOL = 1e-20
 
 
 class BandwidthTooSmall(ValueError):
@@ -84,42 +89,37 @@ def _is_pow2(n: int) -> bool:
 class QuadratureSpec:
     """Circle quadrature parameters.
 
-    ``radius_variant`` picks y = 1/(2 sqrt(3RN)) (threeR) or
-    1/(2 sqrt(2RN)) (twoR); ``tail_tol`` controls both the evaluation
-    cutoffs and the bandwidth rule.
+    ``radius_variant`` picks the circle and the integrand: threeR is L on
+    y = 1/(2 sqrt(3RN)), twoR is L' on y = 1/(2 sqrt(2RN)).
     """
 
     N: int
     samples: int
     radius_variant: str = THREE_R
-    tail_tol: float = 1e-20
 
     def __post_init__(self):
         if self.N < 1:
             raise ValueError("N must be >= 1")
         if not _is_pow2(self.samples):
             raise ValueError("samples must be a positive power of two")
-        if self.radius_variant not in (THREE_R, TWO_R):
+        if self.radius_variant not in VARIANTS:
             raise ValueError("radius_variant must be threeR or twoR")
-        if not self.tail_tol > 0:
-            raise ValueError("tail_tol must be positive")
 
 
 def circle_y(N: int, R: int, variant: str = THREE_R) -> float:
     """The circle height y for the given radius variant."""
-    mult = 3.0 if variant == THREE_R else 2.0
-    return 1.0 / (2.0 * math.sqrt(mult * R * N))
+    return 1.0 / (2.0 * math.sqrt(VARIANTS[variant].m * R * N))
 
 
-def min_samples(N: int, R: int, variant: str = THREE_R, tail_tol: float = 1e-20) -> int:
+def min_samples(N: int, R: int, variant: str = THREE_R) -> int:
     """Smallest power-of-two sample count passing the bandwidth rule.
 
     The integrand is a polynomial in exp(2 pi i x) up to degree
-    D = ceil(ln(1/tol) / (2 pi y)) within tolerance; 2 (D + N) samples keep
-    the aliased frequencies harmless.
+    D = ceil(ln(1/TAIL_TOL) / (2 pi y)) within tolerance; 2 (D + N) samples
+    keep the aliased frequencies harmless.
     """
     y = circle_y(N, R, variant)
-    d = math.ceil(math.log(1.0 / tail_tol) / (2 * math.pi * y))
+    d = math.ceil(math.log(1.0 / TAIL_TOL) / (2 * math.pi * y))
     need = 2 * (d + N)
     return 1 << (need - 1).bit_length()
 
@@ -153,7 +153,7 @@ def eval_G(p: ThetaParams, tau: TauPoint, tol: float = 1e-16) -> complex:
     qa = tau.q_abs
     cutoff = (math.log(1.0 / tol) - math.log(1.0 - qa)) / (2 * math.pi * tau.y)
     ln_q = 2j * math.pi * tau.tau
-    return sum(cmath.exp(e * ln_q) for e, _ in theta_terms(p, math.floor(cutoff) + 1))
+    return sum((cmath.exp(e * ln_q) for e, _ in theta_terms(p, math.floor(cutoff) + 1)), 0j)
 
 
 def eval_product_inv(
@@ -315,8 +315,9 @@ def mainarc_L_expansion(p: ThetaParams, R: int, S: int, tau: TauPoint) -> comple
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=1)
-def _integrand_grid(p, R, S, N, samples, variant, which, tail_tol):
-    """Values of L(q) exp(2 pi N y - 2 pi i N x) on the sample grid.
+def _integrand_grid(p, R, S, N, samples, variant):
+    """Values of L(q) (or L'(q), by variant) exp(2 pi N y - 2 pi i N x) on
+    the sample grid.
 
     Vectorized over the grid; the reduction order is fixed separately.
     L has real coefficients, so the value at -x is the conjugate of the
@@ -327,24 +328,19 @@ def _integrand_grid(p, R, S, N, samples, variant, which, tail_tol):
     evaluating every sample.  The last grid is cached and returned
     read-only, so a coefficient and its arc split share one evaluation.
     """
-    if which == "B":
-        spec = pair_product_spec(R, S)
-    elif which == "Bprime":
-        spec = triple_product_spec(R, S)
-    else:
-        raise ValueError("which must be 'B' or 'Bprime'")
+    spec = VARIANTS[variant].denominator(R, S)
     y = circle_y(N, R, variant)
     half = samples // 2
     x = -0.5 + np.arange(half + 1) / samples
     ln_q = (-2 * math.pi * y) + (2j * math.pi) * x
 
     qa = math.exp(-2 * math.pi * y)
-    g_cut = (math.log(1.0 / tail_tol) - math.log(1.0 - qa)) / (2 * math.pi * y)
+    g_cut = (math.log(1.0 / TAIL_TOL) - math.log(1.0 - qa)) / (2 * math.pi * y)
     g = np.zeros(half + 1, dtype=np.complex128)
     for e, _ in theta_terms(p, math.floor(g_cut) + 1):
         g += np.exp(e * ln_q)
 
-    p_cut = math.log(1.0 / tail_tol) / (2 * math.pi * y)
+    p_cut = math.log(1.0 / TAIL_TOL) / (2 * math.pi * y)
     prod = np.ones(half + 1, dtype=np.complex128)
     for m in sorted(spec.parts(max(2, math.ceil(p_cut) + 1))):
         prod /= 1.0 - np.exp(m * ln_q)
@@ -364,24 +360,21 @@ def _pairwise_reduce(values: np.ndarray) -> complex:
 
 
 def _check_bandwidth(quad: QuadratureSpec, R: int):
-    need = min_samples(quad.N, R, quad.radius_variant, quad.tail_tol)
+    need = min_samples(quad.N, R, quad.radius_variant)
     if quad.samples < need:
         raise BandwidthTooSmall(
             "samples=%d below the aliasing-safe minimum %d" % (quad.samples, need)
         )
 
 
-def wright_coefficient(
-    p: ThetaParams, R: int, S: int, quad: QuadratureSpec, which: str = "B"
-) -> float:
-    """Coefficient of q^N in L (or L') by trapezoid quadrature on the circle.
+def wright_coefficient(p: ThetaParams, R: int, S: int, quad: QuadratureSpec) -> float:
+    """Coefficient of q^N in L (threeR) or L' (twoR) by trapezoid quadrature
+    on the circle of ``quad.radius_variant``.
 
     For desk-scale N the result rounds to the exact integer coefficient.
     """
     _check_bandwidth(quad, R)
-    vals = _integrand_grid(
-        p, R, S, quad.N, quad.samples, quad.radius_variant, which, quad.tail_tol
-    )
+    vals = _integrand_grid(p, R, S, quad.N, quad.samples, quad.radius_variant)
     return (_pairwise_reduce(vals) / quad.samples).real
 
 
@@ -395,20 +388,17 @@ class ArcSplit:
 
 
 def arc_split_diagnostic(
-    p: ThetaParams, R: int, S: int, N: int, samples: int, tail_tol: float = 1e-20,
-    variant: str = THREE_R,
+    p: ThetaParams, R: int, S: int, N: int, samples: int, variant: str = THREE_R
 ) -> ArcSplit:
     """Main-arc / error-arc split of the coefficient quadrature.
 
     threeR splits the B (L) quadrature, twoR the B' (L') one, each on its
     own circle.
     """
-    quad = QuadratureSpec(N, samples, variant, tail_tol)
-    _check_bandwidth(quad, R)
+    _check_bandwidth(QuadratureSpec(N, samples, variant), R)
     y = circle_y(N, R, variant)
     x = -0.5 + np.arange(samples) / samples
-    which = "B" if variant == THREE_R else "Bprime"
-    vals = _integrand_grid(p, R, S, N, samples, variant, which, tail_tol)
+    vals = _integrand_grid(p, R, S, N, samples, variant)
     mask = np.abs(x) <= y
     main = _pairwise_reduce(np.where(mask, vals, 0.0)) / samples
     err = _pairwise_reduce(np.where(mask, 0.0, vals)) / samples

@@ -16,16 +16,19 @@ E = d - c^2/(4a) + R/12 - S/2 + S^2/(2R) and sin0 = sin(S*pi/R):
 The B' expansion replaces R/12 by R/8 in E, uses x = 2*pi*sqrt(N/(2R)),
 s = pi/sqrt(2RN), and shifts the ladder to orders -1 .. -5/2 with
 coefficients sqrt(R/2a) and sqrt(R/2pi) in place of sqrt(pi/a) and 1.
+These differences, with the circle and the denominator of each block, are
+the two entries of ``VARIANTS``.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .families import FamilySpec, decompose_family
+from .families import FamilySpec, decompose_family, pair_product_spec, triple_product_spec
 from .series import ThetaParams
 
 _LN2 = math.log(2)
@@ -213,12 +216,34 @@ THREE_R = "threeR"
 TWO_R = "twoR"
 
 
+# Everything that differs between the two circles, with the block that goes
+# with each: B blocks (pair product) take the 3R circle, B' blocks (triple
+# product) the 2R circle.  m gives the circle height y = 1/(2 sqrt(mRN)), the
+# Bessel argument x = 2 pi sqrt(N/(mR)) and the power base s = pi/sqrt(mRN);
+# E carries e_r * R; the block ladder starts at power ``first`` with
+# prefactor even(a, R) on its even rungs and odd(R) on its odd ones;
+# denominator(R, S) is the block's q-product.
+CircleVariant = namedtuple("CircleVariant", "m e_r first even odd denominator")
+
+VARIANTS = {
+    THREE_R: CircleVariant(
+        3, Fraction(1, 12), Fraction(1, 2),
+        lambda a, R: math.sqrt(math.pi / a), lambda R: 1.0, pair_product_spec,
+    ),
+    TWO_R: CircleVariant(
+        2, Fraction(1, 8), Fraction(1),
+        lambda a, R: math.sqrt(R / (2 * a)), lambda R: math.sqrt(R / (2 * math.pi)),
+        triple_product_spec,
+    ),
+}
+
+
 @dataclass(frozen=True)
 class BesselExpansion:
-    """A finite sum of coeff * (pi/sqrt(3RN))^power * I_nu(x) terms.
+    """A finite sum of coeff * s^power * I_nu(x) terms.
 
-    ``argument_scale`` is the common Bessel argument x; ``variant`` records
-    whether the power base is pi/sqrt(3RN) or pi/sqrt(2RN).
+    ``argument_scale`` is the common Bessel argument x; ``variant`` picks
+    the power base s = pi/sqrt(mRN) from ``VARIANTS``.
     """
 
     argument_scale: float
@@ -231,20 +256,16 @@ class BesselExpansion:
         powers = [p for _, _, p in self.terms]
         if any(b >= a for a, b in zip(powers[1:], powers)):
             raise ValueError("powers must be strictly increasing")
-        if self.variant not in (THREE_R, TWO_R):
+        if self.variant not in VARIANTS:
             raise ValueError("variant must be threeR or twoR")
 
 
 def bessel_argument(N: int, R: int, variant: str) -> float:
-    if variant == THREE_R:
-        return 2.0 * math.pi * math.sqrt(N / (3.0 * R))
-    return 2.0 * math.pi * math.sqrt(N / (2.0 * R))
+    return 2.0 * math.pi * math.sqrt(N / (VARIANTS[variant].m * R))
 
 
 def power_scale(N: int, R: int, variant: str) -> float:
-    if variant == THREE_R:
-        return math.pi / math.sqrt(3.0 * R * N)
-    return math.pi / math.sqrt(2.0 * R * N)
+    return math.pi / math.sqrt(VARIANTS[variant].m * R * N)
 
 
 def expansion_value_scaled(exp: BesselExpansion, N: int, R: int) -> float:
@@ -275,29 +296,19 @@ def e_constant(p: ThetaParams, R: int, S: int, variant: str) -> Fraction:
     which is what makes the leading Bessel orders cancel exactly.
     """
     base = Fraction(p.d) - p.c * p.c / (4 * p.a) - Fraction(S, 2) + Fraction(S * S, 2 * R)
-    if variant == THREE_R:
-        return base + Fraction(R, 12)
-    return base + Fraction(R, 8)
+    return base + R * VARIANTS[variant].e_r
 
 
 def _sin_factor(R: int, S: int) -> float:
     return math.sin(math.pi * S / R)
 
 
-# Per variant: the power of the first rung of the four-rung ladder, and the
-# prefactors (even rungs, odd rungs) as functions of (a, R).
-_BLOCK_LADDERS = {
-    THREE_R: (Fraction(1, 2), lambda a, R: (math.sqrt(math.pi / a), 1.0)),
-    TWO_R: (Fraction(1), lambda a, R: (math.sqrt(R / (2 * a)), math.sqrt(R / (2 * math.pi)))),
-}
-
-
 def _mainterm_block(p: ThetaParams, R: int, S: int, N: int, variant: str):
     """Shared body of mainterm_B and mainterm_Bprime (see the module docstring)."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    first, prefactors = _BLOCK_LADDERS[variant]
-    even, odd = prefactors(float(p.a), R)
+    v = VARIANTS[variant]
+    even, odd = v.even(float(p.a), R), v.odd(R)
     sin0 = _sin_factor(R, S)
     b1 = float(bernoulli_poly(1, p.c / (2 * p.a)))
     b3 = float(bernoulli_poly(3, p.c / (2 * p.a)))
@@ -308,7 +319,7 @@ def _mainterm_block(p: ThetaParams, R: int, S: int, N: int, variant: str):
         -even * e / (4 * sin0),
         (e * b1 + float(p.a) * b3 / 3) * odd / (2 * sin0),
     )
-    powers = [first + Fraction(i, 2) for i in range(4)]
+    powers = [v.first + Fraction(i, 2) for i in range(4)]
     terms = tuple((coeff, -w, w) for coeff, w in zip(coeffs, powers))
     exp = BesselExpansion(bessel_argument(N, R, variant), terms, variant)
     return exp, expansion_to_logvalue(exp, N, R)
@@ -332,32 +343,32 @@ def mainterm_Bprime(p: ThetaParams, R: int, S: int, N: int):
     return _mainterm_block(p, R, S, N, TWO_R)
 
 
+# Per family: its blocks' variant and the weight w of the surviving last
+# rung, w S odd(R) / (2 sin0) * s^p I_{-p}(x) at the ladder's last power p.
+_FAMILY_RUNGS = {
+    "C": (THREE_R, lambda k: k),
+    "Cprime": (TWO_R, lambda k: k),
+    "D": (THREE_R, lambda k: 2 * k + 1),
+    "Dprime": (THREE_R, lambda k: -4 * k),
+}
+
+
 def family_bessel_expansion(spec: FamilySpec, N: int) -> BesselExpansion:
     """The single surviving Bessel term after the four-block cancellation."""
-    R, S, k = spec.R, spec.S, spec.k
-    sin0 = _sin_factor(R, S)
-    half = Fraction(1, 2)
-    if spec.family == "C":
-        terms = ((k * S / (2 * sin0), Fraction(-2), Fraction(2)),)
-        variant = THREE_R
-    elif spec.family == "Cprime":
-        coeff = k * S * math.sqrt(R / (2 * math.pi)) / (2 * sin0)
-        terms = ((coeff, -5 * half, 5 * half),)
-        variant = TWO_R
-    elif spec.family == "D":
-        terms = (((2 * k + 1) * S / (2 * sin0), Fraction(-2), Fraction(2)),)
-        variant = THREE_R
-    else:
-        terms = ((-2 * k * S / sin0, Fraction(-2), Fraction(2)),)
-        variant = THREE_R
-    return BesselExpansion(bessel_argument(N, R, variant), terms, variant)
+    R, S = spec.R, spec.S
+    variant, weight = _FAMILY_RUNGS[spec.family]
+    v = VARIANTS[variant]
+    coeff = weight(spec.k) * S * v.odd(R) / (2 * _sin_factor(R, S))
+    power = v.first + Fraction(3, 2)
+    return BesselExpansion(bessel_argument(N, R, variant), ((coeff, -power, power),), variant)
 
 
 def mainterm_family(spec: FamilySpec, N: int, form: str = "elementary") -> LogValue:
     """Closed-form main term of the family coefficient at N.
 
-    ``form='bessel'`` evaluates the surviving Bessel term; ``'elementary'``
-    uses its leading e^x / sqrt(2 pi x) simplification:
+    ``form='bessel'`` evaluates the surviving Bessel term coeff s^p I_{-p}(x);
+    ``'elementary'`` replaces e^(-x) I_{-p}(x) by its leading term
+    1/sqrt(2 pi x), which gives
 
       C:        pi k S N^(-5/4) / (4 (3R)^(3/4) sin0) * e^(2 pi sqrt(N/3R))
       Cprime:   pi k S N^(-3/2) / (8 sqrt(2R) sin0)   * e^(2 pi sqrt(N/2R))
@@ -366,40 +377,20 @@ def mainterm_family(spec: FamilySpec, N: int, form: str = "elementary") -> LogVa
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    if form == "bessel":
-        exp = family_bessel_expansion(spec, N)
-        return expansion_to_logvalue(exp, N, spec.R)
-    if form != "elementary":
+    if form not in ("bessel", "elementary"):
         raise ValueError("form must be 'bessel' or 'elementary'")
-    R, S, k = spec.R, spec.S, spec.k
-    sin0 = _sin_factor(R, S)
-    if spec.family == "C":
-        ln = (
-            math.log(math.pi * k * S)
-            - 1.25 * math.log(N)
-            - math.log(4 * (3 * R) ** 0.75 * sin0)
-        )
-        return LogValue(1, ln + bessel_argument(N, R, THREE_R))
-    if spec.family == "Cprime":
-        ln = (
-            math.log(math.pi * k * S)
-            - 1.5 * math.log(N)
-            - math.log(8 * math.sqrt(2 * R) * sin0)
-        )
-        return LogValue(1, ln + bessel_argument(N, R, TWO_R))
-    if spec.family == "D":
-        ln = (
-            math.log(math.pi * (2 * k + 1) * S)
-            - 1.25 * math.log(N)
-            - math.log(4 * (3 * R) ** 0.75 * sin0)
-        )
-        return LogValue(1, ln + bessel_argument(N, R, THREE_R))
+    exp = family_bessel_expansion(spec, N)
+    if form == "bessel":
+        return expansion_to_logvalue(exp, N, spec.R)
+    ((coeff, _, power),) = exp.terms
+    x = exp.argument_scale
     ln = (
-        math.log(math.pi * k * S)
-        - 1.25 * math.log(N)
-        - math.log((3 * R) ** 0.75 * sin0)
+        math.log(abs(coeff))
+        + float(power) * math.log(power_scale(N, spec.R, exp.variant))
+        - 0.5 * math.log(2 * math.pi * x)
+        + x
     )
-    return LogValue(-1, ln + bessel_argument(N, R, THREE_R))
+    return LogValue(1 if coeff > 0 else -1, ln)
 
 
 def mainterm_family_sum(spec: FamilySpec, N: int):
@@ -409,12 +400,11 @@ def mainterm_family_sum(spec: FamilySpec, N: int):
     e^x factored out, so the cancellation costs no precision beyond the
     doubles themselves.
     """
-    terms = decompose_family(spec)
-    block = mainterm_Bprime if spec.family == "Cprime" else mainterm_B
+    variant, _ = _FAMILY_RUNGS[spec.family]
     acc = 0.0
     x = None
-    for t in terms:
-        exp, _ = block(t.params, spec.R, spec.S, N)
+    for t in decompose_family(spec):
+        exp, _ = _mainterm_block(t.params, spec.R, spec.S, N, variant)
         if x is None:
             x = exp.argument_scale
         acc += t.sign * expansion_value_scaled(exp, N, spec.R)

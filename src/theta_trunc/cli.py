@@ -209,17 +209,16 @@ def cmd_circle(p: ThetaParams, R: int, S: int, N: int, samples=None, variant=asy
     arc split, the integer margin |v - round v| and the float headroom
     53 - bit length of the exact coefficient (negative past float64).
     """
-    which = "B" if variant == asymptotics.THREE_R else "Bprime"
     if samples is None:
         samples = analytic.min_samples(N, R, variant)
     try:
         quad = QuadratureSpec(N, samples, variant)
-        value = analytic.wright_coefficient(p, R, S, quad, which)
+        value = analytic.wright_coefficient(p, R, S, quad)
         split = analytic.arc_split_diagnostic(p, R, S, N, samples, variant=variant)
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
-    genfun = families.genfun_B if which == "B" else families.genfun_Bprime
+    genfun = families.genfun_B if variant == asymptotics.THREE_R else families.genfun_Bprime
     exact = genfun(p, R, S, N + 1)[N]
     rounded = round(value)
     print("quadrature value : %s" % _fmt_real(value))

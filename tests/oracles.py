@@ -123,7 +123,10 @@ def full_integrand_grid(p, R, S, N, samples, variant, which, tail_tol):
     """The circle integrand evaluated at every sample, with no symmetry.
 
     The all-samples loop that the half-grid ``analytic._integrand_grid``
-    replaces; it shares that function's cutoffs and product specs.
+    replaces, with the same cutoffs.  It takes its own ``which`` and
+    ``tail_tol`` rather than reading ``asymptotics.VARIANTS`` and
+    ``analytic.TAIL_TOL``, so a wrong denominator or tolerance there fails
+    a bitwise comparison against it.
     """
     from theta_trunc.analytic import circle_y
     from theta_trunc.families import pair_product_spec, triple_product_spec

@@ -174,7 +174,7 @@ def test_c5_wright_quadrature():
         for N in (20, 50):
             for which, variant in (("B", "threeR"), ("Bprime", "twoR")):
                 quad = QuadratureSpec(N, min_samples(N, R, variant), variant)
-                val = wright_coefficient(p, R, S, quad, which)
+                val = wright_coefficient(p, R, S, quad)
                 genfun = genfun_B if which == "B" else genfun_Bprime
                 exact = genfun(p, R, S, N + 1)[N]
                 err = abs(val - round(val))

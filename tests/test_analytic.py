@@ -64,6 +64,12 @@ class TestEvalG:
             g = eval_G(P672, tau)
             assert abs(g) <= 1.0 / (1.0 - tau.q_abs) + 1e-12
 
+    def test_empty_sum_is_complex(self):
+        # the cutoff (about 19.6) lies below d = 22, so no term is summed
+        got = eval_G(ThetaParams(Fraction(6), Fraction(23), 22), TauPoint(0.123, 0.3))
+        assert type(got) is complex
+        assert got == 0j
+
 
 class TestEvalProduct:
     def test_partition_product_at_tau_i(self):
@@ -231,7 +237,7 @@ class TestQuadrature:
 
     def test_bandwidth_rule(self):
         with pytest.raises(BandwidthTooSmall):
-            wright_coefficient(P672, 3, 1, QuadratureSpec(50, 256), "B")
+            wright_coefficient(P672, 3, 1, QuadratureSpec(50, 256))
 
     def test_rounds_to_exact_both_variants(self):
         # 20 seeded (p, R, S, N <= 60) draws, each in both variants
@@ -252,7 +258,7 @@ class TestQuadrature:
             N = rng.randrange(12, 61)
             for which, variant in (("B", "threeR"), ("Bprime", "twoR")):
                 quad = QuadratureSpec(N, min_samples(N, R, variant), variant)
-                val = wright_coefficient(p, R, S, quad, which)
+                val = wright_coefficient(p, R, S, quad)
                 fn = genfun_B if which == "B" else genfun_Bprime
                 exact = fn(p, R, S, N + 1)[N]
                 assert abs(val - round(val)) < 1e-3
@@ -262,7 +268,7 @@ class TestQuadrature:
         # N=1 quadrature on a d=0 block reproduces the small coefficient
         p = ThetaParams(Fraction(1), Fraction(0), 0)
         quad = QuadratureSpec(1, min_samples(1, 3))
-        val = wright_coefficient(p, 3, 1, quad, "B")
+        val = wright_coefficient(p, 3, 1, quad)
         assert round(val) == genfun_B(p, 3, 1, 2)[1]
 
 
@@ -276,14 +282,14 @@ class TestIntegrandGrid:
 
     @pytest.mark.parametrize("p, R, S, N, which, variant", CASES)
     def test_half_grid_matches_full_grid_bitwise(self, p, R, S, N, which, variant):
-        args = (p, R, S, N, min_samples(N, R, variant), variant, which, 1e-20)
+        args = (p, R, S, N, min_samples(N, R, variant), variant)
         half = _integrand_grid(*args)
-        full = full_integrand_grid(*args)
+        full = full_integrand_grid(*args, which, 1e-20)
         assert half.shape == full.shape
         assert np.array_equal(half.view(np.uint64), full.view(np.uint64))
 
     def test_grid_is_read_only(self):
-        vals = _integrand_grid(P672, 3, 1, 20, min_samples(20, 3), "threeR", "B", 1e-20)
+        vals = _integrand_grid(P672, 3, 1, 20, min_samples(20, 3), "threeR")
         assert not vals.flags.writeable
         with pytest.raises(ValueError):
             vals[0] = 0.0
@@ -298,10 +304,10 @@ class TestIntegrandGrid:
 class TestArcSplit:
     def test_partition_of_range(self):
         N = 100
-        for variant, which in (("threeR", "B"), ("twoR", "Bprime")):
+        for variant in ("threeR", "twoR"):
             M = min_samples(N, 3, variant)
             split = arc_split_diagnostic(P672, 3, 1, N, M, variant=variant)
-            total = wright_coefficient(P672, 3, 1, QuadratureSpec(N, M, variant), which)
+            total = wright_coefficient(P672, 3, 1, QuadratureSpec(N, M, variant))
             assert isinstance(split, ArcSplit)
             recombined = (split.I_main + split.I_error).real
             assert recombined == pytest.approx(total, rel=1e-12)

@@ -167,6 +167,22 @@ def mp_mainterm_B(a, c, d, R, S, N, variant):
         return val
 
 
+def mp_elementary(spec, N):
+    """The Cprime, D and Dprime closed forms of the mainterm_family docstring,
+    in mpmath (C has its own checks below)."""
+    with mp.workdps(50):
+        R, S, k = spec.R, spec.S, spec.k
+        N = mp.mpf(N)
+        sin0 = mp.sin(mp.pi * S / R)
+        if spec.family == "Cprime":
+            grow2 = mp.exp(2 * mp.pi * mp.sqrt(N / (2 * R)))
+            return mp.pi * k * S * N ** mp.mpf(-1.5) / (8 * mp.sqrt(2 * R) * sin0) * grow2
+        grow3 = mp.exp(2 * mp.pi * mp.sqrt(N / (3 * R)))
+        if spec.family == "D":
+            return mp.pi * (2 * k + 1) * S * N ** mp.mpf(-1.25) / (4 * mp.mpf(3 * R) ** mp.mpf(0.75) * sin0) * grow3
+        return -mp.pi * k * S * N ** mp.mpf(-1.25) / (mp.mpf(3 * R) ** mp.mpf(0.75) * sin0) * grow3
+
+
 class TestMainTerms:
     P = ThetaParams(Fraction(6), Fraction(7), 2)
 
@@ -235,6 +251,25 @@ class TestMainTerms:
             )
             assert lv.sign == 1
             assert lv.lnmag == pytest.approx(float(mp.log(ref)), rel=1e-13)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            FamilySpec("Cprime", 5, 2, 2),
+            FamilySpec("Cprime", 3, 1, 1),
+            FamilySpec("D", 7, 3, 0),
+            FamilySpec("D", 5, 2, 1),
+            FamilySpec("Dprime", 4, 1, 2),
+            FamilySpec("Dprime", 3, 1, 1),
+        ],
+        ids=lambda s: "%s-%d-%d-%d" % (s.family, s.R, s.S, s.k),
+    )
+    def test_elementary_against_closed_form(self, spec):
+        for N in (10**2, 10**4):
+            lv = mainterm_family(spec, N, "elementary")
+            ref = mp_elementary(spec, N)
+            assert lv.sign == mp.sign(ref)
+            assert lv.lnmag == pytest.approx(float(mp.log(abs(ref))), rel=1e-13)
 
     def test_elementary_close_to_bessel(self):
         # leading-term substitution: |elementary/bessel - 1| <= 5/x
