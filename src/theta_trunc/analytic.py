@@ -10,9 +10,10 @@ coefficient quadrature integrates L(q) q^(-N) (threeR) or L'(q) q^(-N)
 tails cut below ``TAIL_TOL``; on that circle the trapezoid rule is exact for
 band-limited integrands, which gives back the exact integer coefficients at
 desk scale.  The integrand grid is evaluated on its lower half only (the
-upper half is the conjugate mirror, since L has real coefficients) and the
-last grid is cached, so a coefficient and its arc split cost one grid
-evaluation between them.
+upper half is the conjugate mirror, since L has real coefficients); its
+denominator is a running product over each residue class, with two exp
+calls per class and one division at the end.  The last grid is cached, so
+a coefficient and its arc split cost one grid evaluation between them.
 
 eval_product_inv and transformed_pair_product accept an optional ``dps``:
 the identity they satisfy holds to exp(-2 pi / (R y)) relative, far below
@@ -320,13 +321,17 @@ def _integrand_grid(p, R, S, N, samples, variant):
     the sample grid.
 
     Vectorized over the grid; the reduction order is fixed separately.
+    The theta sum takes one exp per term.  The block denominator is built
+    by recurrence, one residue class (A, B) at a time: q^A and q^B cost
+    one exp each, then every part m = A, A+B, ... below the cutoff
+    multiplies (1 - q^m) in and steps q^m by q^B.  The sum is divided by
+    the product once.
+
     L has real coefficients, so the value at -x is the conjugate of the
     value at x: only x = -1/2 + k/samples for k = 0..samples/2 is
-    evaluated, and the upper half is the mirrored conjugate.  The grid
-    is exactly symmetric (samples is a power of two) and complex exp, *
-    and / commute with conjugation, so the result is bit-identical to
-    evaluating every sample.  The last grid is cached and returned
-    read-only, so a coefficient and its arc split share one evaluation.
+    evaluated, and the upper half is the mirrored conjugate, bit for bit.
+    The last grid is cached and returned read-only, so a coefficient and
+    its arc split share one evaluation.
     """
     spec = VARIANTS[variant].denominator(R, S)
     y = circle_y(N, R, variant)
@@ -341,11 +346,16 @@ def _integrand_grid(p, R, S, N, samples, variant):
         g += np.exp(e * ln_q)
 
     p_cut = math.log(1.0 / TAIL_TOL) / (2 * math.pi * y)
-    prod = np.ones(half + 1, dtype=np.complex128)
-    for m in sorted(spec.parts(max(2, math.ceil(p_cut) + 1))):
-        prod /= 1.0 - np.exp(m * ln_q)
+    order = max(2, math.ceil(p_cut) + 1)
+    den = np.ones(half + 1, dtype=np.complex128)
+    for A, B in spec.residues:
+        qm = np.exp(A * ln_q)
+        step = np.exp(B * ln_q)
+        for _ in range(A, order, B):
+            den *= 1.0 - qm
+            qm *= step
 
-    lower = g * prod * np.exp(-N * ln_q)
+    lower = g * np.exp(-N * ln_q) / den
     vals = np.concatenate((lower, np.conj(lower[half - 1:0:-1])))
     vals.flags.writeable = False
     return vals

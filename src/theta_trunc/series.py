@@ -144,13 +144,17 @@ class ThetaParams:
         c = Fraction(self.c)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "c", c)
-        if a <= 0:
+        if a.numerator <= 0:
             raise ValueError("a must be positive")
-        if a.denominator not in (1, 2) or c.denominator not in (1, 2):
+        # On the integers A = 2a, C = 2c, as theta_terms works: a + c is
+        # (A + C)/2, and 4a + 2c = 2A + C is integral once C is.
+        A, ra = divmod(2 * a.numerator, a.denominator)
+        C, rc = divmod(2 * c.numerator, c.denominator)
+        if ra or rc:
             raise ValueError("a and c must have denominator 1 or 2")
-        if (a + c).denominator != 1 or (4 * a + 2 * c).denominator != 1:
+        if (A + C) % 2:
             raise ValueError("a*j^2 + c*j must be integral for all j")
-        if a + c < 0:
+        if A + C < 0:
             raise ValueError("a*j^2 + c*j must be non-negative for all j")
         if self.d < 0 or not isinstance(self.d, int):
             raise ValueError("d must be a non-negative integer")

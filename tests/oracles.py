@@ -119,38 +119,105 @@ def qbinomial_by_division(L, K, order):
     return [c.numerator for c in out]
 
 
-def full_integrand_grid(p, R, S, N, samples, variant, which, tail_tol):
-    """The circle integrand evaluated at every sample, with no symmetry.
-
-    The all-samples loop that the half-grid ``analytic._integrand_grid``
-    replaces, with the same cutoffs.  It takes its own ``which`` and
-    ``tail_tol`` rather than reading ``asymptotics.VARIANTS`` and
-    ``analytic.TAIL_TOL``, so a wrong denominator or tolerance there fails
-    a bitwise comparison against it.
-    """
+def _grid_cutoffs(R, N, variant, tail_tol):
+    """y and the theta-sum and product orders of the integrand grid."""
     from theta_trunc.analytic import circle_y
-    from theta_trunc.families import pair_product_spec, triple_product_spec
-    from theta_trunc.series import theta_terms
 
     y = circle_y(N, R, variant)
-    x = -0.5 + np.arange(samples) / samples
-    ln_q = (-2 * math.pi * y) + (2j * math.pi) * x
-
     qa = math.exp(-2 * math.pi * y)
     g_cut = (math.log(1.0 / tail_tol) - math.log(1.0 - qa)) / (2 * math.pi * y)
-    g = np.zeros(samples, dtype=np.complex128)
-    for e, _ in theta_terms(p, math.floor(g_cut) + 1):
-        g += np.exp(e * ln_q)
+    p_cut = math.log(1.0 / tail_tol) / (2 * math.pi * y)
+    return y, math.floor(g_cut) + 1, max(2, math.ceil(p_cut) + 1)
+
+
+def _denominator_spec(R, S, which):
+    from theta_trunc.families import pair_product_spec, triple_product_spec
 
     if which == "B":
-        spec = pair_product_spec(R, S)
-    elif which == "Bprime":
-        spec = triple_product_spec(R, S)
-    else:
-        raise ValueError("which must be 'B' or 'Bprime'")
-    p_cut = math.log(1.0 / tail_tol) / (2 * math.pi * y)
-    prod = np.ones(samples, dtype=np.complex128)
-    for m in sorted(spec.parts(max(2, math.ceil(p_cut) + 1))):
+        return pair_product_spec(R, S)
+    if which == "Bprime":
+        return triple_product_spec(R, S)
+    raise ValueError("which must be 'B' or 'Bprime'")
+
+
+def full_integrand_grid(p, R, S, N, samples, variant, which, tail_tol, ks=None):
+    """The circle integrand at every sample (or at the indices ``ks``).
+
+    The per-part loop, with no symmetry and the cutoffs of
+    ``analytic._integrand_grid``: one ``np.exp`` and one division per part
+    of the denominator.  It takes its own ``which`` and ``tail_tol`` rather
+    than reading ``asymptotics.VARIANTS`` and ``analytic.TAIL_TOL``, so a
+    wrong denominator or tolerance there fails a comparison against it.
+    """
+    from theta_trunc.series import theta_terms
+
+    y, g_order, p_order = _grid_cutoffs(R, N, variant, tail_tol)
+    k = np.arange(samples) if ks is None else np.asarray(ks)
+    x = -0.5 + k / samples
+    ln_q = (-2 * math.pi * y) + (2j * math.pi) * x
+
+    g = np.zeros(x.size, dtype=np.complex128)
+    for e, _ in theta_terms(p, g_order):
+        g += np.exp(e * ln_q)
+
+    prod = np.ones(x.size, dtype=np.complex128)
+    for m in sorted(_denominator_spec(R, S, which).parts(p_order)):
         prod /= 1.0 - np.exp(m * ln_q)
 
     return g * prod * np.exp(-N * ln_q)
+
+
+def full_recurrence_grid(p, R, S, N, samples, variant, which, tail_tol):
+    """The circle integrand at every sample by the denominator recurrence.
+
+    The arithmetic of ``analytic._integrand_grid`` (one exp per theta term;
+    per residue class (A, B) the product of (1 - q^m) with q^m stepped by
+    q^B; one division) evaluated at all samples, with no symmetry.  The
+    grid is exactly symmetric and exp, -, * and / commute with conjugation,
+    so the half grid and its mirror must equal it bit for bit.  It takes
+    its own ``which`` and ``tail_tol``, as ``full_integrand_grid`` does.
+    """
+    from theta_trunc.series import theta_terms
+
+    y, g_order, p_order = _grid_cutoffs(R, N, variant, tail_tol)
+    x = -0.5 + np.arange(samples) / samples
+    ln_q = (-2 * math.pi * y) + (2j * math.pi) * x
+
+    g = np.zeros(samples, dtype=np.complex128)
+    for e, _ in theta_terms(p, g_order):
+        g += np.exp(e * ln_q)
+
+    den = np.ones(samples, dtype=np.complex128)
+    for A, B in _denominator_spec(R, S, which).residues:
+        qm = np.exp(A * ln_q)
+        step = np.exp(B * ln_q)
+        for _ in range(A, p_order, B):
+            den *= 1.0 - qm
+            qm *= step
+
+    return g * np.exp(-N * ln_q) / den
+
+
+def mp_integrand_samples(p, R, S, N, samples, variant, which, tail_tol, ks):
+    """The circle integrand at the sample indices ``ks``, in mpmath.
+
+    The defining sum and product at 40 digits, with the cutoffs of
+    ``full_integrand_grid``: the theta exponents by brute force, then one
+    factor 1/(1 - q^m) per part.  The points are the float grid's own
+    (x = -1/2 + k/samples and the float y, both exact in mpmath).  Returns
+    a complex array.
+    """
+    import mpmath as mp
+
+    y, g_order, p_order = _grid_cutoffs(R, N, variant, tail_tol)
+    exps = [e for e, _ in brute_theta_terms(p.a, p.c, p.d, g_order, n_min=0)]
+    parts = _denominator_spec(R, S, which).parts(p_order)
+    out = []
+    with mp.workdps(40):
+        for k in ks:
+            ln_q = 2j * mp.pi * mp.mpc(mp.mpf(k) / samples - 0.5, y)
+            acc = mp.fsum(mp.exp(e * ln_q) for e in exps)
+            for m in parts:
+                acc /= 1 - mp.exp(m * ln_q)
+            out.append(complex(acc * mp.exp(-N * ln_q)))
+    return np.array(out)

@@ -9,7 +9,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from theta_trunc import cli
+from theta_trunc import analytic, cli
 from theta_trunc.analytic import (
     _integrand_grid,
     ArcSplit,
@@ -35,7 +35,7 @@ from theta_trunc.analytic import (
 )
 from theta_trunc.families import genfun_B, genfun_Bprime
 from theta_trunc.series import ProductSpec, ThetaParams
-from oracles import full_integrand_grid
+from oracles import full_integrand_grid, full_recurrence_grid, mp_integrand_samples
 from test_acceptance import QUAD_INSTANCES
 
 P672 = ThetaParams(Fraction(6), Fraction(7), 2)
@@ -271,6 +271,27 @@ class TestQuadrature:
         val = wright_coefficient(p, 3, 1, quad)
         assert round(val) == genfun_B(p, 3, 1, 2)[1]
 
+    def test_error_budget_on_300_cases(self):
+        # The criterion-5 instances x both variants x N = 50, 75, ..., 400.
+        # Every error stays within 64 eps mean|v_k| of the grid values v_k
+        # (worst seen: 42), and 240 of the 300 round to the exact value,
+        # against 227 with one exp and one division per part.
+        eps = np.finfo(float).eps
+        worst, exact_count = 0.0, 0
+        for a, c, d, R, S in QUAD_INSTANCES:
+            p = ThetaParams(a, c, d)
+            for variant, genfun in (("threeR", genfun_B), ("twoR", genfun_Bprime)):
+                exact = genfun(p, R, S, 401)
+                for N in range(50, 401, 25):
+                    quad = QuadratureSpec(N, min_samples(N, R, variant), variant)
+                    val = wright_coefficient(p, R, S, quad)
+                    vals = _integrand_grid(p, R, S, N, quad.samples, variant)
+                    err = abs(val - exact[N]) / (eps * np.abs(vals).mean())
+                    worst = max(worst, err)
+                    exact_count += round(val) == exact[N]
+        assert worst <= 64
+        assert exact_count >= 240
+
 
 class TestIntegrandGrid:
     CASES = [
@@ -279,14 +300,66 @@ class TestIntegrandGrid:
         for which, variant in (("B", "threeR"), ("Bprime", "twoR"))
         for N in (50, 300)
     ]
+    # One case per instance, cycling through the four (variant, N) pairs:
+    # mpmath at 40 digits costs ~40 us per part, so all 40 would take ~6 s.
+    MP_CASES = [case for i, case in enumerate(CASES) if i % 4 == i // 4 % 4]
+
+    @pytest.mark.parametrize("p, R, S, N, which, variant", CASES)
+    def test_matches_per_part_loop(self, p, R, S, N, which, variant):
+        # The recurrence product rounds differently from one exp and one
+        # division per part; the worst relative difference seen is 2.1e-14.
+        samples = min_samples(N, R, variant)
+        vals = _integrand_grid(p, R, S, N, samples, variant)
+        ref = full_integrand_grid(p, R, S, N, samples, variant, which, 1e-20)
+        assert vals.shape == ref.shape
+        assert np.all(np.abs(vals - ref) <= 1e-12 * np.abs(ref))
+
+    @pytest.mark.parametrize("p, R, S, N, which, variant", MP_CASES)
+    def test_cutoffs_match_per_part_loop(self, monkeypatch, p, R, S, N, which, variant):
+        # At TAIL_TOL the last part of a class moves a value by ~1e-20, below
+        # any float check; at 1e-3 a part too many or too few shows.
+        monkeypatch.setattr(analytic, "TAIL_TOL", 1e-3)
+        _integrand_grid.cache_clear()
+        samples = min_samples(N, R, variant)
+        vals = _integrand_grid(p, R, S, N, samples, variant)
+        _integrand_grid.cache_clear()  # its key does not hold TAIL_TOL
+        ref = full_integrand_grid(p, R, S, N, samples, variant, which, 1e-3)
+        assert np.all(np.abs(vals - ref) <= 1e-12 * np.abs(ref))
+
+    @pytest.mark.parametrize("p, R, S, N, which, variant", MP_CASES)
+    def test_matches_mpmath(self, p, R, S, N, which, variant):
+        samples = min_samples(N, R, variant)
+        half = samples // 2
+        arc = half - math.floor(circle_y(N, R, variant) * samples)  # |x| <= y
+        ks = [0, half // 2, arc, half, samples - 1 - half // 3]
+        vals = _integrand_grid(p, R, S, N, samples, variant)[ks]
+        ref = mp_integrand_samples(p, R, S, N, samples, variant, which, 1e-20, ks)
+        assert np.all(np.abs(vals - ref) <= 1e-12 * np.abs(ref))
 
     @pytest.mark.parametrize("p, R, S, N, which, variant", CASES)
     def test_half_grid_matches_full_grid_bitwise(self, p, R, S, N, which, variant):
+        # The upper half is the conjugate mirror of the lower half, bit for
+        # bit the same as evaluating every sample with the same arithmetic.
         args = (p, R, S, N, min_samples(N, R, variant), variant)
         half = _integrand_grid(*args)
-        full = full_integrand_grid(*args, which, 1e-20)
+        full = full_recurrence_grid(*args, which, 1e-20)
         assert half.shape == full.shape
         assert np.array_equal(half.view(np.uint64), full.view(np.uint64))
+
+    @pytest.mark.parametrize("R, S", [(2, 1), (7, 3)])
+    @pytest.mark.parametrize("which, variant", [("B", "threeR"), ("Bprime", "twoR")])
+    def test_n_ceiling(self, R, S, which, variant):
+        # The one division takes the largest values (|v| ~ 1e135 on the
+        # main arc) without overflow; compare a spread of samples and the
+        # main arc with the per-part loop.
+        N = cli.N_CEILING
+        samples = min_samples(N, R, variant)
+        half = samples // 2
+        vals = _integrand_grid(P672, R, S, N, samples, variant)
+        assert np.isfinite(vals).all()
+        ks = np.unique(np.r_[np.arange(0, samples, samples // 64), half - 8 : half + 9])
+        ref = full_integrand_grid(P672, R, S, N, samples, variant, which, 1e-20, ks)
+        assert np.all(np.abs(vals[ks] - ref) <= 1e-11 * np.abs(ref))
 
     def test_grid_is_read_only(self):
         vals = _integrand_grid(P672, 3, 1, 20, min_samples(20, 3), "threeR")

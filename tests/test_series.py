@@ -299,16 +299,16 @@ class TestThetaPartial:
         assert [i for i, c in enumerate(got.coeffs) if c] == [1, 11]
 
     def test_invariant_validation(self):
-        with pytest.raises(ValueError):
-            ThetaParams(Fraction(-1), Fraction(0), 0)  # a <= 0
-        with pytest.raises(ValueError):
-            ThetaParams(Fraction(1, 2), Fraction(0), 0)  # a + c not integral
-        with pytest.raises(ValueError):
-            ThetaParams(Fraction(1, 3), Fraction(2, 3), 0)  # denominator 3
-        with pytest.raises(ValueError):
-            ThetaParams(Fraction(1), Fraction(-2), 0)  # a + c negative
-        with pytest.raises(ValueError):
-            ThetaParams(Fraction(1), Fraction(0), -1)  # d negative
+        with pytest.raises(ValueError, match="a must be positive"):
+            ThetaParams(Fraction(-1), Fraction(0), 0)
+        with pytest.raises(ValueError, match=r"a\*j\^2 \+ c\*j must be integral"):
+            ThetaParams(Fraction(1, 2), Fraction(0), 0)
+        with pytest.raises(ValueError, match="a and c must have denominator 1 or 2"):
+            ThetaParams(Fraction(1, 3), Fraction(2, 3), 0)
+        with pytest.raises(ValueError, match=r"a\*j\^2 \+ c\*j must be non-negative"):
+            ThetaParams(Fraction(1), Fraction(-2), 0)
+        with pytest.raises(ValueError, match="d must be a non-negative integer"):
+            ThetaParams(Fraction(1), Fraction(0), -1)
 
     def test_exponent_method_flags_non_integral(self):
         p = ThetaParams(Fraction(2), Fraction(1), 0)
