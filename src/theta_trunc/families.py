@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd
+from operator import add
 
 from . import kernels
 from .series import (
@@ -38,6 +39,7 @@ from .series import (
     euler_product,
     pochhammer,
     ps_div_pochhammer,
+    # Unused here, but perfbench/layers.py patches vars(families)["qbinomial"].
     qbinomial,
     theta_partial,
     theta_rs_params,
@@ -312,28 +314,43 @@ def truncated_pentagonal_sides(k: int, order: int):
          whose numerator is theta_{3,1} over -(k-1) <= n <= k.
     RHS: 1 + (-1)^(k-1) sum_{n>=1} q^((k+1)n + k(k-1)/2) / (q;q)_n
                                   * [n-1 choose k-1]_q.
+
+    The right side is built in division form, with adds only: the
+    q-binomial vanishes for n < k, and for n >= k
+
+        [n-1, k-1]_q / (q;q)_n = 1 / ((q;q)_{k-1} (q;q)_{n-k} (1 - q^n)),
+
+    so 1/(q;q)_{n-k} is kept as a running series (one division by
+    1 - q^(n-k) per step), each term divides its shifted slice by 1 - q^n,
+    and the sum is divided by (q;q)_{k-1} once.  It uses neither
+    theta_{3,1} nor the left side, so equality of the two sides stays an
+    independent check of the theta division.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     num = _theta_sum([(1, theta_rs_params(3, 1))], order, [(1 - k, k)], True)
     lhs = ps_div_pochhammer(num, ProductSpec([(1, 1)]))
 
-    rhs = PowerSeries.one(order)
-    sign = 1 if (k - 1) % 2 == 0 else -1
-    # 1/(q;q)_n built incrementally: divide by (1 - q^n) at each step
-    inv_pochh = [0] * order
-    inv_pochh[0] = 1
-    n = 1
+    total = [0] * order
+    inv_pochh = [1] + [0] * (order - 1)  # 1/(q;q)_{n-k}, starting at n = k
+    n = k
     while True:
         lead = (k + 1) * n + k * (k - 1) // 2
         if lead >= order:
             break
-        kernels.div_one_minus(inv_pochh, n)
-        term = PowerSeries(list(inv_pochh), order) * qbinomial(n - 1, k - 1, order)
-        term = term.shifted(lead)
-        rhs = rhs + term if sign > 0 else rhs - term
+        del inv_pochh[order - lead:]  # later terms start higher still
+        if n > k:
+            kernels.div_one_minus(inv_pochh, n - k)
+        term = inv_pochh[:]
+        kernels.div_one_minus(term, n)
+        total[lead:] = map(add, total[lead:], term)
         n += 1
-    return lhs, rhs
+    for j in range(1, k):
+        kernels.div_one_minus(total, j)
+    if (k - 1) % 2:
+        total = [-c for c in total]
+    total[0] += 1
+    return lhs, PowerSeries(total, order)
 
 
 def quintuple_product_sides(R: int, S: int, order: int):

@@ -140,8 +140,9 @@ class ThetaParams:
     d: int
 
     def __post_init__(self):
-        a = Fraction(self.a)
-        c = Fraction(self.c)
+        # Fraction(x) costs about 2 us even when x already is one.
+        a = self.a if type(self.a) is Fraction else Fraction(self.a)
+        c = self.c if type(self.c) is Fraction else Fraction(self.c)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "c", c)
         if a.numerator <= 0:

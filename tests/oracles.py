@@ -87,20 +87,23 @@ def naive_finite_pochhammer(n, order):
         factor[0] = 1
         if j < order:
             factor[j] = -1
-        acc = naive_poly_mul(acc, factor, order)
+        acc = naive_poly_mul(factor, acc, order)  # skips the zeros of factor
     return acc
 
 
 def poly_divide_exact(num, den, order):
-    """Long division num/den over the rationals; den[0] must be nonzero."""
-    num = [Fraction(c) for c in num[:order]] + [Fraction(0)] * max(0, order - len(num))
-    den = [Fraction(c) for c in den[:order]]
+    """Long division num/den of integer series; den[0] must be +1 or -1.
+
+    With a unit constant term every quotient coefficient is an integer.
+    """
+    assert den[0] in (1, -1)
+    num = list(num[:order]) + [0] * max(0, order - len(num))
     out = []
     for i in range(order):
         c = num[i]
         for j in range(1, min(i, len(den) - 1) + 1):
             c -= den[j] * out[i - j]
-        out.append(c / den[0])
+        out.append(c * den[0])
     return out
 
 
@@ -114,9 +117,38 @@ def qbinomial_by_division(L, K, order):
         naive_finite_pochhammer(L - K, order),
         order,
     )
-    out = poly_divide_exact(num, den, order)
-    assert all(c.denominator == 1 for c in out)
-    return [c.numerator for c in out]
+    return poly_divide_exact(num, den, order)
+
+
+def naive_geometric(j, order):
+    """1/(1 - q^j) = 1 + q^j + q^(2j) + ..., truncated."""
+    return [1 if i % j == 0 else 0 for i in range(order)]
+
+
+def dense_truncated_pentagonal_rhs(k, order):
+    """Right side of the truncated pentagonal number theorem, term by term.
+
+    1 + (-1)^(k-1) sum_{n>=1} q^((k+1)n + k(k-1)/2) [n-1, k-1]_q / (q;q)_n,
+    each term a dense product of 1/(q;q)_n (a running product of geometric
+    series) by the Gaussian binomial, cut to the order that survives the
+    shift.
+    """
+    out = [1] + [0] * (order - 1)
+    sign = 1 if (k - 1) % 2 == 0 else -1
+    inv_pochh = [1] + [0] * (order - 1)
+    n = 1
+    while True:
+        lead = (k + 1) * n + k * (k - 1) // 2
+        if lead >= order:
+            return out
+        width = order - lead
+        inv_pochh = naive_poly_mul(naive_geometric(n, order), inv_pochh, order)
+        term = naive_poly_mul(
+            qbinomial_by_division(n - 1, k - 1, width), inv_pochh, width
+        )
+        for i, t in enumerate(term):
+            out[lead + i] += sign * t
+        n += 1
 
 
 def _grid_cutoffs(R, N, variant, tail_tol):

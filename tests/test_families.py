@@ -20,7 +20,7 @@ from theta_trunc.families import (
     truncated_pentagonal_sides,
 )
 from theta_trunc.series import PowerSeries, ThetaParams, theta_terms
-from oracles import count_partitions
+from oracles import count_partitions, dense_truncated_pentagonal_rhs
 
 
 class TestFamilySpec:
@@ -169,6 +169,27 @@ class TestTruncatedPentagonal:
     def test_requires_positive_k(self):
         with pytest.raises(ValueError):
             truncated_pentagonal_sides(0, 30)
+
+    @pytest.mark.parametrize("order", [50, 200])
+    def test_rhs_matches_dense_oracle(self, order):
+        for k in range(1, 7):
+            _, rhs = truncated_pentagonal_sides(k, order)
+            assert rhs.coeffs == dense_truncated_pentagonal_rhs(k, order), k
+
+    def test_sides_agree_at_order_1000(self):
+        for k in range(1, 7):
+            lhs, rhs = truncated_pentagonal_sides(k, 1000)
+            assert lhs.first_mismatch(rhs) is None, k
+
+    def test_empty_sum_edge(self):
+        # k = 6: the first term starts at q^57, so below order 50 the right
+        # side is the constant 1 alone; at order 58 it is that one term.
+        lhs, rhs = truncated_pentagonal_sides(6, 50)
+        assert rhs == PowerSeries.one(50)
+        assert lhs == rhs
+        lhs, rhs = truncated_pentagonal_sides(6, 58)
+        assert rhs.coeffs == [1] + [0] * 56 + [-1]
+        assert lhs == rhs
 
 
 class TestQuintuple:

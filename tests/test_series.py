@@ -310,6 +310,14 @@ class TestThetaPartial:
         with pytest.raises(ValueError, match="d must be a non-negative integer"):
             ThetaParams(Fraction(1), Fraction(0), -1)
 
+    def test_params_held_as_fractions(self):
+        a, c = Fraction(3, 2), Fraction(1, 2)
+        p = ThetaParams(a, c, 0)
+        assert p.a is a and p.c is c
+        q = ThetaParams(2, 1, 0)
+        assert type(q.a) is Fraction and type(q.c) is Fraction
+        assert q == ThetaParams(Fraction(2), Fraction(1), 0)
+
     def test_exponent_method_flags_non_integral(self):
         p = ThetaParams(Fraction(2), Fraction(1), 0)
         object.__setattr__(p, "c", Fraction(1, 2))
