@@ -1,18 +1,21 @@
 """Complex-plane evaluation and circle-method quadrature.
 
 Everything here works with q = exp(2 pi i tau), tau = x + i y, y > 0.  The
-scalar evaluators (eval_G, eval_product_inv, eval_L, ...) sum/multiply the
-defining series and products directly to a tolerance; eval_G and the
-integrand grid sum q^e over the exponents e <= cutoff in the order
-``series.theta_terms`` lists them (at order floor(cutoff) + 1).  The
+scalar evaluators (eval_G, eval_product_inv, eval_L, ...) and the circle
+integrand grid share one body for each piece of L: ``_tail_orders`` is the
+one cutoff rule (theta-sum exponents with |q|^e >= tol (1 - |q|), product
+parts with |q|^m >= tol), ``_theta_sum`` sums q^e over the exponents in the
+order ``series.theta_terms`` lists them, and ``_denominator`` builds the
+block product by recurrence, one residue class at a time with two exp calls
+per class.  Each runs on cmath scalars, on mpmath scalars (``dps`` set) and
+on numpy arrays (the grid); only the exp passed in differs.  The
 coefficient quadrature integrates L(q) q^(-N) (threeR) or L'(q) q^(-N)
 (twoR) over the circle |q| = exp(-2 pi y) of ``asymptotics.VARIANTS``, with
 tails cut below ``TAIL_TOL``; on that circle the trapezoid rule is exact for
 band-limited integrands, which gives back the exact integer coefficients at
 desk scale.  The integrand grid is evaluated on its lower half only (the
-upper half is the conjugate mirror, since L has real coefficients); its
-denominator is a running product over each residue class, with two exp
-calls per class and one division at the end.  The last grid is cached, so
+upper half is the conjugate mirror, since L has real coefficients) and
+divides the theta sum by the denominator once.  The last grid is cached, so
 a coefficient and its arc split cost one grid evaluation between them.
 
 eval_product_inv and transformed_pair_product accept an optional ``dps``:
@@ -33,7 +36,7 @@ from math import gcd
 
 import numpy as np
 
-from .asymptotics import THREE_R, VARIANTS, bernoulli_poly, e_constant
+from .asymptotics import THREE_R, VARIANTS, bernoulli_poly, block_ladder
 from .families import pair_product_spec, triple_product_spec
 from .series import ProductSpec, ThetaParams, theta_terms
 
@@ -112,16 +115,29 @@ def circle_y(N: int, R: int, variant: str = THREE_R) -> float:
     return 1.0 / (2.0 * math.sqrt(VARIANTS[variant].m * R * N))
 
 
+def _tail_orders(y: float, tol: float):
+    """(theta_order, product_order): the orders that cut L's tails at ``tol``.
+
+    The theta sum keeps the exponents e with |q|^e >= tol (1 - |q|), so its
+    dropped tail is below tol; the product keeps the parts m with
+    |q|^m >= tol.  Both orders are exclusive bounds.
+    """
+    qa = math.exp(-2 * math.pi * y)
+    theta_cut = (math.log(1.0 / tol) - math.log(1.0 - qa)) / (2 * math.pi * y)
+    product_cut = math.log(1.0 / tol) / (2 * math.pi * y)
+    return math.floor(theta_cut) + 1, max(2, math.ceil(product_cut) + 1)
+
+
 def min_samples(N: int, R: int, variant: str = THREE_R) -> int:
     """Smallest power-of-two sample count passing the bandwidth rule.
 
     The integrand is a polynomial in exp(2 pi i x) up to degree
-    D = ceil(ln(1/TAIL_TOL) / (2 pi y)) within tolerance; 2 (D + N) samples
-    keep the aliased frequencies harmless.
+    D = ceil(ln(1/TAIL_TOL) / (2 pi y)), the largest product part kept,
+    within tolerance; 2 (D + N) samples keep the aliased frequencies
+    harmless.
     """
-    y = circle_y(N, R, variant)
-    d = math.ceil(math.log(1.0 / TAIL_TOL) / (2 * math.pi * y))
-    need = 2 * (d + N)
+    _, product_order = _tail_orders(circle_y(N, R, variant), TAIL_TOL)
+    need = 2 * (product_order - 1 + N)
     return 1 << (need - 1).bit_length()
 
 
@@ -147,14 +163,41 @@ def _arith(dps):
         yield _Arith(mp.exp, mp.sin, mp.pi, mp.mpf, mp.mpc)
 
 
+# The two bodies below take ln q = 2 pi i tau and the exp to use: a scalar
+# (cmath or mpmath) or a numpy array of ln q values with np.exp.  Their
+# updates are in place, so an array body writes into its accumulators
+# instead of allocating a new one per term or part.
+
+def _theta_sum(p: ThetaParams, ln_q, order: int, exp):
+    """sum q^e over the ``theta_terms`` exponents e below ``order``, from 0j."""
+    acc = 0j
+    for e, _ in theta_terms(p, order):
+        acc += exp(e * ln_q)
+    return acc
+
+
+def _denominator(spec: ProductSpec, ln_q, order: int, exp):
+    """prod (1 - q^m) over the parts m below ``order``, by recurrence.
+
+    Per residue class (A, B), q^A and q^B cost one exp each; every part
+    m = A, A+B, ... multiplies (1 - q^m) in and steps q^m by q^B.
+    """
+    den = 1
+    for A, B in spec.residues:
+        qm = exp(A * ln_q)
+        step = exp(B * ln_q)
+        for _ in range(A, order, B):
+            den *= 1.0 - qm
+            qm *= step
+    return den
+
+
 def eval_G(p: ThetaParams, tau: TauPoint, tol: float = 1e-16) -> complex:
     """sum_j q^(a j^2 + c j + d), summed until |q|^e < tol (1 - |q|)."""
     if not tol > 0:
         raise ValueError("tol must be positive")
-    qa = tau.q_abs
-    cutoff = (math.log(1.0 / tol) - math.log(1.0 - qa)) / (2 * math.pi * tau.y)
-    ln_q = 2j * math.pi * tau.tau
-    return sum((cmath.exp(e * ln_q) for e, _ in theta_terms(p, math.floor(cutoff) + 1)), 0j)
+    theta_order, _ = _tail_orders(tau.y, tol)
+    return _theta_sum(p, 2j * math.pi * tau.tau, theta_order, cmath.exp)
 
 
 def eval_product_inv(
@@ -167,14 +210,10 @@ def eval_product_inv(
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    cutoff = math.log(1.0 / tol) / (2 * math.pi * tau.y)
-    parts = sorted(spec.parts(max(2, math.ceil(cutoff) + 1)))
+    _, product_order = _tail_orders(tau.y, tol)
     with _arith(dps) as num:
         ln_q = 2j * num.pi * num.cplx(tau.x, tau.y)
-        acc = num.cplx(1)
-        for m in parts:
-            acc /= 1.0 - num.exp(m * ln_q)
-        return acc
+        return num.cplx(1) / _denominator(spec, ln_q, product_order, num.exp)
 
 
 def eval_L(p: ThetaParams, R: int, S: int, tau: TauPoint, tol: float = 1e-16) -> complex:
@@ -279,12 +318,12 @@ def transformed_pair_product(
 def mainarc_L_expansion(p: ThetaParams, R: int, S: int, tau: TauPoint) -> complex:
     """Main-arc expansion of L_{a,c,d} with the higher-order tail dropped.
 
-    exp(pi i/(6 R tau)) / (2 sin(S pi/R)) times
+    exp(pi i/(6 R tau)) sum_k coeff_k w^(power_k - 1), w = -2 pi i tau, over
+    the four threeR rungs (coeff_k, power_k) of ``asymptotics.block_ladder``,
+    the same rungs the Bessel main term ``mainterm_B`` is built from:
 
-        sqrt(pi/a) (-2 pi i tau)^(-1/2) / 2
-      - B1(c/2a)
-      - (E/2) sqrt(pi/a) (-2 pi i tau)^(1/2)
-      - [E B1(c/2a) + a B3(c/2a)/3] (2 pi i tau)
+        [ sqrt(pi/a) w^(-1/2) / 2 - B1(c/2a) - (E/2) sqrt(pi/a) w^(1/2)
+          + (E B1(c/2a) + a B3(c/2a)/3) w ] / (2 sin(S pi/R))
 
     with E = d - c^2/(4a) + R/12 - S/2 + S^2/(2R).  The omitted tau^(3/2)
     and higher coefficients are not expressible without further constants,
@@ -294,21 +333,10 @@ def mainarc_L_expansion(p: ThetaParams, R: int, S: int, tau: TauPoint) -> comple
     if abs(tau.x) > tau.y:
         raise MainArcViolation("|x| must not exceed y on the main arc")
     t = tau.tau
-    a = float(p.a)
-    e = float(e_constant(p, R, S, THREE_R))
-    b1 = float(bernoulli_poly(1, p.c / (2 * p.a)))
-    b3 = float(bernoulli_poly(3, p.c / (2 * p.a)))
     w = -2j * math.pi * t
-    pref = cmath.exp(1j * math.pi / (6.0 * R * t)) / (
-        2.0 * math.sin(math.pi * S / R)
-    )
-    bracket = (
-        0.5 * math.sqrt(math.pi / a) / cmath.sqrt(w)
-        - b1
-        - 0.5 * e * math.sqrt(math.pi / a) * cmath.sqrt(w)
-        - (e * b1 + a * b3 / 3.0) * (2j * math.pi * t)
-    )
-    return pref * bracket
+    ladder = block_ladder(p, R, S, THREE_R)
+    rungs = sum(coeff * w ** float(power - 1) for coeff, power in ladder)
+    return cmath.exp(1j * math.pi / (6.0 * R * t)) * rungs
 
 
 # ---------------------------------------------------------------------------
@@ -321,11 +349,9 @@ def _integrand_grid(p, R, S, N, samples, variant):
     the sample grid.
 
     Vectorized over the grid; the reduction order is fixed separately.
-    The theta sum takes one exp per term.  The block denominator is built
-    by recurrence, one residue class (A, B) at a time: q^A and q^B cost
-    one exp each, then every part m = A, A+B, ... below the cutoff
-    multiplies (1 - q^m) in and steps q^m by q^B.  The sum is divided by
-    the product once.
+    The theta sum (``_theta_sum``) takes one exp per term and the block
+    denominator (``_denominator``) two per residue class; the sum is divided
+    by the product once.
 
     L has real coefficients, so the value at -x is the conjugate of the
     value at x: only x = -1/2 + k/samples for k = 0..samples/2 is
@@ -338,23 +364,9 @@ def _integrand_grid(p, R, S, N, samples, variant):
     half = samples // 2
     x = -0.5 + np.arange(half + 1) / samples
     ln_q = (-2 * math.pi * y) + (2j * math.pi) * x
-
-    qa = math.exp(-2 * math.pi * y)
-    g_cut = (math.log(1.0 / TAIL_TOL) - math.log(1.0 - qa)) / (2 * math.pi * y)
-    g = np.zeros(half + 1, dtype=np.complex128)
-    for e, _ in theta_terms(p, math.floor(g_cut) + 1):
-        g += np.exp(e * ln_q)
-
-    p_cut = math.log(1.0 / TAIL_TOL) / (2 * math.pi * y)
-    order = max(2, math.ceil(p_cut) + 1)
-    den = np.ones(half + 1, dtype=np.complex128)
-    for A, B in spec.residues:
-        qm = np.exp(A * ln_q)
-        step = np.exp(B * ln_q)
-        for _ in range(A, order, B):
-            den *= 1.0 - qm
-            qm *= step
-
+    theta_order, product_order = _tail_orders(y, TAIL_TOL)
+    g = _theta_sum(p, ln_q, theta_order, np.exp)
+    den = _denominator(spec, ln_q, product_order, np.exp)
     lower = g * np.exp(-N * ln_q) / den
     vals = np.concatenate((lower, np.conj(lower[half - 1:0:-1])))
     vals.flags.writeable = False

@@ -303,10 +303,14 @@ def _sin_factor(R: int, S: int) -> float:
     return math.sin(math.pi * S / R)
 
 
-def _mainterm_block(p: ThetaParams, R: int, S: int, N: int, variant: str):
-    """Shared body of mainterm_B and mainterm_Bprime (see the module docstring)."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
+def block_ladder(p: ThetaParams, R: int, S: int, variant: str):
+    """The four (coefficient, power) rungs of a block's main term.
+
+    Powers first, first + 1/2, first + 1, first + 3/2 of the variant, with
+    coefficients even/(4 sin0), -odd B1/(2 sin0), -even E/(4 sin0) and
+    odd (E B1 + a B3/3)/(2 sin0), B_n at c/(2a) (see the module docstring).
+    The Bessel main term and ``analytic.mainarc_L_expansion`` both read it.
+    """
     v = VARIANTS[variant]
     even, odd = v.even(float(p.a), R), v.odd(R)
     sin0 = _sin_factor(R, S)
@@ -319,8 +323,14 @@ def _mainterm_block(p: ThetaParams, R: int, S: int, N: int, variant: str):
         -even * e / (4 * sin0),
         (e * b1 + float(p.a) * b3 / 3) * odd / (2 * sin0),
     )
-    powers = [v.first + Fraction(i, 2) for i in range(4)]
-    terms = tuple((coeff, -w, w) for coeff, w in zip(coeffs, powers))
+    return tuple((coeff, v.first + Fraction(i, 2)) for i, coeff in enumerate(coeffs))
+
+
+def _mainterm_block(p: ThetaParams, R: int, S: int, N: int, variant: str):
+    """Shared body of mainterm_B and mainterm_Bprime: coeff s^w I_{-w}(x) per rung."""
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    terms = tuple((coeff, -w, w) for coeff, w in block_ladder(p, R, S, variant))
     exp = BesselExpansion(bessel_argument(N, R, variant), terms, variant)
     return exp, expansion_to_logvalue(exp, N, R)
 

@@ -208,16 +208,13 @@ def cmd_circle(p: ThetaParams, R: int, S: int, N: int, samples=None, variant=asy
     Besides the value, its rounding and the exact coefficient, prints the
     arc split, the integer margin |v - round v| and the float headroom
     53 - bit length of the exact coefficient (negative past float64).
+    An invalid sample count raises ValueError before anything is printed.
     """
     if samples is None:
         samples = analytic.min_samples(N, R, variant)
-    try:
-        quad = QuadratureSpec(N, samples, variant)
-        value = analytic.wright_coefficient(p, R, S, quad)
-        split = analytic.arc_split_diagnostic(p, R, S, N, samples, variant=variant)
-    except ValueError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_USAGE
+    quad = QuadratureSpec(N, samples, variant)
+    value = analytic.wright_coefficient(p, R, S, quad)
+    split = analytic.arc_split_diagnostic(p, R, S, N, samples, variant=variant)
     genfun = families.genfun_B if variant == asymptotics.THREE_R else families.genfun_Bprime
     exact = genfun(p, R, S, N + 1)[N]
     rounded = round(value)
@@ -295,52 +292,40 @@ def main(argv=None) -> int:
     try:
         if args.command == "coeffs":
             if args.n_max > args.n_ceiling:
-                print("error: n-max above ceiling %d" % args.n_ceiling, file=sys.stderr)
-                return EXIT_USAGE
+                raise ValueError("n-max above ceiling %d" % args.n_ceiling)
             spec = FamilySpec(FAMILY_FLAGS[args.family], args.R, args.S, args.k)
             out = resolve_out(args.out, "coeffs.%s" % args.format)
             return cmd_coeffs(spec, args.n_max, args.format, out, args.stamp)
         if args.command == "verify-identities":
             if args.order < 50:
-                print("error: order must be >= 50", file=sys.stderr)
-                return EXIT_USAGE
+                raise ValueError("order must be >= 50")
             if args.order > N_CEILING:
-                print("error: order above ceiling %d" % N_CEILING, file=sys.stderr)
-                return EXIT_USAGE
+                raise ValueError("order above ceiling %d" % N_CEILING)
             if args.decomp_order < 1:
-                print("error: decomp-order must be >= 1", file=sys.stderr)
-                return EXIT_USAGE
+                raise ValueError("decomp-order must be >= 1")
             if args.decomp_order > N_CEILING:
-                print("error: decomp-order above ceiling %d" % N_CEILING, file=sys.stderr)
-                return EXIT_USAGE
+                raise ValueError("decomp-order above ceiling %d" % N_CEILING)
             return cmd_verify_identities(args.order, args.decomp_order)
         if args.command == "scan":
             if not 1 <= args.n_lo <= args.n_hi:
-                print("error: need 1 <= n-lo <= n-hi", file=sys.stderr)
-                return EXIT_USAGE
+                raise ValueError("need 1 <= n-lo <= n-hi")
             if args.n_hi > args.n_ceiling:
-                print("error: n-hi above ceiling %d" % args.n_ceiling, file=sys.stderr)
-                return EXIT_USAGE
+                raise ValueError("n-hi above ceiling %d" % args.n_ceiling)
             spec = FamilySpec(FAMILY_FLAGS[args.family], args.R, args.S, args.k)
             return cmd_scan(spec, args.n_lo, args.n_hi, args.format, args.out, args.stamp)
         if args.command == "compare":
             if max(args.n_list) > args.n_ceiling:
-                print("error: N above ceiling %d" % args.n_ceiling, file=sys.stderr)
-                return EXIT_USAGE
+                raise ValueError("N above ceiling %d" % args.n_ceiling)
             spec = FamilySpec(FAMILY_FLAGS[args.family], args.R, args.S, args.k)
-            out = args.out if args.out is None else resolve_out(args.out, "")
-            code, _ = cmd_compare(spec, args.n_list, args.form, args.format, out, args.stamp)
+            code, _ = cmd_compare(spec, args.n_list, args.form, args.format, args.out, args.stamp)
             return code
         if args.command == "circle":
             if args.N < 1:
-                print("error: N must be >= 1", file=sys.stderr)
-                return EXIT_USAGE
+                raise ValueError("N must be >= 1")
             if args.N > N_CEILING:
-                print("error: N above ceiling %d" % N_CEILING, file=sys.stderr)
-                return EXIT_USAGE
+                raise ValueError("N above ceiling %d" % N_CEILING)
             if not 1 <= args.S < args.R:
-                print("error: need 1 <= S < R", file=sys.stderr)
-                return EXIT_USAGE
+                raise ValueError("need 1 <= S < R")
             p = ThetaParams(args.a, args.c, args.d)
             return cmd_circle(p, args.R, args.S, args.N, args.samples, args.variant)
     except ValueError as exc:

@@ -98,19 +98,8 @@ class PowerSeries:
             [self.coeffs[i] - other.coeffs[i] for i in range(n)], n
         )
 
-    def __neg__(self) -> "PowerSeries":
-        return PowerSeries([-c for c in self.coeffs], self.order)
-
     def __mul__(self, other: "PowerSeries") -> "PowerSeries":
         return ps_mul(self, other)
-
-    def shifted(self, d: int) -> "PowerSeries":
-        """Multiply by q^d (d >= 0), keeping the order."""
-        if d < 0:
-            raise ValueError("shift must be non-negative")
-        if d >= self.order:
-            return PowerSeries.zero(self.order)
-        return PowerSeries([0] * d + self.coeffs[: self.order - d], self.order)
 
     def first_mismatch(self, other: "PowerSeries"):
         """Lowest exponent where the two series differ, or None."""

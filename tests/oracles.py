@@ -5,6 +5,7 @@ counts come from literal enumeration, products from naive convolution, and
 special functions from mpmath at high precision.
 """
 
+import cmath
 import math
 from fractions import Fraction
 
@@ -253,3 +254,32 @@ def mp_integrand_samples(p, R, S, N, samples, variant, which, tail_tol, ks):
                 acc /= 1 - mp.exp(m * ln_q)
             out.append(complex(acc * mp.exp(-N * ln_q)))
     return np.array(out)
+
+
+def mainarc_bracket(p, R, S, tau):
+    """Main-arc expansion of L written out term by term.
+
+    exp(pi i/(6 R tau)) / (2 sin(S pi/R)) times
+
+        sqrt(pi/a) w^(-1/2) / 2 - B1(h) - (E/2) sqrt(pi/a) w^(1/2)
+      - [E B1(h) + a B3(h)/3] (2 pi i tau)
+
+    with w = -2 pi i tau, h = c/(2a), E = d - c^2/(4a) + R/12 - S/2 + S^2/(2R)
+    and the Bernoulli polynomials B1(h) = h - 1/2, B3(h) = h^3 - 3h^2/2 + h/2
+    in closed form, not from ``asymptotics``.
+    """
+    a, c = Fraction(p.a), Fraction(p.c)
+    h = c / (2 * a)
+    b1 = float(h - Fraction(1, 2))
+    b3 = float(h**3 - Fraction(3, 2) * h**2 + h / 2)
+    e = float(p.d - c * c / (4 * a) + Fraction(R, 12) - Fraction(S, 2) + Fraction(S * S, 2 * R))
+    t = tau.tau
+    w = -2j * math.pi * t
+    root = math.sqrt(math.pi / float(a))
+    pref = cmath.exp(1j * math.pi / (6.0 * R * t)) / (2.0 * math.sin(math.pi * S / R))
+    return pref * (
+        0.5 * root / cmath.sqrt(w)
+        - b1
+        - 0.5 * e * root * cmath.sqrt(w)
+        - (e * b1 + float(a) * b3 / 3.0) * (2j * math.pi * t)
+    )

@@ -35,7 +35,12 @@ from theta_trunc.analytic import (
 )
 from theta_trunc.families import genfun_B, genfun_Bprime
 from theta_trunc.series import ProductSpec, ThetaParams
-from oracles import full_integrand_grid, full_recurrence_grid, mp_integrand_samples
+from oracles import (
+    full_integrand_grid,
+    full_recurrence_grid,
+    mainarc_bracket,
+    mp_integrand_samples,
+)
 from test_acceptance import QUAD_INSTANCES
 
 P672 = ThetaParams(Fraction(6), Fraction(7), 2)
@@ -88,11 +93,15 @@ class TestEvalProduct:
         assert a == pytest.approx(b, rel=1e-12)
 
     def test_mpmath_path_matches_float_path(self):
-        spec = ProductSpec([(1, 3), (2, 3)])
-        tau = TauPoint(0.02, 0.05)
-        a = eval_product_inv(spec, tau, 1e-16)
-        b = eval_product_inv(spec, tau, 1e-16, dps=40)
-        assert a == pytest.approx(complex(b), rel=1e-12)
+        # Both paths run the one recurrence.  In float, q^m stepped m/B
+        # times drifts by about m eps, so the error grows like 1/y^2; the
+        # worst seen at y = 0.002 is 1.3e-13, on the real axis x = 0.
+        for spec in (ProductSpec([(1, 3), (2, 3)]), ProductSpec([(1, 3), (2, 3), (3, 3)])):
+            for tau in (TauPoint(0.02, 0.05), TauPoint(0.0, 0.005), TauPoint(0.02, 0.005),
+                        TauPoint(0.0, 0.002), TauPoint(0.02, 0.002)):
+                a = eval_product_inv(spec, tau, 1e-16)
+                b = eval_product_inv(spec, tau, 1e-16, dps=40)
+                assert a == pytest.approx(complex(b), rel=1e-12)
 
 
 class TestEvalL:
@@ -214,6 +223,15 @@ class TestMainArc:
             - 0.5 * e * math.sqrt(math.pi / 2) * cmath.sqrt(w)
         )
         assert got == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("a, c, d, R, S", QUAD_INSTANCES[::3])
+    def test_matches_explicit_bracket(self, a, c, d, R, S):
+        # The ladder-based expansion against the four-term bracket written out
+        # with its own E and Bernoulli values, on and at the edge of the arc.
+        p = ThetaParams(a, c, d)
+        for tau in (TauPoint(0.0, 0.05), TauPoint(-0.01, 0.01), TauPoint(0.001, 0.002)):
+            want = mainarc_bracket(p, R, S, tau)
+            assert mainarc_L_expansion(p, R, S, tau) == pytest.approx(want, rel=1e-13)
 
     def test_prefactor_magnitude(self):
         # |exp(pi i/(6 R tau))| = exp(pi/(6 R y)) at tau = i y

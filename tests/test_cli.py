@@ -47,8 +47,11 @@ class TestCoeffs:
     def test_invalid_spec_exits_2(self, capsys):
         assert run("coeffs --family C --R 4 --S 2 --k 1 --n-max 5".split()) == 2
 
-    def test_ceiling(self):
+    def test_ceiling(self, capsys):
         assert run("coeffs --family C --R 3 --S 1 --k 1 --n-max 20000".split()) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: n-max above ceiling 10000\n"
 
     @pytest.mark.parametrize("command, size", [
         ("coeffs", "--n-max"), ("scan", "--n-hi"), ("compare", "--n"),
@@ -135,8 +138,15 @@ class TestScan:
         rows = list(csv.reader(out.open()))
         assert rows[1] == ["2", "-5"]
 
-    def test_bad_range(self):
-        assert run("scan --family C --R 3 --S 1 --k 1 --n-lo 5 --n-hi 2".split()) == 2
+    def test_bad_range(self, capsys):
+        for flags, message in (
+            ("--n-lo 5 --n-hi 2", "need 1 <= n-lo <= n-hi"),
+            ("--n-hi 10001", "n-hi above ceiling 10000"),
+        ):
+            assert run(("scan --family C --R 3 --S 1 --k 1 " + flags).split()) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: %s\n" % message
 
 
 class TestCompare:
@@ -190,6 +200,12 @@ class TestCompare:
         )
         obj = json.loads(out.open().readline())
         assert set(obj) == {"N", "ln_exact", "ln_mainterm", "ratio"}
+
+    def test_ceiling(self, capsys):
+        assert run("compare --family C --R 3 --S 1 --k 1 --n 50 --n 10001".split()) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: N above ceiling 10000\n"
 
     def test_bessel_form(self, tmp_path):
         out = tmp_path / "b.csv"
@@ -268,6 +284,7 @@ class TestCircle:
         ("--R 3 --S 3 --N 20", "need 1 <= S < R"),
         ("--R 3 --S 1 --N -5", "N must be >= 1"),
         ("--R 3 --S 1 --N 10001", "N above ceiling 10000"),
+        ("--R 3 --S 1 --N 50 --samples 128", "samples=128 below the aliasing-safe minimum 1024"),
     ])
     def test_invalid_input_exits_2(self, flags, message, capsys):
         argv = ("circle --a 6 --c 7 --d 2 " + flags).split()
