@@ -325,10 +325,11 @@ def mainarc_L_expansion(p: ThetaParams, R: int, S: int, tau: TauPoint) -> comple
         [ sqrt(pi/a) w^(-1/2) / 2 - B1(c/2a) - (E/2) sqrt(pi/a) w^(1/2)
           + (E B1(c/2a) + a B3(c/2a)/3) w ] / (2 sin(S pi/R))
 
-    with E = d - c^2/(4a) + R/12 - S/2 + S^2/(2R).  The omitted tau^(3/2)
-    and higher coefficients are not expressible without further constants,
-    so agreement with eval_L is checked as ratio convergence, not absolute
-    error.
+    with E = d - c^2/(4a) + R/12 - S/2 + S^2/(2R).  The later rungs are
+    explicit too: the next one is sqrt(pi/a) E^2 / (8 sin(S pi/R)) w^(3/2),
+    the tau^(3/2) term.  They are omitted deliberately, to keep the four
+    rungs the Bessel main term uses, so agreement with eval_L is checked as
+    ratio convergence, not absolute error.
     """
     if abs(tau.x) > tau.y:
         raise MainArcViolation("|x| must not exceed y on the main arc")

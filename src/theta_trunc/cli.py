@@ -24,6 +24,7 @@ import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
+from math import gcd
 
 from . import analytic, asymptotics, families
 from .analytic import QuadratureSpec
@@ -326,6 +327,8 @@ def main(argv=None) -> int:
                 raise ValueError("N above ceiling %d" % N_CEILING)
             if not 1 <= args.S < args.R:
                 raise ValueError("need 1 <= S < R")
+            if gcd(args.R, args.S) != 1:
+                raise ValueError("R and S must be coprime")
             p = ThetaParams(args.a, args.c, args.d)
             return cmd_circle(p, args.R, args.S, args.N, args.samples, args.variant)
     except ValueError as exc:

@@ -4,6 +4,10 @@ These are the hot inner loops of the package: everything here operates on
 plain lists of arbitrary-precision Python ints indexed by exponent (the
 coefficients outgrow machine words).  ``series`` calls them through this
 module, so a tracer can replace them here.
+
+Sparse factors 1 + sum_plus q^e - sum_minus q^e (theta series, by the
+Jacobi triple product) are applied with ``mul_sparse`` and ``div_sparse``,
+exact inverses of each other that use adds only.
 """
 
 # The only kernel implementation; benchmark results record it.
@@ -70,6 +74,27 @@ def div_one_minus(c, m):
     """
     for i in range(m, len(c)):
         c[i] += c[i - m]
+
+
+def mul_sparse(c, plus, minus):
+    """In place c <- c * (1 + sum_plus q^e - sum_minus q^e), truncated.
+
+    ``plus`` and ``minus`` are ascending exponents >= 1 (repeats count
+    twice), as for ``div_sparse``, which this undoes.  Each nonzero c[i]
+    of the input is added to c[i+e] for the exponents with i + e < len(c),
+    so the cost is O(nnz(c) * (len(plus) + len(minus))) adds.
+    """
+    n = len(c)
+    for i, ci in [(i, ci) for i, ci in enumerate(c) if ci]:
+        room = n - i
+        for e in plus:
+            if e >= room:
+                break
+            c[i + e] += ci
+        for e in minus:
+            if e >= room:
+                break
+            c[i + e] -= ci
 
 
 def div_sparse(c, plus, minus):

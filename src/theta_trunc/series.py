@@ -360,16 +360,17 @@ def ps_div_pochhammer(f: PowerSeries, spec: ProductSpec) -> PowerSeries:
     """f times pochhammer_inv(spec, f.order), without the dense inverse.
 
     Pair and triple products and (q^B; q^B)_inf are sparse theta series
-    (see ``_theta_factors``): multiply by them with ``conv_trunc`` and
-    divide by them with ``div_sparse``, O(order^1.5) adds each.  Residues
-    that fit none of these shapes are divided out one factor (1 - q^m) at
-    a time.
+    (see ``_theta_factors``).  Multiplying by one with ``mul_sparse``
+    costs O(nnz(f) * order^0.5) adds, O(order) for the sparse theta
+    numerators of the families; dividing by one with ``div_sparse`` costs
+    O(order^1.5) adds.  Residues that fit none of these shapes are divided
+    out one factor (1 - q^m) at a time.
     """
     order = f.order
     c = list(f.coeffs)
     mul, div, leftover = _theta_factors(spec)
     for R, S in mul:
-        c = kernels.conv_trunc(theta_series(R, S, order).coeffs, c, order)
+        kernels.mul_sparse(c, *theta_exponents(R, S, order))
     for R, S in div:
         kernels.div_sparse(c, *theta_exponents(R, S, order))
     for m in sorted(ProductSpec(leftover).parts(order)):

@@ -80,6 +80,30 @@ def naive_poly_mul(a, b, order):
     return out
 
 
+def dense_theta_div_pochhammer(coeffs, spec):
+    """coeffs / prod (q^A; q^B)_inf with each theta multiply done densely.
+
+    The factor split of ``series._theta_factors``: every theta_{R,S} to
+    multiply by is expanded in full (``series.theta_series``) and convolved
+    with ``kernels.conv_trunc``; then the theta divisions (``div_sparse``)
+    and the leftover parts (``div_one_minus``), as ``ps_div_pochhammer``
+    does them.
+    """
+    from theta_trunc import kernels
+    from theta_trunc.series import ProductSpec, _theta_factors, theta_exponents, theta_series
+
+    order = len(coeffs)
+    c = list(coeffs)
+    mul, div, leftover = _theta_factors(spec)
+    for R, S in mul:
+        c = kernels.conv_trunc(theta_series(R, S, order).coeffs, c, order)
+    for R, S in div:
+        kernels.div_sparse(c, *theta_exponents(R, S, order))
+    for m in sorted(ProductSpec(leftover).parts(order)):
+        kernels.div_one_minus(c, m)
+    return c
+
+
 def naive_finite_pochhammer(n, order):
     """(q; q)_n expanded factor by factor with naive convolution."""
     acc = [1] + [0] * (order - 1)

@@ -282,6 +282,7 @@ class TestCircle:
     @pytest.mark.parametrize("flags, message", [
         ("--R 0 --S 1 --N 20", "need 1 <= S < R"),
         ("--R 3 --S 3 --N 20", "need 1 <= S < R"),
+        ("--R 4 --S 2 --N 50", "R and S must be coprime"),
         ("--R 3 --S 1 --N -5", "N must be >= 1"),
         ("--R 3 --S 1 --N 10001", "N above ceiling 10000"),
         ("--R 3 --S 1 --N 50 --samples 128", "samples=128 below the aliasing-safe minimum 1024"),

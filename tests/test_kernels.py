@@ -3,7 +3,8 @@
 The ``*_parity`` tests check ``conv_trunc``, ``inv_unit`` and
 ``mul_one_minus`` against the schoolbook product of ``tests/oracles.py``,
 and ``div_one_minus`` as the inverse of ``mul_one_minus``; ``div_sparse`` is
-checked against the kernels it generalizes.
+checked against the kernels it generalizes, and ``mul_sparse`` against the
+schoolbook product and as the inverse of ``div_sparse``.
 """
 
 import random
@@ -11,6 +12,7 @@ import random
 from oracles import naive_poly_mul
 
 from theta_trunc import kernels
+from theta_trunc.series import theta_exponents
 
 
 def _random_coeffs(rng, n, lo=-9, hi=9):
@@ -80,5 +82,75 @@ def test_div_sparse_undoes_sparse_product():
             d[e] -= 1
         base = [rng.randrange(-(10**30), 10**30) for _ in range(n)]
         c = kernels.conv_trunc(d, base, n)
+        kernels.div_sparse(c, plus, minus)
+        assert c == base
+
+
+def _sparse_factor(plus, minus):
+    """Dense coefficients of 1 + sum_plus q^e - sum_minus q^e."""
+    d = [0] * (max(plus + minus, default=0) + 1)
+    d[0] = 1
+    for e in plus:
+        d[e] += 1
+    for e in minus:
+        d[e] -= 1
+    return d
+
+
+def _random_exponents(rng, n):
+    """Ascending plus and minus exponents, some at or past n."""
+    exps = sorted(rng.sample(range(1, n + 6), rng.randrange(0, min(n + 5, 9))))
+    plus = sorted(rng.sample(exps, len(exps) // 2))
+    return plus, [e for e in exps if e not in plus]
+
+
+def test_mul_sparse_parity():
+    rng = random.Random(6)
+    for trial in range(60):
+        n = rng.randrange(1, 70)
+        plus, minus = _random_exponents(rng, n)
+        if trial % 3 == 0:
+            base = [0] * n  # all zero
+        elif trial % 3 == 1:
+            base = [rng.randrange(-(10**30), 10**30) if rng.random() < 0.1 else 0 for _ in range(n)]
+        else:
+            base = [rng.randrange(-(10**30), 10**30) for _ in range(n)]
+        c = list(base)
+        kernels.mul_sparse(c, plus, minus)
+        assert c == naive_poly_mul(_sparse_factor(plus, minus), base, n)
+
+
+def test_mul_sparse_big_integer_coefficients():
+    base = [10**40, 0, -(10**39), 7, 0, 0]
+    c = list(base)
+    kernels.mul_sparse(c, [1, 4], [2, 6])
+    assert c == naive_poly_mul([1, 1, -1, 0, 1], base, 6)
+    assert c[1] == 10**40 and c[4] == 10**40 + 10**39 + 7
+
+
+def test_mul_sparse_repeated_exponents():
+    # theta_{2,1} = 1 - 2q + 2q^4 - 2q^9 + ...: n and -n share each exponent
+    n = 50
+    plus, minus = theta_exponents(2, 1, n)
+    assert minus[:2] == [1, 1] and plus[:2] == [4, 4]
+    rng = random.Random(7)
+    base = [rng.randrange(-(10**25), 10**25) for _ in range(n)]
+    c = list(base)
+    kernels.mul_sparse(c, plus, minus)
+    assert c == naive_poly_mul(_sparse_factor(plus, minus), base, n)
+
+
+def test_div_sparse_undoes_mul_sparse():
+    rng = random.Random(8)
+    for _ in range(40):
+        n = rng.randrange(1, 70)
+        plus, minus = _random_exponents(rng, n)
+        if rng.random() < 0.3:
+            plus, minus = plus + plus, minus + minus  # every exponent twice
+            plus.sort()
+            minus.sort()
+        base = [rng.randrange(-(10**30), 10**30) for _ in range(n)]
+        c = list(base)
+        kernels.mul_sparse(c, plus, minus)
         kernels.div_sparse(c, plus, minus)
         assert c == base

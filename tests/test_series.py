@@ -13,6 +13,7 @@ from theta_trunc.series import (
     PowerSeries,
     ProductSpec,
     ThetaParams,
+    _theta_factors,
     euler_product,
     finite_pochhammer,
     pochhammer,
@@ -26,10 +27,12 @@ from theta_trunc.series import (
     theta_series,
     theta_terms,
 )
+from theta_trunc import families
 from theta_trunc.families import pair_product_spec, triple_product_spec
 from oracles import (
     brute_theta_terms,
     count_partitions,
+    dense_theta_div_pochhammer,
     divide_by_parts,
     naive_finite_pochhammer,
     qbinomial_by_division,
@@ -238,6 +241,38 @@ class TestThetaDivision:
             got = pochhammer_inv(pair_product_spec(R, S), 60)
             parts = [p for p in range(1, 60) if p % R in (S, R - S)]
             assert got.coeffs == [count_partitions(n, parts) for n in range(60)]
+
+
+class TestSparseThetaProduct:
+    """ps_div_pochhammer against the route with a dense theta multiply."""
+
+    def test_default_grid_numerators(self, monkeypatch):
+        calls = []
+
+        def capture(f, spec):
+            calls.append((f, spec))
+            return PowerSeries.zero(f.order)
+
+        monkeypatch.setattr(families, "ps_div_pochhammer", capture)
+        for spec in families.default_grid():
+            families.genfun_family(spec, 2001)
+        assert len(calls) == 52
+        for f, spec in calls:
+            assert ps_div_pochhammer(f, spec).coeffs == dense_theta_div_pochhammer(f.coeffs, spec), spec
+
+    def test_two_multiplies_on_one_modulus(self):
+        spec = ProductSpec([(1, 5), (4, 5), (2, 5), (3, 5)])
+        assert _theta_factors(spec) == ([(15, 5), (15, 5)], [(5, 1), (5, 2)], [])
+        rng = random.Random(12)
+        f = PowerSeries([rng.randrange(-(10**20), 10**20) if rng.random() < 0.05 else 0 for _ in range(700)])
+        assert ps_div_pochhammer(f, spec).coeffs == dense_theta_div_pochhammer(f.coeffs, spec)
+
+    def test_colliding_exponents(self):
+        # R = 2S: theta_{2,1} lists each exponent twice
+        spec = ProductSpec([(1, 2), (1, 2)])
+        assert _theta_factors(spec) == ([(6, 2)], [(2, 1)], [])
+        f = theta_partial(ThetaParams(Fraction(3, 2), Fraction(1, 2), 2), 900)
+        assert ps_div_pochhammer(f, spec).coeffs == dense_theta_div_pochhammer(f.coeffs, spec)
 
 
 class TestProductSpec:
