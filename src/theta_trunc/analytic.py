@@ -1,22 +1,24 @@
 """Complex-plane evaluation and circle-method quadrature.
 
-Everything here works with q = exp(2 pi i tau), tau = x + i y, y > 0.  The
-scalar evaluators (eval_G, eval_product_inv, eval_L, ...) and the circle
-integrand grid share one body for each piece of L: ``_tail_orders`` is the
-one cutoff rule (theta-sum exponents with |q|^e >= tol (1 - |q|), product
-parts with |q|^m >= tol), ``_theta_sum`` sums q^e over the exponents in the
-order ``series.theta_terms`` lists them, and ``_denominator`` builds the
-block product by recurrence, one residue class at a time with two exp calls
-per class.  Each runs on cmath scalars, on mpmath scalars (``dps`` set) and
-on numpy arrays (the grid); only the exp passed in differs.  The
-coefficient quadrature integrates L(q) q^(-N) (threeR) or L'(q) q^(-N)
-(twoR) over the circle |q| = exp(-2 pi y) of ``asymptotics.VARIANTS``, with
-tails cut below ``TAIL_TOL``; on that circle the trapezoid rule is exact for
-band-limited integrands, which gives back the exact integer coefficients at
-desk scale.  The integrand grid is evaluated on its lower half only (the
-upper half is the conjugate mirror, since L has real coefficients) and
-divides the theta sum by the denominator once.  The last grid is cached, so
-a coefficient and its arc split cost one grid evaluation between them.
+Everything here works with q = exp(2 pi i tau), tau = x + i y, y > 0.
+``_tail_orders`` is the one cutoff rule for every piece of L: theta-sum
+exponents with |q|^e >= tol (1 - |q|), product parts with |q|^m >= tol, and
+for the grid's log of the product the terms with |q|^(m j) >= eps tol.  The
+scalar evaluators (eval_G, eval_product_inv, eval_L, ...) share two bodies
+that run on cmath and on mpmath (``dps`` set) scalars: ``_theta_sum`` sums
+q^e with one exp per term, in the order ``series.theta_terms`` lists the
+exponents, and ``_denominator`` builds the block product by recurrence, one
+residue class at a time with two exp calls per class.  The coefficient
+quadrature integrates L(q) q^(-N) (threeR) or L'(q) q^(-N) (twoR) over the
+circle |q| = exp(-2 pi y) of ``asymptotics.VARIANTS``, with tails cut below
+``TAIL_TOL``; on that circle the trapezoid rule is exact for band-limited
+integrands, which gives back the exact integer coefficients at desk scale.
+Its samples lie on a uniform grid in x, so the integrand grid evaluates the
+theta sum and the log of the block denominator as polynomials in q, by one
+real FFT each (``_poly_on_grid``), and divides by the exp of the log once.
+Only the lower half is evaluated (the upper half is the conjugate mirror,
+since L has real coefficients).  The last grid is cached, so a coefficient
+and its arc split cost one grid evaluation between them.
 
 eval_product_inv and transformed_pair_product accept an optional ``dps``:
 the identity they satisfy holds to exp(-2 pi / (R y)) relative, far below
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from collections import namedtuple
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -116,16 +119,23 @@ def circle_y(N: int, R: int, variant: str = THREE_R) -> float:
 
 
 def _tail_orders(y: float, tol: float):
-    """(theta_order, product_order): the orders that cut L's tails at ``tol``.
+    """(theta_order, product_order, log_order): the orders that cut L's tails.
 
     The theta sum keeps the exponents e with |q|^e >= tol (1 - |q|), so its
     dropped tail is below tol; the product keeps the parts m with
-    |q|^m >= tol.  Both orders are exclusive bounds.
+    |q|^m >= tol.  The grid's log of that product keeps the terms
+    q^(m j)/j with |q|^(m j) >= eps tol, which leaves the kept factors
+    exact to rounding.  All three orders are exclusive bounds.
     """
     qa = math.exp(-2 * math.pi * y)
     theta_cut = (math.log(1.0 / tol) - math.log(1.0 - qa)) / (2 * math.pi * y)
     product_cut = math.log(1.0 / tol) / (2 * math.pi * y)
-    return math.floor(theta_cut) + 1, max(2, math.ceil(product_cut) + 1)
+    log_cut = math.log(1.0 / (sys.float_info.epsilon * tol)) / (2 * math.pi * y)
+    return (
+        math.floor(theta_cut) + 1,
+        max(2, math.ceil(product_cut) + 1),
+        math.floor(log_cut) + 1,
+    )
 
 
 def min_samples(N: int, R: int, variant: str = THREE_R) -> int:
@@ -136,7 +146,7 @@ def min_samples(N: int, R: int, variant: str = THREE_R) -> int:
     within tolerance; 2 (D + N) samples keep the aliased frequencies
     harmless.
     """
-    _, product_order = _tail_orders(circle_y(N, R, variant), TAIL_TOL)
+    _, product_order, _ = _tail_orders(circle_y(N, R, variant), TAIL_TOL)
     need = 2 * (product_order - 1 + N)
     return 1 << (need - 1).bit_length()
 
@@ -163,13 +173,16 @@ def _arith(dps):
         yield _Arith(mp.exp, mp.sin, mp.pi, mp.mpf, mp.mpc)
 
 
-# The two bodies below take ln q = 2 pi i tau and the exp to use: a scalar
-# (cmath or mpmath) or a numpy array of ln q values with np.exp.  Their
-# updates are in place, so an array body writes into its accumulators
-# instead of allocating a new one per term or part.
+# The two bodies below take ln q = 2 pi i tau and the exp to use, cmath or
+# mpmath: they serve the scalar evaluators only.  The circle grid evaluates
+# the same theta sum and the log of the same product as polynomials in q, by
+# FFT (``_poly_on_grid``).
 
 def _theta_sum(p: ThetaParams, ln_q, order: int, exp):
-    """sum q^e over the ``theta_terms`` exponents e below ``order``, from 0j."""
+    """sum q^e over the ``theta_terms`` exponents e below ``order``, from 0j.
+
+    One exp per term; scalar and mpmath only, the grid sums by FFT.
+    """
     acc = 0j
     for e, _ in theta_terms(p, order):
         acc += exp(e * ln_q)
@@ -180,7 +193,8 @@ def _denominator(spec: ProductSpec, ln_q, order: int, exp):
     """prod (1 - q^m) over the parts m below ``order``, by recurrence.
 
     Per residue class (A, B), q^A and q^B cost one exp each; every part
-    m = A, A+B, ... multiplies (1 - q^m) in and steps q^m by q^B.
+    m = A, A+B, ... multiplies (1 - q^m) in and steps q^m by q^B.  Scalar
+    and mpmath only; the grid takes the exp of ``_log_denominator_terms``.
     """
     den = 1
     for A, B in spec.residues:
@@ -196,7 +210,7 @@ def eval_G(p: ThetaParams, tau: TauPoint, tol: float = 1e-16) -> complex:
     """sum_j q^(a j^2 + c j + d), summed until |q|^e < tol (1 - |q|)."""
     if not tol > 0:
         raise ValueError("tol must be positive")
-    theta_order, _ = _tail_orders(tau.y, tol)
+    theta_order, _, _ = _tail_orders(tau.y, tol)
     return _theta_sum(p, 2j * math.pi * tau.tau, theta_order, cmath.exp)
 
 
@@ -210,7 +224,7 @@ def eval_product_inv(
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    _, product_order = _tail_orders(tau.y, tol)
+    _, product_order, _ = _tail_orders(tau.y, tol)
     with _arith(dps) as num:
         ln_q = 2j * num.pi * num.cplx(tau.x, tau.y)
         return num.cplx(1) / _denominator(spec, ln_q, product_order, num.exp)
@@ -344,15 +358,42 @@ def mainarc_L_expansion(p: ThetaParams, R: int, S: int, tau: TauPoint) -> comple
 # circle-method quadrature
 # ---------------------------------------------------------------------------
 
+def _poly_on_grid(n, c, ln_r: float, samples: int):
+    """sum_n c_n q^n on the lower half grid, x_k = -1/2 + k/samples for
+    k = 0..samples/2.
+
+    ``n`` are integer exponents (repeats add), ``c`` real coefficients and
+    ln_r = ln|q| = -2 pi y.  On the grid
+    q_k^n = r^n (-1)^n exp(2 pi i n k/samples), so the sum is conj(rfft(a))
+    with a[n mod samples] += c_n r^n (-1)^n; folding the exponents mod
+    samples is exact there, since the grid is periodic.
+    """
+    w = np.where(n & 1, -c, c) * np.exp(n * ln_r)
+    a = np.bincount(n % samples, weights=w, minlength=samples)
+    return np.conj(np.fft.rfft(a))
+
+
+def _log_denominator_terms(spec: ProductSpec, product_order: int, log_order: int):
+    """(exponents, coefficients) of log prod (1 - q^m) over the parts m below
+    ``product_order``: -q^(m j)/j for every part m and j >= 1 with m j below
+    ``log_order``.
+    """
+    m = np.concatenate([np.arange(A, product_order, B) for A, B in spec.residues])
+    reps = (log_order - 1) // m
+    first = np.repeat(np.cumsum(reps) - reps, reps)
+    j = np.arange(1, first.size + 1) - first
+    return np.repeat(m, reps) * j, -1.0 / j
+
+
 @lru_cache(maxsize=1)
 def _integrand_grid(p, R, S, N, samples, variant):
     """Values of L(q) (or L'(q), by variant) exp(2 pi N y - 2 pi i N x) on
     the sample grid.
 
-    Vectorized over the grid; the reduction order is fixed separately.
-    The theta sum (``_theta_sum``) takes one exp per term and the block
-    denominator (``_denominator``) two per residue class; the sum is divided
-    by the product once.
+    The theta sum and the log of the block denominator are polynomials in
+    q, evaluated on the grid by one real FFT each (``_poly_on_grid``); the
+    theta sum is divided by the exp of the log once, and exp(-N ln q) is a
+    factor of its own.
 
     L has real coefficients, so the value at -x is the conjugate of the
     value at x: only x = -1/2 + k/samples for k = 0..samples/2 is
@@ -363,12 +404,15 @@ def _integrand_grid(p, R, S, N, samples, variant):
     spec = VARIANTS[variant].denominator(R, S)
     y = circle_y(N, R, variant)
     half = samples // 2
-    x = -0.5 + np.arange(half + 1) / samples
-    ln_q = (-2 * math.pi * y) + (2j * math.pi) * x
-    theta_order, product_order = _tail_orders(y, TAIL_TOL)
-    g = _theta_sum(p, ln_q, theta_order, np.exp)
-    den = _denominator(spec, ln_q, product_order, np.exp)
-    lower = g * np.exp(-N * ln_q) / den
+    ln_r = -2 * math.pi * y
+    ln_q = ln_r + (2j * math.pi) * (-0.5 + np.arange(half + 1) / samples)
+    theta_order, product_order, log_order = _tail_orders(y, TAIL_TOL)
+    exps = np.array([e for e, _ in theta_terms(p, theta_order)], dtype=np.int64)
+    g = _poly_on_grid(exps, np.ones(exps.size), ln_r, samples)
+    log_den = _poly_on_grid(
+        *_log_denominator_terms(spec, product_order, log_order), ln_r, samples
+    )
+    lower = g * np.exp(-N * ln_q) / np.exp(log_den)
     vals = np.concatenate((lower, np.conj(lower[half - 1:0:-1])))
     vals.flags.writeable = False
     return vals

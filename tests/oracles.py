@@ -177,14 +177,15 @@ def dense_truncated_pentagonal_rhs(k, order):
 
 
 def _grid_cutoffs(R, N, variant, tail_tol):
-    """y and the theta-sum and product orders of the integrand grid."""
+    """y and the theta-sum, product and log-product orders of the grid."""
     from theta_trunc.analytic import circle_y
 
     y = circle_y(N, R, variant)
     qa = math.exp(-2 * math.pi * y)
     g_cut = (math.log(1.0 / tail_tol) - math.log(1.0 - qa)) / (2 * math.pi * y)
     p_cut = math.log(1.0 / tail_tol) / (2 * math.pi * y)
-    return y, math.floor(g_cut) + 1, max(2, math.ceil(p_cut) + 1)
+    log_cut = math.log(1.0 / (np.finfo(float).eps * tail_tol)) / (2 * math.pi * y)
+    return y, math.floor(g_cut) + 1, max(2, math.ceil(p_cut) + 1), math.floor(log_cut) + 1
 
 
 def _denominator_spec(R, S, which):
@@ -208,7 +209,7 @@ def full_integrand_grid(p, R, S, N, samples, variant, which, tail_tol, ks=None):
     """
     from theta_trunc.series import theta_terms
 
-    y, g_order, p_order = _grid_cutoffs(R, N, variant, tail_tol)
+    y, g_order, p_order, _ = _grid_cutoffs(R, N, variant, tail_tol)
     k = np.arange(samples) if ks is None else np.asarray(ks)
     x = -0.5 + k / samples
     ln_q = (-2 * math.pi * y) + (2j * math.pi) * x
@@ -224,35 +225,38 @@ def full_integrand_grid(p, R, S, N, samples, variant, which, tail_tol, ks=None):
     return g * prod * np.exp(-N * ln_q)
 
 
-def full_recurrence_grid(p, R, S, N, samples, variant, which, tail_tol):
-    """The circle integrand at every sample by the denominator recurrence.
+def full_fft_grid(p, R, S, N, samples, variant, which, tail_tol):
+    """The circle integrand at every sample by a full complex FFT.
 
-    The arithmetic of ``analytic._integrand_grid`` (one exp per theta term;
-    per residue class (A, B) the product of (1 - q^m) with q^m stepped by
-    q^B; one division) evaluated at all samples, with no symmetry.  The
-    grid is exactly symmetric and exp, -, * and / commute with conjugation,
-    so the half grid and its mirror must equal it bit for bit.  It takes
-    its own ``which`` and ``tail_tol``, as ``full_integrand_grid`` does.
+    The polynomials of ``analytic._integrand_grid``, built term by term:
+    the theta sum's q^e, and -q^(m j)/j of log prod (1 - q^m) per part m
+    and j >= 1 down to |q|^(m j) >= eps tail_tol.  Each coefficient times
+    |q|^n (-1)^n is folded to n mod samples and the polynomial is
+    samples * ifft(folded) at every sample, with no symmetry.  It takes its
+    own ``which`` and ``tail_tol``, as ``full_integrand_grid`` does.
     """
     from theta_trunc.series import theta_terms
 
-    y, g_order, p_order = _grid_cutoffs(R, N, variant, tail_tol)
+    y, g_order, p_order, log_order = _grid_cutoffs(R, N, variant, tail_tol)
+
+    def on_grid(terms):
+        folded = np.zeros(samples)
+        for n, c in terms:
+            folded[n % samples] += c * (-1) ** n * math.exp(-2 * math.pi * y * n)
+        return samples * np.fft.ifft(folded)
+
+    g = on_grid((e, 1.0) for e, _ in theta_terms(p, g_order))
+    log_terms = []
+    for m in _denominator_spec(R, S, which).parts(p_order):
+        j = 1
+        while m * j < log_order:
+            log_terms.append((m * j, -1.0 / j))
+            j += 1
+    log_den = on_grid(log_terms)
+
     x = -0.5 + np.arange(samples) / samples
     ln_q = (-2 * math.pi * y) + (2j * math.pi) * x
-
-    g = np.zeros(samples, dtype=np.complex128)
-    for e, _ in theta_terms(p, g_order):
-        g += np.exp(e * ln_q)
-
-    den = np.ones(samples, dtype=np.complex128)
-    for A, B in _denominator_spec(R, S, which).residues:
-        qm = np.exp(A * ln_q)
-        step = np.exp(B * ln_q)
-        for _ in range(A, p_order, B):
-            den *= 1.0 - qm
-            qm *= step
-
-    return g * np.exp(-N * ln_q) / den
+    return g * np.exp(-N * ln_q) / np.exp(log_den)
 
 
 def mp_integrand_samples(p, R, S, N, samples, variant, which, tail_tol, ks):
@@ -266,7 +270,7 @@ def mp_integrand_samples(p, R, S, N, samples, variant, which, tail_tol, ks):
     """
     import mpmath as mp
 
-    y, g_order, p_order = _grid_cutoffs(R, N, variant, tail_tol)
+    y, g_order, p_order, _ = _grid_cutoffs(R, N, variant, tail_tol)
     exps = [e for e, _ in brute_theta_terms(p.a, p.c, p.d, g_order, n_min=0)]
     parts = _denominator_spec(R, S, which).parts(p_order)
     out = []

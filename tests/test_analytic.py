@@ -33,11 +33,11 @@ from theta_trunc.analytic import (
     transformed_pair_product,
     wright_coefficient,
 )
-from theta_trunc.families import genfun_B, genfun_Bprime
+from theta_trunc.families import genfun_B, genfun_Bprime, pair_product_spec, triple_product_spec
 from theta_trunc.series import ProductSpec, ThetaParams
 from oracles import (
+    full_fft_grid,
     full_integrand_grid,
-    full_recurrence_grid,
     mainarc_bracket,
     mp_integrand_samples,
 )
@@ -292,8 +292,9 @@ class TestQuadrature:
     def test_error_budget_on_300_cases(self):
         # The criterion-5 instances x both variants x N = 50, 75, ..., 400.
         # Every error stays within 64 eps mean|v_k| of the grid values v_k
-        # (worst seen: 42), and 240 of the 300 round to the exact value,
-        # against 227 with one exp and one division per part.
+        # (worst seen: 13.2, against 42 with the recurrence denominator),
+        # and 243 of the 300 round to the exact value, against 240 with the
+        # recurrence and 227 with one exp and one division per part.
         eps = np.finfo(float).eps
         worst, exact_count = 0.0, 0
         for a, c, d, R, S in QUAD_INSTANCES:
@@ -308,7 +309,7 @@ class TestQuadrature:
                     worst = max(worst, err)
                     exact_count += round(val) == exact[N]
         assert worst <= 64
-        assert exact_count >= 240
+        assert exact_count >= 243
 
 
 class TestIntegrandGrid:
@@ -324,8 +325,8 @@ class TestIntegrandGrid:
 
     @pytest.mark.parametrize("p, R, S, N, which, variant", CASES)
     def test_matches_per_part_loop(self, p, R, S, N, which, variant):
-        # The recurrence product rounds differently from one exp and one
-        # division per part; the worst relative difference seen is 2.1e-14.
+        # The FFT grid rounds differently from one exp and one division per
+        # part; the worst relative difference seen is 7.0e-14.
         samples = min_samples(N, R, variant)
         vals = _integrand_grid(p, R, S, N, samples, variant)
         ref = full_integrand_grid(p, R, S, N, samples, variant, which, 1e-20)
@@ -357,12 +358,49 @@ class TestIntegrandGrid:
     @pytest.mark.parametrize("p, R, S, N, which, variant", CASES)
     def test_half_grid_matches_full_grid_bitwise(self, p, R, S, N, which, variant):
         # The upper half is the conjugate mirror of the lower half, bit for
-        # bit the same as evaluating every sample with the same arithmetic.
-        args = (p, R, S, N, min_samples(N, R, variant), variant)
-        half = _integrand_grid(*args)
-        full = full_recurrence_grid(*args, which, 1e-20)
-        assert half.shape == full.shape
-        assert np.array_equal(half.view(np.uint64), full.view(np.uint64))
+        # bit.  Against the same polynomials evaluated at every sample by a
+        # full complex FFT, with no mirror, every value agrees to 1e-13
+        # relative; the worst difference seen is 8.4e-15.
+        samples = min_samples(N, R, variant)
+        half = samples // 2
+        vals = _integrand_grid(p, R, S, N, samples, variant)
+        mirror = np.conj(vals[half - 1:0:-1])
+        assert np.array_equal(vals[half + 1:].view(np.uint64), mirror.view(np.uint64))
+        full = full_fft_grid(p, R, S, N, samples, variant, which, 1e-20)
+        assert vals.shape == full.shape
+        assert np.all(np.abs(vals - full) <= 1e-13 * np.abs(full))
+
+    def test_poly_on_grid_folds_high_exponents(self):
+        # Exponents up to three times the sample count, some repeated:
+        # folding them mod samples gives the direct sum of c_n q_k^n.
+        rng = np.random.default_rng(7)
+        samples, ln_r = 64, -2 * math.pi * 0.002
+        n = np.r_[rng.integers(0, 3 * samples, 200), 5, 5, samples + 5, 3 * samples - 1]
+        c = rng.standard_normal(n.size)
+        got = analytic._poly_on_grid(n, c, ln_r, samples)
+        ln_q = ln_r + 2j * math.pi * (-0.5 + np.arange(samples // 2 + 1) / samples)
+        want = (c[:, None] * np.exp(n[:, None] * ln_q)).sum(axis=0)
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 1e-13 * (np.abs(c) @ np.exp(n * ln_r)))
+
+    @pytest.mark.parametrize(
+        "spec_of, variant", [(pair_product_spec, "threeR"), (triple_product_spec, "twoR")]
+    )
+    def test_log_denominator_matches_recurrence(self, spec_of, variant):
+        # exp of the log-product polynomial on the grid against the scalar
+        # recurrence, at the ends of the half grid and on and off the main arc.
+        R, S, N = 5, 2, 300
+        spec = spec_of(R, S)
+        y = circle_y(N, R, variant)
+        _, product_order, log_order = analytic._tail_orders(y, analytic.TAIL_TOL)
+        samples = min_samples(N, R, variant)
+        half, ln_r = samples // 2, -2 * math.pi * y
+        terms = analytic._log_denominator_terms(spec, product_order, log_order)
+        grid = np.exp(analytic._poly_on_grid(*terms, ln_r, samples))
+        for k in (0, half // 3, half - math.floor(y * samples), half):
+            ln_q = complex(ln_r, 2 * math.pi * (k / samples - 0.5))
+            want = analytic._denominator(spec, ln_q, product_order, cmath.exp)
+            assert grid[k] == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("R, S", [(2, 1), (7, 3)])
     @pytest.mark.parametrize("which, variant", [("B", "threeR"), ("Bprime", "twoR")])
