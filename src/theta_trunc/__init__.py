@@ -18,7 +18,6 @@ from .series import (
     ProductSpec,
     ThetaParams,
     euler_product,
-    finite_pochhammer,
     pochhammer,
     pochhammer_inv,
     ps_div_pochhammer,
@@ -45,13 +44,11 @@ from .families import (
     truncated_pentagonal_sides,
 )
 from .asymptotics import (
-    BesselExpansion,
     LogValue,
     UnsupportedOrder,
     bernoulli_poly,
     bessel_I_scaled,
     logvalue_ratio,
-    logvalue_sum,
     mainterm_B,
     mainterm_Bprime,
     mainterm_family,

@@ -7,8 +7,8 @@ for the grid's log of the product the terms with |q|^(m j) >= eps tol.  The
 scalar evaluators (eval_G, eval_product_inv, eval_L, ...) share two bodies
 that run on cmath and on mpmath (``dps`` set) scalars: ``_theta_sum`` sums
 q^e with one exp per term, in the order ``series.theta_terms`` lists the
-exponents, and ``_denominator`` builds the block product by recurrence, one
-residue class at a time with two exp calls per class.  The coefficient
+exponents, and ``_denominator`` multiplies (1 - q^m) over the parts m of
+the block product, with one exp per part.  The coefficient
 quadrature integrates L(q) q^(-N) (threeR) or L'(q) q^(-N) (twoR) over the
 circle |q| = exp(-2 pi y) of ``asymptotics.VARIANTS``, with tails cut below
 ``TAIL_TOL``; on that circle the trapezoid rule is exact for band-limited
@@ -190,19 +190,13 @@ def _theta_sum(p: ThetaParams, ln_q, order: int, exp):
 
 
 def _denominator(spec: ProductSpec, ln_q, order: int, exp):
-    """prod (1 - q^m) over the parts m below ``order``, by recurrence.
+    """prod (1 - q^m) over the parts m below ``order``, one exp per part.
 
-    Per residue class (A, B), q^A and q^B cost one exp each; every part
-    m = A, A+B, ... multiplies (1 - q^m) in and steps q^m by q^B.  Scalar
-    and mpmath only; the grid takes the exp of ``_log_denominator_terms``.
+    Scalar and mpmath only; the grid takes the exp of ``_log_denominator_terms``.
     """
     den = 1
-    for A, B in spec.residues:
-        qm = exp(A * ln_q)
-        step = exp(B * ln_q)
-        for _ in range(A, order, B):
-            den *= 1.0 - qm
-            qm *= step
+    for m in spec.parts(order):
+        den *= 1.0 - exp(m * ln_q)
     return den
 
 

@@ -1,19 +1,21 @@
 """Closed-form main terms: Bernoulli polynomials, scaled Bessel functions,
-and the four-term expansions for the B / B' coefficient blocks.
+and the rung ladders of the B / B' coefficient blocks.
 
-Every coefficient family grows like exp(2*pi*sqrt(N/(3R))) (or with 2R in
-place of 3R), so all values are carried either as exponentially scaled
-floats or as LogValue, a (sign, log of magnitude) pair.
+A main term is a ladder: rungs (coeff, p), each standing for
+coeff * s^p * I_{-p}(x), all evaluated by ``ladder_value_scaled``.  Every
+coefficient family grows like exp(2*pi*sqrt(N/(3R))) (or with 2R in place
+of 3R), so all values are carried either as exponentially scaled floats or
+as LogValue, a (sign, log of magnitude) pair.
 
-The B expansion evaluates, with x = 2*pi*sqrt(N/(3R)), s = pi/sqrt(3RN),
-E = d - c^2/(4a) + R/12 - S/2 + S^2/(2R) and sin0 = sin(S*pi/R):
+The B ladder has four rungs; with x = 2*pi*sqrt(N/(3R)), s = pi/sqrt(3RN),
+E = d - c^2/(4a) + R/12 - S/2 + S^2/(2R) and sin0 = sin(S*pi/R) it sums to
 
     sqrt(pi/a)/(4 sin0) * s^(1/2) I_{-1/2}(x)
   - B1(c/2a)/(2 sin0)   * s       I_{-1}(x)
   - sqrt(pi/a) E/(4 sin0) * s^(3/2) I_{-3/2}(x)
   + [E B1(c/2a) + a B3(c/2a)/3]/(2 sin0) * s^2 I_{-2}(x)
 
-The B' expansion replaces R/12 by R/8 in E, uses x = 2*pi*sqrt(N/(2R)),
+The B' ladder replaces R/12 by R/8 in E, uses x = 2*pi*sqrt(N/(2R)),
 s = pi/sqrt(2RN), and shifts the ladder to orders -1 .. -5/2 with
 coefficients sqrt(R/2a) and sqrt(R/2pi) in place of sqrt(pi/a) and 1.
 These differences, with the circle and the denominator of each block, are
@@ -58,12 +60,6 @@ class LogValue:
         return cls(0, 0.0)
 
     @classmethod
-    def from_float(cls, v: float) -> "LogValue":
-        if v == 0.0:
-            return cls.zero()
-        return cls(1 if v > 0 else -1, math.log(abs(v)))
-
-    @classmethod
     def from_int(cls, v: int) -> "LogValue":
         """Exact integer to log space via bit length plus leading word."""
         if v == 0:
@@ -72,34 +68,12 @@ class LogValue:
         shift = max(0, n.bit_length() - 64)
         return cls(1 if v > 0 else -1, math.log(n >> shift) + shift * _LN2)
 
-    def __mul__(self, other: "LogValue") -> "LogValue":
-        if self.sign == 0 or other.sign == 0:
-            return LogValue.zero()
-        return LogValue(self.sign * other.sign, self.lnmag + other.lnmag)
-
-    def __neg__(self) -> "LogValue":
-        return LogValue(-self.sign, self.lnmag)
-
-    def to_float(self) -> float:
-        return 0.0 if self.sign == 0 else self.sign * math.exp(self.lnmag)
-
-
-def logvalue_sum(values) -> LogValue:
-    """Signed sum via the larger-magnitude factoring trick.
-
-    Factors out the largest magnitude M and sums sign_i * exp(l_i - M) in
-    plain floats, so a shared exponential growth factor cancels exactly.
-    """
-    live = [v for v in values if v.sign != 0]
-    if not live:
-        return LogValue.zero()
-    m = max(v.lnmag for v in live)
-    s = 0.0
-    for v in live:
-        s += v.sign * math.exp(v.lnmag - m)
-    if s == 0.0:
-        return LogValue.zero()
-    return LogValue(1 if s > 0 else -1, m + math.log(abs(s)))
+    @classmethod
+    def from_scaled(cls, v: float, x: float) -> "LogValue":
+        """The value v * e^x, for a float v scaled by e^(-x)."""
+        if v == 0.0:
+            return cls.zero()
+        return cls(1 if v > 0 else -1, math.log(abs(v)) + x)
 
 
 def logvalue_ratio(num: LogValue, den: LogValue):
@@ -209,7 +183,7 @@ def _bessel_asymptotic(v: float, x: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# main-term expansions
+# main-term ladders
 # ---------------------------------------------------------------------------
 
 THREE_R = "threeR"
@@ -238,28 +212,6 @@ VARIANTS = {
 }
 
 
-@dataclass(frozen=True)
-class BesselExpansion:
-    """A finite sum of coeff * s^power * I_nu(x) terms.
-
-    ``argument_scale`` is the common Bessel argument x; ``variant`` picks
-    the power base s = pi/sqrt(mRN) from ``VARIANTS``.
-    """
-
-    argument_scale: float
-    terms: tuple
-    variant: str
-
-    def __post_init__(self):
-        if not self.terms:
-            raise ValueError("term list must be non-empty")
-        powers = [p for _, _, p in self.terms]
-        if any(b >= a for a, b in zip(powers[1:], powers)):
-            raise ValueError("powers must be strictly increasing")
-        if self.variant not in VARIANTS:
-            raise ValueError("variant must be threeR or twoR")
-
-
 def bessel_argument(N: int, R: int, variant: str) -> float:
     return 2.0 * math.pi * math.sqrt(N / (VARIANTS[variant].m * R))
 
@@ -268,25 +220,21 @@ def power_scale(N: int, R: int, variant: str) -> float:
     return math.pi / math.sqrt(VARIANTS[variant].m * R * N)
 
 
-def expansion_value_scaled(exp: BesselExpansion, N: int, R: int) -> float:
-    """The expansion value divided by e^x, as a plain float.
+def ladder_value_scaled(ladder, N: int, R: int, variant: str):
+    """(value / e^x, x) of the ladder sum coeff * s^p * I_{-p}(x) over its
+    rungs (coeff, p), with x and s of the variant at N.
 
     Summing in scaled space keeps full double precision through the strong
     cancellation between the four decomposition blocks.
     """
-    s = power_scale(N, R, exp.variant)
-    x = exp.argument_scale
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    s = power_scale(N, R, variant)
+    x = bessel_argument(N, R, variant)
     acc = 0.0
-    for coeff, nu, power in exp.terms:
-        acc += coeff * s ** float(power) * bessel_I_scaled(nu, x)
-    return acc
-
-
-def expansion_to_logvalue(exp: BesselExpansion, N: int, R: int) -> LogValue:
-    v = expansion_value_scaled(exp, N, R)
-    if v == 0.0:
-        return LogValue.zero()
-    return LogValue(1 if v > 0 else -1, math.log(abs(v)) + exp.argument_scale)
+    for coeff, power in ladder:
+        acc += coeff * s ** float(power) * bessel_I_scaled(-power, x)
+    return acc, x
 
 
 def e_constant(p: ThetaParams, R: int, S: int, variant: str) -> Fraction:
@@ -327,18 +275,15 @@ def block_ladder(p: ThetaParams, R: int, S: int, variant: str):
 
 
 def _mainterm_block(p: ThetaParams, R: int, S: int, N: int, variant: str):
-    """Shared body of mainterm_B and mainterm_Bprime: coeff s^w I_{-w}(x) per rung."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    terms = tuple((coeff, -w, w) for coeff, w in block_ladder(p, R, S, variant))
-    exp = BesselExpansion(bessel_argument(N, R, variant), terms, variant)
-    return exp, expansion_to_logvalue(exp, N, R)
+    """Shared body of mainterm_B and mainterm_Bprime: the ladder and its value."""
+    ladder = block_ladder(p, R, S, variant)
+    return ladder, LogValue.from_scaled(*ladder_value_scaled(ladder, N, R, variant))
 
 
 def mainterm_B(p: ThetaParams, R: int, S: int, N: int):
-    """Four-term Bessel main term for a B block; returns (expansion, value).
+    """Four-term Bessel main term for a B block; returns (ladder, value).
 
-    Term ladder: powers 1/2, 1, 3/2, 2 with orders -1/2, -1, -3/2, -2 and
+    Rungs at powers 1/2, 1, 3/2, 2 (Bessel orders -1/2, -1, -3/2, -2) with
     signs +, -, -, +.
     """
     return _mainterm_block(p, R, S, N, THREE_R)
@@ -347,7 +292,7 @@ def mainterm_B(p: ThetaParams, R: int, S: int, N: int):
 def mainterm_Bprime(p: ThetaParams, R: int, S: int, N: int):
     """Four-term Bessel main term for a B' block (twoR variant).
 
-    Term ladder: powers 1, 3/2, 2, 5/2 with orders -1, -3/2, -2, -5/2 and
+    Rungs at powers 1, 3/2, 2, 5/2 (Bessel orders -1, -3/2, -2, -5/2) with
     signs +, -, -, +; E carries R/8 in place of R/12.
     """
     return _mainterm_block(p, R, S, N, TWO_R)
@@ -363,14 +308,13 @@ _FAMILY_RUNGS = {
 }
 
 
-def family_bessel_expansion(spec: FamilySpec, N: int) -> BesselExpansion:
-    """The single surviving Bessel term after the four-block cancellation."""
+def family_ladder(spec: FamilySpec):
+    """The one rung (coeff, power) that survives the four-block cancellation."""
     R, S = spec.R, spec.S
     variant, weight = _FAMILY_RUNGS[spec.family]
     v = VARIANTS[variant]
     coeff = weight(spec.k) * S * v.odd(R) / (2 * _sin_factor(R, S))
-    power = v.first + Fraction(3, 2)
-    return BesselExpansion(bessel_argument(N, R, variant), ((coeff, -power, power),), variant)
+    return ((coeff, v.first + Fraction(3, 2)),)
 
 
 def mainterm_family(spec: FamilySpec, N: int, form: str = "elementary") -> LogValue:
@@ -389,14 +333,15 @@ def mainterm_family(spec: FamilySpec, N: int, form: str = "elementary") -> LogVa
         raise ValueError("N must be >= 1")
     if form not in ("bessel", "elementary"):
         raise ValueError("form must be 'bessel' or 'elementary'")
-    exp = family_bessel_expansion(spec, N)
+    variant, _ = _FAMILY_RUNGS[spec.family]
+    ladder = family_ladder(spec)
     if form == "bessel":
-        return expansion_to_logvalue(exp, N, spec.R)
-    ((coeff, _, power),) = exp.terms
-    x = exp.argument_scale
+        return LogValue.from_scaled(*ladder_value_scaled(ladder, N, spec.R, variant))
+    ((coeff, power),) = ladder
+    x = bessel_argument(N, spec.R, variant)
     ln = (
         math.log(abs(coeff))
-        + float(power) * math.log(power_scale(N, spec.R, exp.variant))
+        + float(power) * math.log(power_scale(N, spec.R, variant))
         - 0.5 * math.log(2 * math.pi * x)
         + x
     )
@@ -412,13 +357,8 @@ def mainterm_family_sum(spec: FamilySpec, N: int):
     """
     variant, _ = _FAMILY_RUNGS[spec.family]
     acc = 0.0
-    x = None
     for t in decompose_family(spec):
-        exp, _ = _mainterm_block(t.params, spec.R, spec.S, N, variant)
-        if x is None:
-            x = exp.argument_scale
-        acc += t.sign * expansion_value_scaled(exp, N, spec.R)
-    if acc == 0.0:
-        return 0.0, LogValue.zero()
-    lv = LogValue(1 if acc > 0 else -1, math.log(abs(acc)) + x)
-    return acc, lv
+        ladder = block_ladder(t.params, spec.R, spec.S, variant)
+        v, x = ladder_value_scaled(ladder, N, spec.R, variant)
+        acc += t.sign * v
+    return acc, LogValue.from_scaled(acc, x)

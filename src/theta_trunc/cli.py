@@ -41,6 +41,10 @@ EXIT_QUADRATURE = 4
 # Largest order or N of verify-identities and circle, and the default
 # --n-ceiling of coeffs, scan and compare.
 N_CEILING = 10_000
+# Largest circle --samples: the count min_samples asks for at N = R =
+# N_CEILING, the most any accepted circle input needs (2^20).  The grid holds
+# a few complex arrays of this length.
+SAMPLES_CEILING = analytic.min_samples(N_CEILING, N_CEILING, asymptotics.THREE_R)
 
 FAMILY_FLAGS = {"C": "C", "Cp": "Cprime", "D": "D", "Dp": "Dprime"}
 
@@ -325,10 +329,14 @@ def main(argv=None) -> int:
                 raise ValueError("N must be >= 1")
             if args.N > N_CEILING:
                 raise ValueError("N above ceiling %d" % N_CEILING)
+            if args.R > N_CEILING:
+                raise ValueError("R above ceiling %d" % N_CEILING)
             if not 1 <= args.S < args.R:
                 raise ValueError("need 1 <= S < R")
             if gcd(args.R, args.S) != 1:
                 raise ValueError("R and S must be coprime")
+            if args.samples is not None and args.samples > SAMPLES_CEILING:
+                raise ValueError("samples above ceiling %d" % SAMPLES_CEILING)
             p = ThetaParams(args.a, args.c, args.d)
             return cmd_circle(p, args.R, args.S, args.N, args.samples, args.variant)
     except ValueError as exc:

@@ -78,14 +78,6 @@ class PowerSeries:
             return NotImplemented
         return self.order == other.order and self.coeffs == other.coeffs
 
-    def __hash__(self):
-        return hash((self.order, tuple(self.coeffs)))
-
-    def truncate(self, order: int) -> "PowerSeries":
-        if order > self.order:
-            raise ValueError("cannot extend a truncated series")
-        return PowerSeries(self.coeffs[:order], order)
-
     def __add__(self, other: "PowerSeries") -> "PowerSeries":
         n = min(self.order, other.order)
         return PowerSeries(
@@ -97,9 +89,6 @@ class PowerSeries:
         return PowerSeries(
             [self.coeffs[i] - other.coeffs[i] for i in range(n)], n
         )
-
-    def __mul__(self, other: "PowerSeries") -> "PowerSeries":
-        return ps_mul(self, other)
 
     def first_mismatch(self, other: "PowerSeries"):
         """Lowest exponent where the two series differ, or None."""
@@ -195,17 +184,6 @@ def ps_inv(f: PowerSeries) -> PowerSeries:
             "constant term must be +1 or -1, got %r" % (f.coeffs[0] if f.coeffs else None,)
         )
     return PowerSeries(kernels.inv_unit(f.coeffs), f.order)
-
-
-def finite_pochhammer(n: int, order: int) -> PowerSeries:
-    """(q; q)_n = prod_{j=1..n} (1 - q^j), truncated."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    c = [0] * order
-    c[0] = 1
-    for j in range(1, min(n, order - 1) + 1):
-        kernels.mul_one_minus(c, j)
-    return PowerSeries(c, order)
 
 
 def qbinomial(L: int, K: int, order: int) -> PowerSeries:

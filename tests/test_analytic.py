@@ -93,9 +93,8 @@ class TestEvalProduct:
         assert a == pytest.approx(b, rel=1e-12)
 
     def test_mpmath_path_matches_float_path(self):
-        # Both paths run the one recurrence.  In float, q^m stepped m/B
-        # times drifts by about m eps, so the error grows like 1/y^2; the
-        # worst seen at y = 0.002 is 1.3e-13, on the real axis x = 0.
+        # Both paths run the one body, one exp per part; the worst seen is
+        # 6.6e-15, at y = 0.002.
         for spec in (ProductSpec([(1, 3), (2, 3)]), ProductSpec([(1, 3), (2, 3), (3, 3)])):
             for tau in (TauPoint(0.02, 0.05), TauPoint(0.0, 0.005), TauPoint(0.02, 0.005),
                         TauPoint(0.0, 0.002), TauPoint(0.02, 0.002)):
@@ -292,9 +291,7 @@ class TestQuadrature:
     def test_error_budget_on_300_cases(self):
         # The criterion-5 instances x both variants x N = 50, 75, ..., 400.
         # Every error stays within 64 eps mean|v_k| of the grid values v_k
-        # (worst seen: 13.2, against 42 with the recurrence denominator),
-        # and 243 of the 300 round to the exact value, against 240 with the
-        # recurrence and 227 with one exp and one division per part.
+        # (worst seen: 13.2), and 243 of the 300 round to the exact value.
         eps = np.finfo(float).eps
         worst, exact_count = 0.0, 0
         for a, c, d, R, S in QUAD_INSTANCES:
@@ -384,11 +381,13 @@ class TestIntegrandGrid:
         assert np.all(np.abs(got - want) <= 1e-13 * (np.abs(c) @ np.exp(n * ln_r)))
 
     @pytest.mark.parametrize(
-        "spec_of, variant", [(pair_product_spec, "threeR"), (triple_product_spec, "twoR")]
+        "spec_of, variant",
+        [(pair_product_spec, "threeR"), (triple_product_spec, "twoR")],
+        ids=("pair", "triple"),
     )
-    def test_log_denominator_matches_recurrence(self, spec_of, variant):
+    def test_log_denominator_matches_scalar_product(self, spec_of, variant):
         # exp of the log-product polynomial on the grid against the scalar
-        # recurrence, at the ends of the half grid and on and off the main arc.
+        # product, at the ends of the half grid and on and off the main arc.
         R, S, N = 5, 2, 300
         spec = spec_of(R, S)
         y = circle_y(N, R, variant)

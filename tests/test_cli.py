@@ -286,6 +286,9 @@ class TestCircle:
         ("--R 3 --S 1 --N -5", "N must be >= 1"),
         ("--R 3 --S 1 --N 10001", "N above ceiling 10000"),
         ("--R 3 --S 1 --N 50 --samples 128", "samples=128 below the aliasing-safe minimum 1024"),
+        # Both would allocate grids of 2^21 and 2^28 complex samples.
+        ("--R 3 --S 1 --N 50 --samples 2097152", "samples above ceiling 1048576"),
+        ("--R 1000000000 --S 1 --N 10000", "R above ceiling 10000"),
     ])
     def test_invalid_input_exits_2(self, flags, message, capsys):
         argv = ("circle --a 6 --c 7 --d 2 " + flags).split()

@@ -15,7 +15,6 @@ from theta_trunc.series import (
     ThetaParams,
     _theta_factors,
     euler_product,
-    finite_pochhammer,
     pochhammer,
     pochhammer_inv,
     ps_div_pochhammer,
@@ -103,18 +102,29 @@ class TestPsInv:
 
 
 class TestFinitePochhammer:
+    """(q; q)_n from the oracle ``naive_finite_pochhammer``, which
+    ``qbinomial_by_division`` expands its numerator and denominator with."""
+
     def test_empty_product(self):
-        assert finite_pochhammer(0, 5) == PowerSeries.one(5)
+        assert naive_finite_pochhammer(0, 5) == [1, 0, 0, 0, 0]
 
     def test_n2(self):
-        assert finite_pochhammer(2, 5) == PowerSeries([1, -1, -1, 1, 0], 5)
+        assert naive_finite_pochhammer(2, 5) == [1, -1, -1, 1, 0]
 
     def test_n3_against_naive_expansion(self):
-        assert finite_pochhammer(3, 8).coeffs == naive_finite_pochhammer(3, 8)
-        assert finite_pochhammer(3, 8).coeffs == [1, -1, -1, 0, 1, 1, -1, 0]
+        assert naive_finite_pochhammer(3, 8) == [1, -1, -1, 0, 1, 1, -1, 0]
 
     def test_large_n_matches_naive(self):
-        assert finite_pochhammer(9, 25).coeffs == naive_finite_pochhammer(9, 25)
+        # q-binomial theorem: (q; q)_n = sum_k (-1)^k q^(k(k+1)/2) [n, k]_q,
+        # and past the order (q; q)_n is the Euler product.
+        order = 25
+        want = [0] * order
+        for k in range(10):
+            shift, b = k * (k + 1) // 2, qbinomial(9, k, order)
+            for i in range(shift, order):
+                want[i] += (-1) ** k * b[i - shift]
+        assert naive_finite_pochhammer(9, order) == want
+        assert naive_finite_pochhammer(order + 3, order) == euler_product(order).coeffs
 
 
 class TestQBinomial:
