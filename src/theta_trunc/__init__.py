@@ -12,7 +12,6 @@ Layers:
 """
 
 from .series import (
-    NonIntegralExponent,
     NonUnitConstantTerm,
     PowerSeries,
     ProductSpec,
@@ -49,8 +48,7 @@ from .asymptotics import (
     bernoulli_poly,
     bessel_I_scaled,
     logvalue_ratio,
-    mainterm_B,
-    mainterm_Bprime,
+    mainterm_block,
     mainterm_family,
 )
 from .analytic import (

@@ -328,7 +328,7 @@ def mainarc_L_expansion(p: ThetaParams, R: int, S: int, tau: TauPoint) -> comple
 
     exp(pi i/(6 R tau)) sum_k coeff_k w^(power_k - 1), w = -2 pi i tau, over
     the four threeR rungs (coeff_k, power_k) of ``asymptotics.block_ladder``,
-    the same rungs the Bessel main term ``mainterm_B`` is built from:
+    the same rungs the Bessel main term ``mainterm_block`` is built from:
 
         [ sqrt(pi/a) w^(-1/2) / 2 - B1(c/2a) - (E/2) sqrt(pi/a) w^(1/2)
           + (E B1(c/2a) + a B3(c/2a)/3) w ] / (2 sin(S pi/R))

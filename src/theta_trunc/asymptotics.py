@@ -1,5 +1,5 @@
 """Closed-form main terms: Bernoulli polynomials, scaled Bessel functions,
-and the rung ladders of the B / B' coefficient blocks.
+and the rung ladders of the B / B' coefficient blocks and of the families.
 
 A main term is a ladder: rungs (coeff, p), each standing for
 coeff * s^p * I_{-p}(x), all evaluated by ``ladder_value_scaled``.  Every
@@ -8,18 +8,19 @@ of 3R), so all values are carried either as exponentially scaled floats or
 as LogValue, a (sign, log of magnitude) pair.
 
 The B ladder has four rungs; with x = 2*pi*sqrt(N/(3R)), s = pi/sqrt(3RN),
-E = d - c^2/(4a) + R/12 - S/2 + S^2/(2R) and sin0 = sin(S*pi/R) it sums to
+E = d - c^2/(4a) + R/12 - S/2 + S^2/(2R), h = c/(2a), sin0 = sin(S*pi/R):
 
     sqrt(pi/a)/(4 sin0) * s^(1/2) I_{-1/2}(x)
-  - B1(c/2a)/(2 sin0)   * s       I_{-1}(x)
+  - B1(h)/(2 sin0)      * s       I_{-1}(x)
   - sqrt(pi/a) E/(4 sin0) * s^(3/2) I_{-3/2}(x)
-  + [E B1(c/2a) + a B3(c/2a)/3]/(2 sin0) * s^2 I_{-2}(x)
+  + [E B1(h) + a B3(h)/3]/(2 sin0) * s^2 I_{-2}(x)
 
 The B' ladder replaces R/12 by R/8 in E, uses x = 2*pi*sqrt(N/(2R)),
 s = pi/sqrt(2RN), and shifts the ladder to orders -1 .. -5/2 with
 coefficients sqrt(R/2a) and sqrt(R/2pi) in place of sqrt(pi/a) and 1.
 These differences, with the circle and the denominator of each block, are
-the two entries of ``VARIANTS``.
+the two entries of ``VARIANTS``.  A family's ladder is what survives of
+its blocks' exact rung rationals summed with their signs: the last rung.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .families import FamilySpec, decompose_family, pair_product_spec, triple_product_spec
+from .families import PAIR, TRIPLE, FamilySpec, decompose_family
+from .families import pair_product_spec, triple_product_spec
 from .series import ThetaParams
 
 _LN2 = math.log(2)
@@ -46,7 +48,7 @@ class UnsupportedOrder(ValueError):
 
 @dataclass(frozen=True)
 class LogValue:
-    """Signed magnitude stored as (sign, ln|value|); sign 0 means zero."""
+    """Signed magnitude stored as (sign, ln|value|); zero is (0, -inf)."""
 
     sign: int
     lnmag: float
@@ -57,7 +59,7 @@ class LogValue:
 
     @classmethod
     def zero(cls) -> "LogValue":
-        return cls(0, 0.0)
+        return cls(0, -math.inf)
 
     @classmethod
     def from_int(cls, v: int) -> "LogValue":
@@ -247,74 +249,61 @@ def e_constant(p: ThetaParams, R: int, S: int, variant: str) -> Fraction:
     return base + R * VARIANTS[variant].e_r
 
 
-def _sin_factor(R: int, S: int) -> float:
-    return math.sin(math.pi * S / R)
+def block_rationals(p: ThetaParams, R: int, S: int, variant: str):
+    """The exact rung rationals 1, -B1(h), -E, E B1(h) + a B3(h)/3, h = c/2a."""
+    h = p.c / (2 * p.a)
+    e = e_constant(p, R, S, variant)
+    b1 = bernoulli_poly(1, h)
+    return (Fraction(1), -b1, -e, e * b1 + p.a * bernoulli_poly(3, h) / 3)
+
+
+def scaled_ladder(rationals, a, R: int, S: int, variant: str):
+    """The (coefficient, power) rungs of rung rationals: rung i at power
+    first + i/2 of the variant, times even(a, R)/(4 sin0) for even i and
+    odd(R)/(2 sin0) for odd i."""
+    v = VARIANTS[variant]
+    sin0 = math.sin(math.pi * S / R)
+    scales = ((v.even(float(a), R), 4 * sin0), (v.odd(R), 2 * sin0))
+    return tuple(
+        (float(r) * scales[i % 2][0] / scales[i % 2][1], v.first + Fraction(i, 2))
+        for i, r in enumerate(rationals)
+    )
 
 
 def block_ladder(p: ThetaParams, R: int, S: int, variant: str):
-    """The four (coefficient, power) rungs of a block's main term.
-
-    Powers first, first + 1/2, first + 1, first + 3/2 of the variant, with
-    coefficients even/(4 sin0), -odd B1/(2 sin0), -even E/(4 sin0) and
-    odd (E B1 + a B3/3)/(2 sin0), B_n at c/(2a) (see the module docstring).
-    The Bessel main term and ``analytic.mainarc_L_expansion`` both read it.
-    """
-    v = VARIANTS[variant]
-    even, odd = v.even(float(p.a), R), v.odd(R)
-    sin0 = _sin_factor(R, S)
-    b1 = float(bernoulli_poly(1, p.c / (2 * p.a)))
-    b3 = float(bernoulli_poly(3, p.c / (2 * p.a)))
-    e = float(e_constant(p, R, S, variant))
-    coeffs = (
-        even / (4 * sin0),
-        -odd * b1 / (2 * sin0),
-        -even * e / (4 * sin0),
-        (e * b1 + float(p.a) * b3 / 3) * odd / (2 * sin0),
-    )
-    return tuple((coeff, v.first + Fraction(i, 2)) for i, coeff in enumerate(coeffs))
+    """The four (coefficient, power) rungs of a block's main term, which
+    ``analytic.mainarc_L_expansion`` reads too."""
+    return scaled_ladder(block_rationals(p, R, S, variant), p.a, R, S, variant)
 
 
-def _mainterm_block(p: ThetaParams, R: int, S: int, N: int, variant: str):
-    """Shared body of mainterm_B and mainterm_Bprime: the ladder and its value."""
+def mainterm_block(p: ThetaParams, R: int, S: int, N: int, variant: str):
+    """Four-rung Bessel main term of a block on the variant's circle
+    (threeR for B, twoR for B'); returns (ladder, value)."""
     ladder = block_ladder(p, R, S, variant)
     return ladder, LogValue.from_scaled(*ladder_value_scaled(ladder, N, R, variant))
 
 
-def mainterm_B(p: ThetaParams, R: int, S: int, N: int):
-    """Four-term Bessel main term for a B block; returns (ladder, value).
-
-    Rungs at powers 1/2, 1, 3/2, 2 (Bessel orders -1/2, -1, -3/2, -2) with
-    signs +, -, -, +.
-    """
-    return _mainterm_block(p, R, S, N, THREE_R)
+# The circle of a block: threeR over the pair product, twoR over the triple.
+_BLOCK_VARIANT = {PAIR: THREE_R, TRIPLE: TWO_R}
 
 
-def mainterm_Bprime(p: ThetaParams, R: int, S: int, N: int):
-    """Four-term Bessel main term for a B' block (twoR variant).
-
-    Rungs at powers 1, 3/2, 2, 5/2 (Bessel orders -1, -3/2, -2, -5/2) with
-    signs +, -, -, +; E carries R/8 in place of R/12.
-    """
-    return _mainterm_block(p, R, S, N, TWO_R)
-
-
-# Per family: its blocks' variant and the weight w of the surviving last
-# rung, w S odd(R) / (2 sin0) * s^p I_{-p}(x) at the ladder's last power p.
-_FAMILY_RUNGS = {
-    "C": (THREE_R, lambda k: k),
-    "Cprime": (TWO_R, lambda k: k),
-    "D": (THREE_R, lambda k: 2 * k + 1),
-    "Dprime": (THREE_R, lambda k: -4 * k),
-}
+@lru_cache(maxsize=256)
+def _family_term(spec: FamilySpec):
+    """(variant, ladder) of a family: its blocks' rung rationals summed with
+    their signs, scaled, keeping the rungs whose exact sum is non-zero."""
+    terms = decompose_family(spec)
+    variant = _BLOCK_VARIANT[terms[0].denominator]
+    R, S = spec.R, spec.S
+    rows = [[t.sign * r for r in block_rationals(t.params, R, S, variant)] for t in terms]
+    sums = [sum(column) for column in zip(*rows)]
+    ladder = scaled_ladder(sums, terms[0].params.a, R, S, variant)
+    return variant, tuple(rung for rung, r in zip(ladder, sums) if r)
 
 
 def family_ladder(spec: FamilySpec):
-    """The one rung (coeff, power) that survives the four-block cancellation."""
-    R, S = spec.R, spec.S
-    variant, weight = _FAMILY_RUNGS[spec.family]
-    v = VARIANTS[variant]
-    coeff = weight(spec.k) * S * v.odd(R) / (2 * _sin_factor(R, S))
-    return ((coeff, v.first + Fraction(3, 2)),)
+    """The rungs (coeff, power) that survive the four-block cancellation: the
+    last one, at weight w S (w = k, k, 2k+1, -4k for C, Cprime, D, Dprime)."""
+    return _family_term(spec)[1]
 
 
 def mainterm_family(spec: FamilySpec, N: int, form: str = "elementary") -> LogValue:
@@ -333,8 +322,7 @@ def mainterm_family(spec: FamilySpec, N: int, form: str = "elementary") -> LogVa
         raise ValueError("N must be >= 1")
     if form not in ("bessel", "elementary"):
         raise ValueError("form must be 'bessel' or 'elementary'")
-    variant, _ = _FAMILY_RUNGS[spec.family]
-    ladder = family_ladder(spec)
+    variant, ladder = _family_term(spec)
     if form == "bessel":
         return LogValue.from_scaled(*ladder_value_scaled(ladder, N, spec.R, variant))
     ((coeff, power),) = ladder
@@ -355,7 +343,7 @@ def mainterm_family_sum(spec: FamilySpec, N: int):
     e^x factored out, so the cancellation costs no precision beyond the
     doubles themselves.
     """
-    variant, _ = _FAMILY_RUNGS[spec.family]
+    variant, _ = _family_term(spec)
     acc = 0.0
     for t in decompose_family(spec):
         ladder = block_ladder(t.params, spec.R, spec.S, variant)

@@ -80,7 +80,8 @@ def _fmt_cell(v) -> str:
 
 def _json_cell(v):
     if isinstance(v, LogValue):
-        return {"sign": v.sign, "lnmag": v.lnmag}
+        # ln 0 = -inf has no strict-JSON spelling
+        return {"sign": v.sign, "lnmag": v.lnmag if v.sign else None}
     if isinstance(v, int) and abs(v) >= 2**53:
         return str(v)
     return v
@@ -296,6 +297,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "coeffs":
+            if args.n_max < 0:
+                raise ValueError("n-max must be >= 0")
             if args.n_max > args.n_ceiling:
                 raise ValueError("n-max above ceiling %d" % args.n_ceiling)
             spec = FamilySpec(FAMILY_FLAGS[args.family], args.R, args.S, args.k)

@@ -24,10 +24,6 @@ class NonUnitConstantTerm(ValueError):
     """Series inversion needs constant term +1 or -1."""
 
 
-class NonIntegralExponent(ValueError):
-    """A theta exponent a*j^2 + c*j + d landed outside the integers."""
-
-
 class PowerSeries:
     """Integer coefficients of a q-series, truncated below ``order``."""
 
@@ -233,18 +229,15 @@ def theta_terms(p: ThetaParams, order: int, n_min=0, n_max=None, alternating=Fal
     when ``alternating``, else +1.
 
     Works on the integers A = 2a, C = 2c: 2(a n^2 + c n + d) is even for
-    every n exactly when A + C is.  Each direction stops at its bound, or
-    at the first exponent >= order past which the exponents only grow: the
-    step e(n + s) - e(n) = (A (2 s n + 1) + s C) / 2 increases as n moves
-    in direction s, so once it is positive no later exponent drops below
-    the order.
+    every n exactly when A + C is, which ``ThetaParams`` enforces.  Each
+    direction stops at its bound, or at the first exponent >= order past
+    which the exponents only grow: the step
+    e(n + s) - e(n) = (A (2 s n + 1) + s C) / 2 increases as n moves in
+    direction s, so once it is positive no later exponent drops below the
+    order.
     """
-    A, ra = divmod(2 * p.a.numerator, p.a.denominator)
-    C, rc = divmod(2 * p.c.numerator, p.c.denominator)
-    if ra or rc or (A + C) % 2:
-        raise NonIntegralExponent(
-            "a n^2 + c n + d is not an integer for odd n (a=%s, c=%s)" % (p.a, p.c)
-        )
+    A = 2 * p.a.numerator // p.a.denominator
+    C = 2 * p.c.numerator // p.c.denominator
     D, top = 2 * p.d, 2 * order
     terms = []
     for s, n, last in (

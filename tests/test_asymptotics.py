@@ -3,14 +3,16 @@
 import math
 import random
 from fractions import Fraction
+from math import gcd
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from theta_trunc.asymptotics import (
     THREE_R,
     TWO_R,
-    _FAMILY_RUNGS,
+    VARIANTS,
     LogValue,
     UnsupportedOrder,
     bernoulli_poly,
@@ -20,12 +22,11 @@ from theta_trunc.asymptotics import (
     family_ladder,
     ladder_value_scaled,
     logvalue_ratio,
-    mainterm_B,
-    mainterm_Bprime,
+    mainterm_block,
     mainterm_family,
     mainterm_family_sum,
 )
-from theta_trunc.families import FamilySpec, decompose_family, default_grid
+from theta_trunc.families import FAMILIES, FamilySpec, decompose_family, default_grid
 from theta_trunc.series import ThetaParams
 
 HALF = Fraction(1, 2)
@@ -175,14 +176,14 @@ class TestMainTerms:
     P = ThetaParams(Fraction(6), Fraction(7), 2)
 
     def test_leading_coefficient_B(self):
-        ladder, _ = mainterm_B(self.P, 3, 1, 100)
+        ladder, _ = mainterm_block(self.P, 3, 1, 100, THREE_R)
         coeff, power = ladder[0]
         want = math.sqrt(math.pi / 6) / (4 * math.sin(math.pi / 3))
         assert coeff == pytest.approx(want)
         assert power == Fraction(1, 2)
 
     def test_leading_coefficient_Bprime(self):
-        ladder, _ = mainterm_Bprime(self.P, 3, 1, 100)
+        ladder, _ = mainterm_block(self.P, 3, 1, 100, TWO_R)
         coeff, power = ladder[0]
         want = math.sqrt(3 / 12) / (4 * math.sin(math.pi / 3))
         assert coeff == pytest.approx(want)
@@ -191,19 +192,19 @@ class TestMainTerms:
     def test_bernoulli_zero_kills_terms(self):
         # c/(2a) = 1/2 makes B1 and B3 vanish
         p = ThetaParams(Fraction(2), Fraction(2), 0)
-        ladder, _ = mainterm_B(p, 3, 1, 50)
+        ladder, _ = mainterm_block(p, 3, 1, 50, THREE_R)
         assert ladder[1][0] == 0.0 and ladder[3][0] == 0.0
-        ladder2, _ = mainterm_Bprime(p, 3, 1, 50)
+        ladder2, _ = mainterm_block(p, 3, 1, 50, TWO_R)
         assert ladder2[1][0] == 0.0 and ladder2[3][0] == 0.0
 
     def test_B_against_independent_evaluation(self):
-        _, lv = mainterm_B(self.P, 3, 1, 400)
+        _, lv = mainterm_block(self.P, 3, 1, 400, THREE_R)
         ref = mp_mainterm_B(6, 7, 2, 3, 1, 400, THREE_R)
         assert lv.sign == mp.sign(ref)
         assert lv.lnmag == pytest.approx(float(mp.log(abs(ref))), rel=1e-12)
 
     def test_Bprime_against_independent_evaluation(self):
-        _, lv = mainterm_Bprime(self.P, 3, 1, 400)
+        _, lv = mainterm_block(self.P, 3, 1, 400, TWO_R)
         ref = mp_mainterm_B(6, 7, 2, 3, 1, 400, TWO_R)
         assert lv.sign == mp.sign(ref)
         assert lv.lnmag == pytest.approx(float(mp.log(abs(ref))), rel=1e-12)
@@ -278,6 +279,35 @@ class TestMainTerms:
                 assert abs(r - 1) <= 5.0 / arg
 
 
+# The paper's weights: each family's main term is the last rung of its
+# blocks at weight w S, w S odd(R)/(2 sin0) s^p I_{-p}(x), on its circle.
+PAPER_RUNGS = {
+    "C": (THREE_R, lambda k: k),
+    "Cprime": (TWO_R, lambda k: k),
+    "D": (THREE_R, lambda k: 2 * k + 1),
+    "Dprime": (THREE_R, lambda k: -4 * k),
+}
+
+
+def paper_ladder(spec):
+    variant, weight = PAPER_RUNGS[spec.family]
+    v = VARIANTS[variant]
+    sin0 = math.sin(math.pi * spec.S / spec.R)
+    return ((weight(spec.k) * spec.S * v.odd(spec.R) / (2 * sin0), v.first + Fraction(3, 2)),)
+
+
+@st.composite
+def family_specs(draw):
+    """Valid family specs with R <= 60 and k <= 30."""
+    family = draw(st.sampled_from(FAMILIES))
+    pair = family in ("C", "Cprime")
+    R = draw(st.integers(2 if pair else 3, 60))
+    top = R - 1 if pair else (R - 1) // 2
+    S = draw(st.sampled_from([s for s in range(1, top + 1) if gcd(R, s) == 1]))
+    k = draw(st.integers(0 if family == "D" else 1, 30))
+    return FamilySpec(family, R, S, k)
+
+
 class TestCollapse:
     def test_e_constant_shared(self):
         for spec in default_grid():
@@ -292,11 +322,10 @@ class TestCollapse:
         # A block's rung coefficients are these rationals times
         # even(a)/(4 sin0) (rungs 1, 3) or odd/(2 sin0) (rungs 2, 4).  The
         # blocks of a family share a, R and S, so the collapse onto the last
-        # rung w S odd/(2 sin0) is the exact identity
-        # sum sign * rationals = (0, 0, 0, w S), with the variant and weight
-        # w the family main term takes from _FAMILY_RUNGS.
+        # rung is the exact identity sum sign * rationals = (0, 0, 0, w S)
+        # with the paper's weight w, and family_ladder derives that rung.
         for spec in default_grid():
-            variant, weight = _FAMILY_RUNGS[spec.family]
+            variant, weight = PAPER_RUNGS[spec.family]
             terms = decompose_family(spec)
             assert len({t.params.a for t in terms}) == 1
             sums = [Fraction(0)] * 4
@@ -307,6 +336,14 @@ class TestCollapse:
                 for i, rung in enumerate((1, -b1, -e, e * b1 + a * b3 / 3)):
                     sums[i] += t.sign * rung
             assert sums == [0, 0, 0, weight(spec.k) * spec.S], spec
+            assert family_ladder(spec) == paper_ladder(spec), spec
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(family_specs())
+    def test_one_rung_survives(self, spec):
+        # sum sign = 0 and shared a, E cancel rungs 1 and 3, sum sign c = 0
+        # rung 2; the last rung is left at weight w S
+        assert family_ladder(spec) == paper_ladder(spec)
 
     def test_signed_sum_collapses(self):
         for spec in default_grid():

@@ -24,7 +24,7 @@ class TestCoeffs:
             + [str(out)]
         )
         assert code == 0
-        rows = list(csv.reader(out.open()))
+        rows = list(csv.reader(out.read_text().splitlines()))
         assert rows[0] == ["N", "coefficient"]
         assert [r[1] for r in rows[1:]] == ["0", "0", "1", "1", "2", "1"]
 
@@ -35,13 +35,13 @@ class TestCoeffs:
                 ("coeffs --family Cp --R 3 --S 1 --k %d --n-max 1 --out" % k).split()
                 + [str(out)]
             )
-            rows = list(csv.reader(out.open()))
+            rows = list(csv.reader(out.read_text().splitlines()))
             assert rows[1] == ["0", want]
 
     def test_d_row_one(self, tmp_path):
         out = tmp_path / "d.csv"
         run("coeffs --family D --R 3 --S 1 --k 0 --n-max 1 --out".split() + [str(out)])
-        rows = list(csv.reader(out.open()))
+        rows = list(csv.reader(out.read_text().splitlines()))
         assert rows[2] == ["1", "1"]
 
     def test_invalid_spec_exits_2(self, capsys):
@@ -52,6 +52,16 @@ class TestCoeffs:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: n-max above ceiling 10000\n"
+
+    def test_negative_n_max_exits_2(self, tmp_path, capsys):
+        assert run("coeffs --family C --R 3 --S 1 --k 1 --n-max -1".split()) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: n-max must be >= 0\n"
+        out = tmp_path / "n0.csv"
+        argv = "coeffs --family C --R 3 --S 1 --k 1 --n-max 0 --out".split() + [str(out)]
+        assert run(argv) == 0
+        assert out.read_text().splitlines() == ["N,coefficient", "0,0"]
 
     @pytest.mark.parametrize("command, size", [
         ("coeffs", "--n-max"), ("scan", "--n-hi"), ("compare", "--n"),
@@ -72,7 +82,7 @@ class TestCoeffs:
             "coeffs --family C --R 3 --S 1 --k 1 --n-max 400 --format json --out".split()
             + [str(out)]
         )
-        lines = [json.loads(line) for line in out.open()]
+        lines = [json.loads(line) for line in out.read_text().splitlines()]
         assert all(isinstance(obj["coefficient"], str) for obj in lines)
         # round-trip: decimal strings parse back to the exact integers
         from theta_trunc.families import genfun_family
@@ -135,7 +145,7 @@ class TestScan:
             "scan --family C --R 3 --S 1 --k 1 --n-hi 3 --out".split() + [str(out)]
         )
         assert code == 3
-        rows = list(csv.reader(out.open()))
+        rows = list(csv.reader(out.read_text().splitlines()))
         assert rows[1] == ["2", "-5"]
 
     def test_bad_range(self, capsys):
@@ -155,7 +165,7 @@ class TestCompare:
         spec = FamilySpec("C", 3, 1, 1)
         code, records = cli.cmd_compare(spec, [200, 400], "elementary", "csv", str(out))
         assert code == 0
-        rows = list(csv.reader(out.open()))
+        rows = list(csv.reader(out.read_text().splitlines()))
         assert rows[0] == ["N", "ln_exact", "ln_mainterm", "ratio"]
         assert [r[0] for r in rows[1:]] == ["200", "400"]
         # every cell round-trips exactly: ints via int(), reals via float()
@@ -169,7 +179,7 @@ class TestCompare:
         out = tmp_path / "cmp.json"
         spec = FamilySpec("Dprime", 3, 1, 1)
         _, records = cli.cmd_compare(spec, [150, 350], "elementary", "json", str(out))
-        lines = [json.loads(line) for line in out.open()]
+        lines = [json.loads(line) for line in out.read_text().splitlines()]
         for obj, rec in zip(lines, records):
             assert obj["N"] == rec.N
             assert obj["ln_exact"] == {"sign": rec.exact_ln.sign, "lnmag": rec.exact_ln.lnmag}
@@ -181,16 +191,24 @@ class TestCompare:
         run(
             "compare --family Dp --R 3 --S 1 --k 1 --n 300 --out".split() + [str(out)]
         )
-        rows = list(csv.reader(out.open()))
+        rows = list(csv.reader(out.read_text().splitlines()))
         assert float(rows[1][3]) > 0
 
     def test_sign_mismatch_sentinel(self, tmp_path):
-        # C(3,1,1) coefficient at N=1 is 0 -> sign mismatch against a
-        # positive main term
+        # C(3,1,1) coefficient at N=1 is 0 -> ln_exact -inf and a sign
+        # mismatch against a positive main term; at N=2 it is 1 -> ln 0
         out = tmp_path / "sm.csv"
-        run("compare --family C --R 3 --S 1 --k 1 --n 1 --out".split() + [str(out)])
-        rows = list(csv.reader(out.open()))
+        run("compare --family C --R 3 --S 1 --k 1 --n 1 --n 2 --out".split() + [str(out)])
+        rows = list(csv.reader(out.read_text().splitlines()))
+        assert rows[1][1] == "-inf"
         assert rows[1][3] == "sign-mismatch"
+        assert rows[2][1] == "0"
+        assert float(rows[2][3]) > 0
+        out = tmp_path / "sm.json"
+        run("compare --family C --R 3 --S 1 --k 1 --n 1 --format json --out".split() + [str(out)])
+        obj = json.loads(out.read_text(), parse_constant=pytest.fail)
+        assert obj["ln_exact"] == {"sign": 0, "lnmag": None}
+        assert obj["ratio"] == "sign-mismatch"
 
     def test_json_logvalue_shape(self, tmp_path):
         out = tmp_path / "cmp.json"
@@ -198,7 +216,7 @@ class TestCompare:
             "compare --family C --R 3 --S 1 --k 1 --n 100 --format json --out".split()
             + [str(out)]
         )
-        obj = json.loads(out.open().readline())
+        obj = json.loads(out.read_text().splitlines()[0])
         assert set(obj) == {"N", "ln_exact", "ln_mainterm", "ratio"}
 
     def test_ceiling(self, capsys):
@@ -214,7 +232,7 @@ class TestCompare:
             + [str(out)]
         )
         assert code == 0
-        rows = list(csv.reader(out.open()))
+        rows = list(csv.reader(out.read_text().splitlines()))
         assert 0.5 < float(rows[1][3]) < 2.0
 
 

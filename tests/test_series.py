@@ -8,7 +8,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from theta_trunc.series import (
-    NonIntegralExponent,
     NonUnitConstantTerm,
     PowerSeries,
     ProductSpec,
@@ -362,12 +361,6 @@ class TestThetaPartial:
         q = ThetaParams(2, 1, 0)
         assert type(q.a) is Fraction and type(q.c) is Fraction
         assert q == ThetaParams(Fraction(2), Fraction(1), 0)
-
-    def test_exponent_method_flags_non_integral(self):
-        p = ThetaParams(Fraction(2), Fraction(1), 0)
-        object.__setattr__(p, "c", Fraction(1, 2))
-        with pytest.raises(NonIntegralExponent):
-            theta_partial(p, 10)
 
     def test_colliding_exponents_accumulate(self):
         # a + c = 0 sends j = 0 and j = 1 to the same exponent
