@@ -27,12 +27,12 @@ from .series import (
 )
 from .families import (
     FamilySpec,
-    SignedThetaTerm,
     decompose_C,
     decompose_D,
     decompose_Dprime,
     decompose_family,
     default_grid,
+    family_denominator,
     genfun_B,
     genfun_Bprime,
     genfun_family,

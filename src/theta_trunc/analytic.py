@@ -4,15 +4,15 @@ Everything here works with q = exp(2 pi i tau), tau = x + i y, y > 0.
 ``_tail_orders`` is the one cutoff rule for every piece of L: theta-sum
 exponents with |q|^e >= tol (1 - |q|), product parts with |q|^m >= tol, and
 for the grid's log of the product the terms with |q|^(m j) >= eps tol.  The
-scalar evaluators (eval_G, eval_product_inv, eval_L, ...) share two bodies
-that run on cmath and on mpmath (``dps`` set) scalars: ``_theta_sum`` sums
-q^e with one exp per term, in the order ``series.theta_terms`` lists the
-exponents, and ``_denominator`` multiplies (1 - q^m) over the parts m of
-the block product, with one exp per part.  The coefficient
-quadrature integrates L(q) q^(-N) (threeR) or L'(q) q^(-N) (twoR) over the
-circle |q| = exp(-2 pi y) of ``asymptotics.VARIANTS``, with tails cut below
-``TAIL_TOL``; on that circle the trapezoid rule is exact for band-limited
-integrands, which gives back the exact integer coefficients at desk scale.
+scalar evaluators (eval_G, eval_product_inv, eval_L, ...) take one exp per
+term or part: eval_G sums q^e in cmath, in the order ``series.theta_terms``
+lists the exponents, and ``_denominator``, which runs on cmath and on
+mpmath (``dps`` set) scalars, multiplies (1 - q^m) over the parts m of the
+block product.  The coefficient quadrature integrates L(q) q^(-N) (threeR)
+or L'(q) q^(-N) (twoR) over the circle |q| = exp(-2 pi y) of
+``asymptotics.VARIANTS``, with tails cut below ``TAIL_TOL``; on that circle
+the trapezoid rule is exact for band-limited integrands, which gives back
+the exact integer coefficients at desk scale.
 Its samples lie on a uniform grid in x, so the integrand grid evaluates the
 theta sum and the log of the block denominator as polynomials in q, by one
 real FFT each (``_poly_on_grid``), and divides by the exp of the log once.
@@ -173,21 +173,9 @@ def _arith(dps):
         yield _Arith(mp.exp, mp.sin, mp.pi, mp.mpf, mp.mpc)
 
 
-# The two bodies below take ln q = 2 pi i tau and the exp to use, cmath or
-# mpmath: they serve the scalar evaluators only.  The circle grid evaluates
-# the same theta sum and the log of the same product as polynomials in q, by
-# FFT (``_poly_on_grid``).
-
-def _theta_sum(p: ThetaParams, ln_q, order: int, exp):
-    """sum q^e over the ``theta_terms`` exponents e below ``order``, from 0j.
-
-    One exp per term; scalar and mpmath only, the grid sums by FFT.
-    """
-    acc = 0j
-    for e, _ in theta_terms(p, order):
-        acc += exp(e * ln_q)
-    return acc
-
+# The body below takes ln q = 2 pi i tau and the exp to use, cmath or mpmath:
+# it serves the scalar evaluators only.  The circle grid evaluates the log of
+# the same product as a polynomial in q, by FFT (``_poly_on_grid``).
 
 def _denominator(spec: ProductSpec, ln_q, order: int, exp):
     """prod (1 - q^m) over the parts m below ``order``, one exp per part.
@@ -201,11 +189,19 @@ def _denominator(spec: ProductSpec, ln_q, order: int, exp):
 
 
 def eval_G(p: ThetaParams, tau: TauPoint, tol: float = 1e-16) -> complex:
-    """sum_j q^(a j^2 + c j + d), summed until |q|^e < tol (1 - |q|)."""
+    """sum_j q^(a j^2 + c j + d), summed until |q|^e < tol (1 - |q|).
+
+    One exp per term, from 0j, in the order ``series.theta_terms`` lists the
+    exponents; the circle grid sums the same exponents by FFT.
+    """
     if not tol > 0:
         raise ValueError("tol must be positive")
     theta_order, _, _ = _tail_orders(tau.y, tol)
-    return _theta_sum(p, 2j * math.pi * tau.tau, theta_order, cmath.exp)
+    ln_q = 2j * math.pi * tau.tau
+    acc = 0j
+    for e, _ in theta_terms(p, theta_order):
+        acc += cmath.exp(e * ln_q)
+    return acc
 
 
 def eval_product_inv(

@@ -19,8 +19,9 @@ The B' ladder replaces R/12 by R/8 in E, uses x = 2*pi*sqrt(N/(2R)),
 s = pi/sqrt(2RN), and shifts the ladder to orders -1 .. -5/2 with
 coefficients sqrt(R/2a) and sqrt(R/2pi) in place of sqrt(pi/a) and 1.
 These differences, with the circle and the denominator of each block, are
-the two entries of ``VARIANTS``.  A family's ladder is what survives of
-its blocks' exact rung rationals summed with their signs: the last rung.
+the two entries of ``VARIANTS``.  A family takes the circle of
+``families.family_denominator``; its ladder is what survives of its blocks'
+exact rung rationals summed with their signs: the last rung.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .families import PAIR, TRIPLE, FamilySpec, decompose_family
+from .families import FamilySpec, decompose_family, family_denominator
 from .families import pair_product_spec, triple_product_spec
 from .series import ThetaParams
 
@@ -198,7 +199,7 @@ TWO_R = "twoR"
 # Bessel argument x = 2 pi sqrt(N/(mR)) and the power base s = pi/sqrt(mRN);
 # E carries e_r * R; the block ladder starts at power ``first`` with
 # prefactor even(a, R) on its even rungs and odd(R) on its odd ones;
-# denominator(R, S) is the block's q-product.
+# denominator(R, S) is the q-product of the circle's blocks and families.
 CircleVariant = namedtuple("CircleVariant", "m e_r first even odd denominator")
 
 VARIANTS = {
@@ -283,20 +284,17 @@ def mainterm_block(p: ThetaParams, R: int, S: int, N: int, variant: str):
     return ladder, LogValue.from_scaled(*ladder_value_scaled(ladder, N, R, variant))
 
 
-# The circle of a block: threeR over the pair product, twoR over the triple.
-_BLOCK_VARIANT = {PAIR: THREE_R, TRIPLE: TWO_R}
-
-
 @lru_cache(maxsize=256)
 def _family_term(spec: FamilySpec):
-    """(variant, ladder) of a family: its blocks' rung rationals summed with
-    their signs, scaled, keeping the rungs whose exact sum is non-zero."""
-    terms = decompose_family(spec)
-    variant = _BLOCK_VARIANT[terms[0].denominator]
+    """(variant, ladder) of a family on the circle of its denominator: its blocks'
+    rung rationals summed with their signs, scaled, keeping the non-zero sums."""
     R, S = spec.R, spec.S
-    rows = [[t.sign * r for r in block_rationals(t.params, R, S, variant)] for t in terms]
+    den = family_denominator(spec)
+    (variant,) = [name for name, v in VARIANTS.items() if v.denominator(R, S) == den]
+    blocks = decompose_family(spec)  # (sign, ThetaParams) pairs
+    rows = [[sign * r for r in block_rationals(p, R, S, variant)] for sign, p in blocks]
     sums = [sum(column) for column in zip(*rows)]
-    ladder = scaled_ladder(sums, terms[0].params.a, R, S, variant)
+    ladder = scaled_ladder(sums, blocks[0][1].a, R, S, variant)
     return variant, tuple(rung for rung, r in zip(ladder, sums) if r)
 
 
@@ -345,8 +343,8 @@ def mainterm_family_sum(spec: FamilySpec, N: int):
     """
     variant, _ = _family_term(spec)
     acc = 0.0
-    for t in decompose_family(spec):
-        ladder = block_ladder(t.params, spec.R, spec.S, variant)
+    for sign, p in decompose_family(spec):
+        ladder = block_ladder(p, spec.R, spec.S, variant)
         v, x = ladder_value_scaled(ladder, N, spec.R, variant)
-        acc += t.sign * v
+        acc += sign * v
     return acc, LogValue.from_scaled(acc, x)

@@ -124,13 +124,12 @@ def cmd_coeffs(spec: FamilySpec, n_max: int, fmt: str, out: str, stamp=False) ->
     return EXIT_OK
 
 
-def cmd_verify_identities(order: int = 200, decomp_order: int = 300, quiet=False) -> int:
+def cmd_verify_identities(order: int = 200, decomp_order: int = 300) -> int:
     """Run the four exact identity suites; exit 1 on the first mismatch."""
     def report(name, lhs, rhs):
         where = lhs.first_mismatch(rhs)
         if where is None:
-            if not quiet:
-                print("PASS %s" % name)
+            print("PASS %s" % name)
             return True
         print(
             "FAIL %s: first mismatch at exponent %d (%d != %d)"
@@ -322,6 +321,8 @@ def main(argv=None) -> int:
             spec = FamilySpec(FAMILY_FLAGS[args.family], args.R, args.S, args.k)
             return cmd_scan(spec, args.n_lo, args.n_hi, args.format, args.out, args.stamp)
         if args.command == "compare":
+            if min(args.n_list) < 1:
+                raise ValueError("--n must be >= 1")
             if max(args.n_list) > args.n_ceiling:
                 raise ValueError("N above ceiling %d" % args.n_ceiling)
             spec = FamilySpec(FAMILY_FLAGS[args.family], args.R, args.S, args.k)

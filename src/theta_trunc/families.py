@@ -17,11 +17,13 @@ product series theta_{R,S}, D and Dprime ranges of the quintuple product
 series Q, the G_{a,c,d} blocks the range n >= 0.
 
 Each family also decomposes into four signed unilateral theta blocks
-G_{a,c,d} sharing one denominator; ``genfun_family_via_decomposition``
-rebuilds the series from that decomposition, and exact equality of the two
-routes is one of the identity suites.  The classical pentagonal, truncated
-pentagonal and quintuple product identities are provided as further exact
-oracles.
+G_{a,c,d}, listed by ``decompose_family`` as (sign, ThetaParams) pairs,
+over the family's one denominator ``family_denominator``: the triple
+product for Cprime, the pair product for the others.
+``genfun_family_via_decomposition`` rebuilds the series from that
+decomposition, and exact equality of the two routes is one of the identity
+suites.  The classical pentagonal, truncated pentagonal and quintuple
+product identities are provided as further exact oracles.
 """
 
 from __future__ import annotations
@@ -47,9 +49,6 @@ from .series import (
 )
 
 FAMILIES = ("C", "Cprime", "D", "Dprime")
-
-PAIR = "pair"
-TRIPLE = "triple"
 
 
 @dataclass(frozen=True)
@@ -82,21 +81,6 @@ class FamilySpec:
                 raise ValueError("need k >= 0")
 
 
-@dataclass(frozen=True)
-class SignedThetaTerm:
-    """A signed theta block: sign * G_{a,c,d} over a pair or triple product."""
-
-    sign: int
-    params: ThetaParams
-    denominator: str
-
-    def __post_init__(self):
-        if self.sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
-        if self.denominator not in (PAIR, TRIPLE):
-            raise ValueError("denominator must be 'pair' or 'triple'")
-
-
 def pair_product_spec(R: int, S: int) -> ProductSpec:
     """(q^S, q^(R-S); q^R)_inf."""
     return ProductSpec([(S, R), (R - S, R)])
@@ -105,6 +89,13 @@ def pair_product_spec(R: int, S: int) -> ProductSpec:
 def triple_product_spec(R: int, S: int) -> ProductSpec:
     """(q^S, q^(R-S), q^R; q^R)_inf."""
     return ProductSpec([(S, R), (R - S, R), (R, R)])
+
+
+def family_denominator(spec: FamilySpec) -> ProductSpec:
+    """The q-product under the family's numerator and all four of its
+    blocks: the triple product for Cprime, the pair product for the rest."""
+    product = triple_product_spec if spec.family == "Cprime" else pair_product_spec
+    return product(spec.R, spec.S)
 
 
 # ---------------------------------------------------------------------------
@@ -134,10 +125,7 @@ def decompose_C(spec: FamilySpec):
         (-1, (2 * k + 3) * R - 2 * S, t3),
         (1, (2 * k + 3) * R + 2 * S, t4),
     ]
-    return [
-        SignedThetaTerm(s, ThetaParams(a, Fraction(c), d), PAIR)
-        for s, c, d in cs
-    ]
+    return [(s, ThetaParams(a, Fraction(c), d)) for s, c, d in cs]
 
 
 def _quintuple_blocks(spec: FamilySpec, c_last: Fraction, h3: Fraction, h4: Fraction):
@@ -153,9 +141,7 @@ def _quintuple_blocks(spec: FamilySpec, c_last: Fraction, h3: Fraction, h4: Frac
         (-1, c_last - 3 * S, h3),
         (1, c_last + 3 * S, h4),
     ]
-    return [
-        SignedThetaTerm(s, ThetaParams(a, c, int(d)), PAIR) for s, c, d in cs
-    ]
+    return [(s, ThetaParams(a, c, int(d))) for s, c, d in cs]
 
 
 def decompose_D(spec: FamilySpec):
@@ -188,16 +174,14 @@ def decompose_Dprime(spec: FamilySpec):
 
 
 def decompose_family(spec: FamilySpec):
-    """Dispatch to the family's decomposition.
+    """The family's four blocks as (sign, ThetaParams) pairs, each standing
+    for sign * G_{a,c,d} over ``family_denominator(spec)``.
 
-    Cprime shares the C offsets but sits over the triple product; its extra
-    additive constant (-1)^(k-1) at q^0 is handled by the genfun builders.
+    Cprime shares the C blocks over the triple product; its extra additive
+    constant (-1)^(k-1) at q^0 is added by the genfun builder.
     """
-    if spec.family == "C":
-        return decompose_C(spec)
-    if spec.family == "Cprime":
-        terms = decompose_C(replace(spec, family="C"))
-        return [replace(t, denominator=TRIPLE) for t in terms]
+    if spec.family in ("C", "Cprime"):
+        return decompose_C(replace(spec, family="C"))
     if spec.family == "D":
         return decompose_D(spec)
     return decompose_Dprime(spec)
@@ -255,42 +239,29 @@ def genfun_family(spec: FamilySpec, order: int) -> PowerSeries:
       D        -Q over n <= -(k+1) and n >= k+1
       Dprime   -Q over n <= -(k+1) and n >= k
     with theta_{R,S} from ``theta_rs_params`` and Q from
-    ``_quintuple_theta``; Cprime sits over the triple product, the others
-    over the pair product.
+    ``_quintuple_theta``, over ``family_denominator(spec)``.
     """
     R, S, k = spec.R, spec.S, spec.k
     sign = -1 if k % 2 else 1
-    if spec.family == "Cprime":
-        num = _theta_sum([(-sign, theta_rs_params(R, S))], order, [(1 - k, k)], True)
-        return ps_div_pochhammer(num, triple_product_spec(R, S))
     if spec.family == "C":
         jtp = [(sign, theta_rs_params(R, S))]
         num = _theta_sum(jtp, order, [(None, -k), (k + 1, None)], True)
+    elif spec.family == "Cprime":
+        num = _theta_sum([(-sign, theta_rs_params(R, S))], order, [(1 - k, k)], True)
     else:
         first = k + 1 if spec.family == "D" else k
         minus_q = [(-s, p) for s, p in _quintuple_theta(R, S)]
         num = _theta_sum(minus_q, order, [(None, -(k + 1)), (first, None)])
-    return ps_div_pochhammer(num, pair_product_spec(R, S))
+    return ps_div_pochhammer(num, family_denominator(spec))
 
 
 def genfun_family_via_decomposition(spec: FamilySpec, order: int) -> PowerSeries:
-    """Signed sum of genfun_B / genfun_Bprime over the decomposition.
-
-    The blocks share their denominator, so the signed theta numerators are
-    summed first and divided once.
+    """The family series rebuilt from ``decompose_family``: the blocks'
+    signed theta sums over n >= 0, divided once by the shared denominator,
+    plus the constant (-1)^(k-1) for Cprime.
     """
-    numerators = {}
-    for t in decompose_family(spec):
-        block = theta_partial(t.params, order)
-        total = numerators.get(t.denominator, PowerSeries.zero(order))
-        numerators[t.denominator] = total + block if t.sign > 0 else total - block
-    denominators = {
-        PAIR: pair_product_spec(spec.R, spec.S),
-        TRIPLE: triple_product_spec(spec.R, spec.S),
-    }
-    total = PowerSeries.zero(order)
-    for den, num in numerators.items():
-        total = total + ps_div_pochhammer(num, denominators[den])
+    num = _theta_sum(decompose_family(spec), order, [(0, None)])
+    total = ps_div_pochhammer(num, family_denominator(spec))
     if spec.family == "Cprime":
         const = 1 if (spec.k - 1) % 2 == 0 else -1
         total = total + PowerSeries.from_terms([(0, const)], order)

@@ -225,6 +225,13 @@ class TestCompare:
         assert captured.out == ""
         assert captured.err == "error: N above ceiling 10000\n"
 
+    @pytest.mark.parametrize("n", ["-3", "0"])
+    def test_n_below_one(self, capsys, n):
+        assert run(["compare"] + "--family C --R 3 --S 1 --k 1 --n 50 --n".split() + [n]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --n must be >= 1\n"
+
     def test_bessel_form(self, tmp_path):
         out = tmp_path / "b.csv"
         code = run(

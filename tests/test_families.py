@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from theta_trunc.families import (
     FamilySpec,
@@ -11,16 +12,20 @@ from theta_trunc.families import (
     decompose_Dprime,
     decompose_family,
     default_grid,
+    family_denominator,
     genfun_B,
     genfun_Bprime,
     genfun_family,
     genfun_family_via_decomposition,
+    pair_product_spec,
     quintuple_product_sides,
     scan_signs,
+    triple_product_spec,
     truncated_pentagonal_sides,
 )
 from theta_trunc.series import PowerSeries, ThetaParams, theta_terms
 from oracles import count_partitions, dense_truncated_pentagonal_rhs
+from test_asymptotics import family_specs
 
 
 class TestFamilySpec:
@@ -44,46 +49,49 @@ class TestFamilySpec:
 class TestDecompositions:
     def test_C_311(self):
         terms = decompose_C(FamilySpec("C", 3, 1, 1))
-        got = [(t.sign, t.params.a, t.params.c, t.params.d) for t in terms]
+        got = [(s, p.a, p.c, p.d) for s, p in terms]
         assert got == [
             (1, 6, 7, 2),
             (-1, 6, 11, 5),
             (-1, 6, 13, 7),
             (1, 6, 17, 12),
         ]
-        assert all(t.denominator == "pair" for t in terms)
+        assert family_denominator(FamilySpec("C", 3, 1, 1)) == pair_product_spec(3, 1)
+        cprime = FamilySpec("Cprime", 3, 1, 1)
+        assert family_denominator(cprime) == triple_product_spec(3, 1)
+        assert decompose_family(cprime) == terms
 
     def test_C_211(self):
         terms = decompose_C(FamilySpec("C", 2, 1, 1))
-        got = [(t.params.a, t.params.c, t.params.d) for t in terms]
+        got = [(p.a, p.c, p.d) for _, p in terms]
         assert got == [(4, 4, 1), (4, 8, 4), (4, 8, 4), (4, 12, 9)]
 
     def test_C_offset_gaps(self):
         # T2 - T1 = (2k+1) S and T4 - T3 = (2k+3) S, by integer arithmetic
         for spec in default_grid(("C",)):
-            t1, t2, t3, t4 = (t.params.d for t in decompose_C(spec))
+            t1, t2, t3, t4 = (p.d for _, p in decompose_C(spec))
             assert t2 - t1 == (2 * spec.k + 1) * spec.S
             assert t4 - t3 == (2 * spec.k + 3) * spec.S
             assert t3 - t2 == (spec.k + 1) * (spec.R - 2 * spec.S)
 
     def test_D_310(self):
         terms = decompose_D(FamilySpec("D", 3, 1, 0))
-        assert [t.params.d for t in terms] == [6, 1, 3, 10]
-        assert [t.sign for t in terms] == [-1, 1, -1, 1]
-        assert terms[0].params.a == Fraction(9, 2)
-        assert terms[0].params.c == Fraction(21, 2)
+        assert [p.d for _, p in terms] == [6, 1, 3, 10]
+        assert [s for s, _ in terms] == [-1, 1, -1, 1]
+        assert terms[0][1].a == Fraction(9, 2)
+        assert terms[0][1].c == Fraction(21, 2)
 
     def test_D_521(self):
         terms = decompose_D(FamilySpec("D", 5, 2, 1))
-        assert terms[0].params.d == 37  # R(3k+2)(k+1)/2 + S(3k+3)
+        assert terms[0][1].d == 37  # R(3k+2)(k+1)/2 + S(3k+3)
 
     def test_Dprime_311(self):
         terms = decompose_Dprime(FamilySpec("Dprime", 3, 1, 1))
-        assert [t.params.d for t in terms] == [21, 10, 3, 10]
+        assert [p.d for _, p in terms] == [21, 10, 3, 10]
 
     def test_Dprime_511(self):
         terms = decompose_Dprime(FamilySpec("Dprime", 5, 1, 1))
-        assert terms[2].params.d == 7  # Rk(3k+1)/2 - 3kS
+        assert terms[2][1].d == 7  # Rk(3k+1)/2 - 3kS
 
     def test_Dprime_shares_H1_H2_with_D(self):
         for R, S in ((3, 1), (5, 2)):
@@ -95,8 +103,8 @@ class TestDecompositions:
     def test_theta_params_always_valid(self):
         # a j^2 + c j integral for all decomposition blocks on the grid
         for spec in default_grid():
-            for t in decompose_family(spec):
-                theta_terms(t.params, 100)
+            for _, p in decompose_family(spec):
+                theta_terms(p, 100)
 
 
 class TestGenfuns:
@@ -137,18 +145,18 @@ class TestGenfuns:
                 spec, 150
             )
 
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(family_specs(12, 4))
+    def test_definition_equals_decomposition_random_specs(self, spec):
+        assert genfun_family(spec, 150) == genfun_family_via_decomposition(spec, 150)
+
     def test_corrupted_offset_reports_lowest_exponent(self):
         # mutate T1 upward by one and locate the first mismatch
         spec = FamilySpec("C", 3, 1, 1)
         good = genfun_family(spec, 80)
         terms = decompose_C(spec)
-        t0 = terms[0].params
-        bad_terms = [
-            (1, ThetaParams(t0.a, t0.c, t0.d + 1)),
-            (terms[1].sign, terms[1].params),
-            (terms[2].sign, terms[2].params),
-            (terms[3].sign, terms[3].params),
-        ]
+        t0 = terms[0][1]
+        bad_terms = [(1, ThetaParams(t0.a, t0.c, t0.d + 1))] + terms[1:]
         bad = PowerSeries.zero(80)
         for s, p in bad_terms:
             block = genfun_B(p, 3, 1, 80)
