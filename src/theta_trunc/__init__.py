@@ -27,9 +27,6 @@ from .series import (
 )
 from .families import (
     FamilySpec,
-    decompose_C,
-    decompose_D,
-    decompose_Dprime,
     decompose_family,
     default_grid,
     family_denominator,

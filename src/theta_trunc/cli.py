@@ -7,8 +7,8 @@ Subcommands:
   compare            exact coefficients against closed-form main terms
   circle             circle-method quadrature against the exact coefficient
 
-Exit codes: 0 success, 1 identity failure, 2 usage/validation error,
-3 conjecture violation found, 4 quadrature mismatch.
+Exit codes: 0 success, 1 identity failure, 2 usage/validation error or
+an unwritable --out, 3 conjecture violation found, 4 quadrature mismatch.
 
 Output is deterministic: no timestamps unless --stamp is given, fixed
 summation orders, big integers as decimal strings, reals at 17 significant
@@ -236,6 +236,15 @@ def cmd_circle(p: ThetaParams, R: int, S: int, N: int, samples=None, variant=asy
 # argument parsing
 # ---------------------------------------------------------------------------
 
+def fraction(text: str) -> Fraction:
+    """Fraction for --a and --c, with a zero denominator a ValueError, which
+    argparse turns into a usage error (it lets ZeroDivisionError through)."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(text) from None
+
+
 def _add_family_flags(sp):
     sp.add_argument("--family", required=True, choices=sorted(FAMILY_FLAGS))
     sp.add_argument("--R", type=int, required=True)
@@ -281,8 +290,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io_flags(sp)
 
     sp = sub.add_parser("circle", help="circle quadrature vs exact coefficient")
-    sp.add_argument("--a", type=Fraction, required=True)
-    sp.add_argument("--c", type=Fraction, required=True)
+    sp.add_argument("--a", type=fraction, required=True)
+    sp.add_argument("--c", type=fraction, required=True)
     sp.add_argument("--d", type=int, required=True)
     sp.add_argument("--R", type=int, required=True)
     sp.add_argument("--S", type=int, required=True)
@@ -324,7 +333,7 @@ def main(argv=None) -> int:
             if min(args.n_list) < 1:
                 raise ValueError("--n must be >= 1")
             if max(args.n_list) > args.n_ceiling:
-                raise ValueError("N above ceiling %d" % args.n_ceiling)
+                raise ValueError("--n above ceiling %d" % args.n_ceiling)
             spec = FamilySpec(FAMILY_FLAGS[args.family], args.R, args.S, args.k)
             code, _ = cmd_compare(spec, args.n_list, args.form, args.format, args.out, args.stamp)
             return code
@@ -345,6 +354,9 @@ def main(argv=None) -> int:
             return cmd_circle(p, args.R, args.S, args.N, args.samples, args.variant)
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
+        return EXIT_USAGE
+    except OSError as exc:
+        print("error: cannot write %s: %s" % (exc.filename, exc.strerror), file=sys.stderr)
         return EXIT_USAGE
     raise AssertionError("unreachable")
 

@@ -17,9 +17,10 @@ product series theta_{R,S}, D and Dprime ranges of the quintuple product
 series Q, the G_{a,c,d} blocks the range n >= 0.
 
 Each family also decomposes into four signed unilateral theta blocks
-G_{a,c,d}, listed by ``decompose_family`` as (sign, ThetaParams) pairs,
-over the family's one denominator ``family_denominator``: the triple
-product for Cprime, the pair product for the others.
+G_{a,c,d}, which ``decompose_family`` derives from the same numerator as
+(sign, ThetaParams) pairs, over the family's one denominator
+``family_denominator``: the triple product for Cprime, the pair product
+for the others.
 ``genfun_family_via_decomposition`` rebuilds the series from that
 decomposition, and exact equality of the two routes is one of the identity
 suites.  The classical pentagonal, truncated pentagonal and quintuple
@@ -99,95 +100,6 @@ def family_denominator(spec: FamilySpec) -> ProductSpec:
 
 
 # ---------------------------------------------------------------------------
-# decompositions into four signed theta blocks
-# ---------------------------------------------------------------------------
-
-def decompose_C(spec: FamilySpec):
-    """Four-term decomposition of the C family tail sum.
-
-    Offsets (with a = 2R):
-      T1 = R k(k+1)/2 - S k              c = (2k+1)R - 2S   sign +
-      T2 = R k(k+1)/2 + S(k+1)           c = (2k+1)R + 2S   sign -
-      T3 = R (k+2)(k+1)/2 - S(k+1)       c = (2k+3)R - 2S   sign -
-      T4 = R (k+2)(k+1)/2 + S(k+2)       c = (2k+3)R + 2S   sign +
-    """
-    if spec.family != "C":
-        raise ValueError("decompose_C needs family C")
-    R, S, k = spec.R, spec.S, spec.k
-    a = Fraction(2 * R)
-    t1 = R * k * (k + 1) // 2 - S * k
-    t2 = R * k * (k + 1) // 2 + S * (k + 1)
-    t3 = R * (k + 2) * (k + 1) // 2 - S * (k + 1)
-    t4 = R * (k + 2) * (k + 1) // 2 + S * (k + 2)
-    cs = [
-        (1, (2 * k + 1) * R - 2 * S, t1),
-        (-1, (2 * k + 1) * R + 2 * S, t2),
-        (-1, (2 * k + 3) * R - 2 * S, t3),
-        (1, (2 * k + 3) * R + 2 * S, t4),
-    ]
-    return [(s, ThetaParams(a, Fraction(c), d)) for s, c, d in cs]
-
-
-def _quintuple_blocks(spec: FamilySpec, c_last: Fraction, h3: Fraction, h4: Fraction):
-    """Blocks of D / Dprime: H1 and H2 of decompose_D, then the family's own
-    last two, c = c_last -+ 3S at offsets h3, h4 with signs -, +."""
-    R, S, k = spec.R, spec.S, spec.k
-    a = Fraction(3 * R, 2)
-    h12 = Fraction(R * (3 * k + 2) * (k + 1), 2)
-    c12 = Fraction((6 * k + 5) * R, 2)
-    cs = [
-        (-1, c12 + 3 * S, h12 + S * (3 * k + 3)),
-        (1, c12 - 3 * S, h12 - S * (3 * k + 2)),
-        (-1, c_last - 3 * S, h3),
-        (1, c_last + 3 * S, h4),
-    ]
-    return [(s, ThetaParams(a, c, int(d))) for s, c, d in cs]
-
-
-def decompose_D(spec: FamilySpec):
-    """Four-term decomposition of the D family (a = 3R/2).
-
-      H1 = R(3k+2)(k+1)/2 + S(3k+3)      c = (6k+5)R/2 + 3S   sign -
-      H2 = R(3k+2)(k+1)/2 - S(3k+2)      c = (6k+5)R/2 - 3S   sign +
-      H3 = R(3k+4)(k+1)/2 - S(3k+3)      c = (6k+7)R/2 - 3S   sign -
-      H4 = R(3k+4)(k+1)/2 + S(3k+4)      c = (6k+7)R/2 + 3S   sign +
-    """
-    if spec.family != "D":
-        raise ValueError("decompose_D needs family D")
-    R, S, k = spec.R, spec.S, spec.k
-    h = Fraction(R * (3 * k + 4) * (k + 1), 2)
-    return _quintuple_blocks(spec, Fraction((6 * k + 7) * R, 2), h - S * (3 * k + 3), h + S * (3 * k + 4))
-
-
-def decompose_Dprime(spec: FamilySpec):
-    """Four-term decomposition of the Dprime family (a = 3R/2, k >= 1).
-
-    The first two blocks coincide with decompose_D; the last two use
-      H3' = R k(3k+1)/2 - 3kS            c = (6k+1)R/2 - 3S   sign -
-      H4' = R k(3k+1)/2 + S(3k+1)        c = (6k+1)R/2 + 3S   sign +
-    """
-    if spec.family != "Dprime":
-        raise ValueError("decompose_Dprime needs family Dprime")
-    R, S, k = spec.R, spec.S, spec.k
-    h = Fraction(R * k * (3 * k + 1), 2)
-    return _quintuple_blocks(spec, Fraction((6 * k + 1) * R, 2), h - 3 * k * S, h + S * (3 * k + 1))
-
-
-def decompose_family(spec: FamilySpec):
-    """The family's four blocks as (sign, ThetaParams) pairs, each standing
-    for sign * G_{a,c,d} over ``family_denominator(spec)``.
-
-    Cprime shares the C blocks over the triple product; its extra additive
-    constant (-1)^(k-1) at q^0 is added by the genfun builder.
-    """
-    if spec.family in ("C", "Cprime"):
-        return decompose_C(replace(spec, family="C"))
-    if spec.family == "D":
-        return decompose_D(spec)
-    return decompose_Dprime(spec)
-
-
-# ---------------------------------------------------------------------------
 # generating functions
 # ---------------------------------------------------------------------------
 
@@ -230,29 +142,81 @@ def _theta_sum(blocks, order, ranges, alternating=False):
     )
 
 
-def genfun_family(spec: FamilySpec, order: int) -> PowerSeries:
-    """Build the family series directly from its defining expression.
-
-    The numerator is a signed range of a theta series:
+def _family_numerator(spec: FamilySpec):
+    """The family's numerator as ``_theta_sum`` arguments (blocks, ranges,
+    alternating), a signed range of one theta series:
       C        (-1)^k     theta_{R,S} over n <= -k and n >= k+1
       Cprime   (-1)^(k-1) theta_{R,S} over -(k-1) <= n <= k
       D        -Q over n <= -(k+1) and n >= k+1
       Dprime   -Q over n <= -(k+1) and n >= k
-    with theta_{R,S} from ``theta_rs_params`` and Q from
-    ``_quintuple_theta``, over ``family_denominator(spec)``.
+    with theta_{R,S} from ``theta_rs_params`` and Q from ``_quintuple_theta``.
     """
     R, S, k = spec.R, spec.S, spec.k
     sign = -1 if k % 2 else 1
     if spec.family == "C":
-        jtp = [(sign, theta_rs_params(R, S))]
-        num = _theta_sum(jtp, order, [(None, -k), (k + 1, None)], True)
-    elif spec.family == "Cprime":
-        num = _theta_sum([(-sign, theta_rs_params(R, S))], order, [(1 - k, k)], True)
-    else:
-        first = k + 1 if spec.family == "D" else k
-        minus_q = [(-s, p) for s, p in _quintuple_theta(R, S)]
-        num = _theta_sum(minus_q, order, [(None, -(k + 1)), (first, None)])
+        return [(sign, theta_rs_params(R, S))], [(None, -k), (k + 1, None)], True
+    if spec.family == "Cprime":
+        return [(-sign, theta_rs_params(R, S))], [(1 - k, k)], True
+    first = k + 1 if spec.family == "D" else k
+    minus_q = [(-s, p) for s, p in _quintuple_theta(R, S)]
+    return minus_q, [(None, -(k + 1)), (first, None)], False
+
+
+def genfun_family(spec: FamilySpec, order: int) -> PowerSeries:
+    """The family series from its defining expression: the numerator of
+    ``_family_numerator`` over ``family_denominator(spec)``."""
+    blocks, ranges, alternating = _family_numerator(spec)
+    num = _theta_sum(blocks, order, ranges, alternating)
     return ps_div_pochhammer(num, family_denominator(spec))
+
+
+def decompose_family(spec: FamilySpec):
+    """The family's four blocks as (sign, ThetaParams) pairs, each standing
+    for sign * G_{a,c,d} over ``family_denominator(spec)``.
+
+    Each one-sided range of ``_family_numerator`` is reindexed to j >= 0
+    by n = n0 + s t j: n0 is the range's finite end, s = +-1 its direction,
+    and t = 2 when the series alternates (one pass per parity of n, n0
+    moved one step by s for the second), else t = 1.  A term
+    q^(a n^2 + c n + d) then sums to
+
+        G_{a t^2, s t (2 a n0 + c), a n0^2 + c n0 + d},
+
+    times (-1)^n0 when alternating.  Cprime takes the C blocks: its finite
+    range is theta_{R,S} minus the C tails, and theta_{R,S} is the triple
+    product, so over it the range leaves the constant (-1)^(k-1), which
+    ``genfun_family_via_decomposition`` adds.
+
+    In the paper's offsets, C (a = 2R) is T1..T4 and D (a = 3R/2) H1..H4:
+      T1 = R k(k+1)/2 - S k              c = (2k+1)R - 2S     sign +
+      T2 = R k(k+1)/2 + S(k+1)           c = (2k+1)R + 2S     sign -
+      T3 = R (k+2)(k+1)/2 - S(k+1)       c = (2k+3)R - 2S     sign -
+      T4 = R (k+2)(k+1)/2 + S(k+2)       c = (2k+3)R + 2S     sign +
+      H1 = R(3k+2)(k+1)/2 + S(3k+3)      c = (6k+5)R/2 + 3S   sign -
+      H2 = R(3k+2)(k+1)/2 - S(3k+2)      c = (6k+5)R/2 - 3S   sign +
+      H3 = R(3k+4)(k+1)/2 - S(3k+3)      c = (6k+7)R/2 - 3S   sign -
+      H4 = R(3k+4)(k+1)/2 + S(3k+4)      c = (6k+7)R/2 + 3S   sign +
+    Dprime (k >= 1) is H1, H2, H3', H4' with
+      H3' = R k(3k+1)/2 - 3kS            c = (6k+1)R/2 - 3S   sign -
+      H4' = R k(3k+1)/2 + S(3k+1)        c = (6k+1)R/2 + 3S   sign +
+    """
+    if spec.family == "Cprime":
+        spec = replace(spec, family="C")
+    blocks, ranges, alternating = _family_numerator(spec)
+    t = 2 if alternating else 1
+    out = []
+    for parity in range(t):
+        for n_min, n_max in ranges:
+            s = 1 if n_max is None else -1
+            n0 = (n_max if n_min is None else n_min) + s * parity
+            flip = -1 if alternating and n0 % 2 else 1
+            for sign, p in blocks:
+                # On the integers A = 2a, C = 2c, as theta_terms works.
+                A = 2 * p.a.numerator // p.a.denominator
+                C = 2 * p.c.numerator // p.c.denominator
+                a, c = Fraction(A * t * t, 2), Fraction(s * t * (2 * A * n0 + C), 2)
+                out.append((flip * sign, ThetaParams(a, c, (A * n0 + C) * n0 // 2 + p.d)))
+    return out
 
 
 def genfun_family_via_decomposition(spec: FamilySpec, order: int) -> PowerSeries:

@@ -176,6 +176,46 @@ def dense_truncated_pentagonal_rhs(k, order):
         n += 1
 
 
+def paper_blocks(spec):
+    """The paper's four-block decomposition of a family, from its closed-form
+    offsets, as (sign, ThetaParams) pairs.
+
+    C (a = 2R) is T1..T4, D (a = 3R/2) H1..H4, Dprime H1, H2, H3', H4';
+    Cprime has the C blocks (over the triple product).
+    """
+    from theta_trunc.series import ThetaParams
+
+    R, S, k = spec.R, spec.S, spec.k
+    if spec.family in ("C", "Cprime"):
+        a = Fraction(2 * R)
+        rows = [
+            (1, (2 * k + 1) * R - 2 * S, R * k * (k + 1) // 2 - S * k),  # T1
+            (-1, (2 * k + 1) * R + 2 * S, R * k * (k + 1) // 2 + S * (k + 1)),  # T2
+            (-1, (2 * k + 3) * R - 2 * S, R * (k + 2) * (k + 1) // 2 - S * (k + 1)),  # T3
+            (1, (2 * k + 3) * R + 2 * S, R * (k + 2) * (k + 1) // 2 + S * (k + 2)),  # T4
+        ]
+    else:
+        a = Fraction(3 * R, 2)
+        h12 = R * (3 * k + 2) * (k + 1) // 2
+        rows = [
+            (-1, Fraction((6 * k + 5) * R, 2) + 3 * S, h12 + S * (3 * k + 3)),  # H1
+            (1, Fraction((6 * k + 5) * R, 2) - 3 * S, h12 - S * (3 * k + 2)),  # H2
+        ]
+        if spec.family == "D":
+            h34 = R * (3 * k + 4) * (k + 1) // 2
+            rows += [
+                (-1, Fraction((6 * k + 7) * R, 2) - 3 * S, h34 - S * (3 * k + 3)),  # H3
+                (1, Fraction((6 * k + 7) * R, 2) + 3 * S, h34 + S * (3 * k + 4)),  # H4
+            ]
+        else:
+            h34 = R * k * (3 * k + 1) // 2
+            rows += [
+                (-1, Fraction((6 * k + 1) * R, 2) - 3 * S, h34 - 3 * k * S),  # H3'
+                (1, Fraction((6 * k + 1) * R, 2) + 3 * S, h34 + S * (3 * k + 1)),  # H4'
+            ]
+    return [(sign, ThetaParams(a, Fraction(c), d)) for sign, c, d in rows]
+
+
 def _grid_cutoffs(R, N, variant, tail_tol):
     """y and the theta-sum, product and log-product orders of the grid."""
     from theta_trunc.analytic import circle_y

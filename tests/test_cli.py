@@ -53,6 +53,14 @@ class TestCoeffs:
         assert captured.out == ""
         assert captured.err == "error: n-max above ceiling 10000\n"
 
+    def test_missing_out_directory_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.csv"
+        argv = "coeffs --family C --R 3 --S 1 --k 1 --n-max 5 --out".split() + [str(out)]
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: cannot write %s: No such file or directory\n" % out
+
     def test_negative_n_max_exits_2(self, tmp_path, capsys):
         assert run("coeffs --family C --R 3 --S 1 --k 1 --n-max -1".split()) == 2
         captured = capsys.readouterr()
@@ -148,6 +156,13 @@ class TestScan:
         rows = list(csv.reader(out.read_text().splitlines()))
         assert rows[1] == ["2", "-5"]
 
+    def test_directory_out_exits_2(self, tmp_path, capsys):
+        argv = "scan --family C --R 3 --S 1 --k 1 --n-hi 5 --out".split() + [str(tmp_path)]
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert "clean" in captured.out
+        assert captured.err == "error: cannot write %s: Is a directory\n" % tmp_path
+
     def test_bad_range(self, capsys):
         for flags, message in (
             ("--n-lo 5 --n-hi 2", "need 1 <= n-lo <= n-hi"),
@@ -223,7 +238,7 @@ class TestCompare:
         assert run("compare --family C --R 3 --S 1 --k 1 --n 50 --n 10001".split()) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: N above ceiling 10000\n"
+        assert captured.err == "error: --n above ceiling 10000\n"
 
     @pytest.mark.parametrize("n", ["-3", "0"])
     def test_n_below_one(self, capsys, n):
@@ -271,6 +286,19 @@ class TestCircle:
     def test_fractional_a(self):
         argv = "circle --a 9/2 --c 21/2 --d 6 --R 3 --S 1 --N 20".split()
         assert run(argv) == 0
+
+    @pytest.mark.parametrize("flags", [
+        "--a 1/0 --c 7".split(),
+        ["--a", "6", "--c=1/0"],
+    ])
+    def test_zero_denominator_exits_2(self, flags, capsys):
+        argv = ["circle"] + flags + "--d 2 --R 3 --S 1 --N 20".split()
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "invalid fraction value: '1/0'" in captured.err
 
     def test_undersampled_exits_2(self):
         argv = "circle --a 6 --c 7 --d 2 --R 3 --S 1 --N 50 --samples 128".split()

@@ -7,9 +7,6 @@ from hypothesis import given, settings
 
 from theta_trunc.families import (
     FamilySpec,
-    decompose_C,
-    decompose_D,
-    decompose_Dprime,
     decompose_family,
     default_grid,
     family_denominator,
@@ -24,7 +21,7 @@ from theta_trunc.families import (
     truncated_pentagonal_sides,
 )
 from theta_trunc.series import PowerSeries, ThetaParams, theta_terms
-from oracles import count_partitions, dense_truncated_pentagonal_rhs
+from oracles import count_partitions, dense_truncated_pentagonal_rhs, paper_blocks
 from test_asymptotics import family_specs
 
 
@@ -48,7 +45,7 @@ class TestFamilySpec:
 
 class TestDecompositions:
     def test_C_311(self):
-        terms = decompose_C(FamilySpec("C", 3, 1, 1))
+        terms = decompose_family(FamilySpec("C", 3, 1, 1))
         got = [(s, p.a, p.c, p.d) for s, p in terms]
         assert got == [
             (1, 6, 7, 2),
@@ -62,43 +59,52 @@ class TestDecompositions:
         assert decompose_family(cprime) == terms
 
     def test_C_211(self):
-        terms = decompose_C(FamilySpec("C", 2, 1, 1))
+        terms = decompose_family(FamilySpec("C", 2, 1, 1))
         got = [(p.a, p.c, p.d) for _, p in terms]
         assert got == [(4, 4, 1), (4, 8, 4), (4, 8, 4), (4, 12, 9)]
 
     def test_C_offset_gaps(self):
         # T2 - T1 = (2k+1) S and T4 - T3 = (2k+3) S, by integer arithmetic
         for spec in default_grid(("C",)):
-            t1, t2, t3, t4 = (p.d for _, p in decompose_C(spec))
+            t1, t2, t3, t4 = (p.d for _, p in decompose_family(spec))
             assert t2 - t1 == (2 * spec.k + 1) * spec.S
             assert t4 - t3 == (2 * spec.k + 3) * spec.S
             assert t3 - t2 == (spec.k + 1) * (spec.R - 2 * spec.S)
 
     def test_D_310(self):
-        terms = decompose_D(FamilySpec("D", 3, 1, 0))
+        terms = decompose_family(FamilySpec("D", 3, 1, 0))
         assert [p.d for _, p in terms] == [6, 1, 3, 10]
         assert [s for s, _ in terms] == [-1, 1, -1, 1]
         assert terms[0][1].a == Fraction(9, 2)
         assert terms[0][1].c == Fraction(21, 2)
 
     def test_D_521(self):
-        terms = decompose_D(FamilySpec("D", 5, 2, 1))
+        terms = decompose_family(FamilySpec("D", 5, 2, 1))
         assert terms[0][1].d == 37  # R(3k+2)(k+1)/2 + S(3k+3)
 
     def test_Dprime_311(self):
-        terms = decompose_Dprime(FamilySpec("Dprime", 3, 1, 1))
+        terms = decompose_family(FamilySpec("Dprime", 3, 1, 1))
         assert [p.d for _, p in terms] == [21, 10, 3, 10]
 
     def test_Dprime_511(self):
-        terms = decompose_Dprime(FamilySpec("Dprime", 5, 1, 1))
+        terms = decompose_family(FamilySpec("Dprime", 5, 1, 1))
         assert terms[2][1].d == 7  # Rk(3k+1)/2 - 3kS
 
     def test_Dprime_shares_H1_H2_with_D(self):
         for R, S in ((3, 1), (5, 2)):
-            d_terms = decompose_D(FamilySpec("D", R, S, 2))
-            dp_terms = decompose_Dprime(FamilySpec("Dprime", R, S, 2))
+            d_terms = decompose_family(FamilySpec("D", R, S, 2))
+            dp_terms = decompose_family(FamilySpec("Dprime", R, S, 2))
             assert d_terms[0] == dp_terms[0]
             assert d_terms[1] == dp_terms[1]
+
+    def test_paper_closed_forms_on_grid(self):
+        for spec in default_grid():
+            assert decompose_family(spec) == paper_blocks(spec), spec
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(family_specs(60, 30))
+    def test_paper_closed_forms_random_specs(self, spec):
+        assert decompose_family(spec) == paper_blocks(spec)
 
     def test_theta_params_always_valid(self):
         # a j^2 + c j integral for all decomposition blocks on the grid
@@ -154,7 +160,7 @@ class TestGenfuns:
         # mutate T1 upward by one and locate the first mismatch
         spec = FamilySpec("C", 3, 1, 1)
         good = genfun_family(spec, 80)
-        terms = decompose_C(spec)
+        terms = decompose_family(spec)
         t0 = terms[0][1]
         bad_terms = [(1, ThetaParams(t0.a, t0.c, t0.d + 1))] + terms[1:]
         bad = PowerSeries.zero(80)
