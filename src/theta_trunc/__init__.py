@@ -1,6 +1,9 @@
 """Exact and asymptotic computation of truncated theta series coefficients.
 
+The package is used through its modules; the root holds only ``__version__``.
+
 Layers:
+  kernels      pure-Python big-integer loops of the exact series
   series       exact truncated integer power series and q-products
   families     the C / Cprime / D / Dprime generating functions and the
                classical identities used as oracles
@@ -10,63 +13,5 @@ Layers:
                quadrature with arc diagnostics
   cli          the ``theta-trunc`` command line front end
 """
-
-from .series import (
-    NonUnitConstantTerm,
-    PowerSeries,
-    ProductSpec,
-    ThetaParams,
-    euler_product,
-    pochhammer,
-    pochhammer_inv,
-    ps_div_pochhammer,
-    ps_inv,
-    ps_mul,
-    qbinomial,
-    theta_partial,
-)
-from .families import (
-    FamilySpec,
-    decompose_family,
-    default_grid,
-    family_denominator,
-    genfun_B,
-    genfun_Bprime,
-    genfun_family,
-    genfun_family_via_decomposition,
-    pentagonal_sides,
-    quintuple_product_sides,
-    scan_signs,
-    truncated_pentagonal_sides,
-)
-from .asymptotics import (
-    LogValue,
-    UnsupportedOrder,
-    bernoulli_poly,
-    bessel_I_scaled,
-    logvalue_ratio,
-    mainterm_block,
-    mainterm_family,
-)
-from .analytic import (
-    BandwidthTooSmall,
-    MainArcViolation,
-    QuadratureSpec,
-    RangeViolation,
-    SectorViolation,
-    TauPoint,
-    arc_split_diagnostic,
-    bound_check_away,
-    eval_G,
-    eval_L,
-    eval_Lprime,
-    eval_product_inv,
-    F_direct,
-    F_expansion,
-    mainarc_L_expansion,
-    min_samples,
-    transformed_pair_product,
-    wright_coefficient,
-)
 
 __version__ = "0.1.0"

@@ -368,7 +368,7 @@ def _log_denominator_terms(spec: ProductSpec, product_order: int, log_order: int
     ``product_order``: -q^(m j)/j for every part m and j >= 1 with m j below
     ``log_order``.
     """
-    m = np.concatenate([np.arange(A, product_order, B) for A, B in spec.residues])
+    m = np.array(spec.parts(product_order), dtype=np.int64)
     reps = (log_order - 1) // m
     first = np.repeat(np.cumsum(reps) - reps, reps)
     j = np.arange(1, first.size + 1) - first
@@ -450,7 +450,7 @@ def arc_split_diagnostic(
     """Main-arc / error-arc split of the coefficient quadrature.
 
     threeR splits the B (L) quadrature, twoR the B' (L') one, each on its
-    own circle.
+    own circle.  The ratio is nan when the main arc is 0.
     """
     _check_bandwidth(QuadratureSpec(N, samples, variant), R)
     y = circle_y(N, R, variant)
@@ -459,7 +459,7 @@ def arc_split_diagnostic(
     mask = np.abs(x) <= y
     main = _pairwise_reduce(np.where(mask, vals, 0.0)) / samples
     err = _pairwise_reduce(np.where(mask, 0.0, vals)) / samples
-    return ArcSplit(main, err, abs(err) / abs(main))
+    return ArcSplit(main, err, abs(err) / abs(main) if main else math.nan)
 
 
 @dataclass(frozen=True)

@@ -304,7 +304,7 @@ def family_ladder(spec: FamilySpec):
     return _family_term(spec)[1]
 
 
-def mainterm_family(spec: FamilySpec, N: int, form: str = "elementary") -> LogValue:
+def mainterm_family(spec: FamilySpec, N: int, form: str) -> LogValue:
     """Closed-form main term of the family coefficient at N.
 
     ``form='bessel'`` evaluates the surviving Bessel term coeff s^p I_{-p}(x);

@@ -57,7 +57,6 @@ class ComparisonRecord:
     exact_ln: LogValue
     mainterm_ln: LogValue
     ratio: object  # float, or the string "sign-mismatch"
-    form: str
 
 
 # ---------------------------------------------------------------------------
@@ -95,6 +94,16 @@ def resolve_out(path: str | None, default_name: str) -> str:
     return os.path.join(base, default_name)
 
 
+def _check_writable(path):
+    """Raise the OSError that writing ``path`` (None: no file) would, before
+    any work is done; a file this check creates is removed again."""
+    if path is not None:
+        existed = os.path.exists(path)
+        open(path, "a", encoding="utf-8").close()
+        if not existed:
+            os.remove(path)
+
+
 def write_table(path, fmt, header, rows, stamp=False):
     """Write rows as CSV (with header) or JSON lines with the header keys."""
     with open(path, "w", encoding="utf-8") as fh:
@@ -124,7 +133,7 @@ def cmd_coeffs(spec: FamilySpec, n_max: int, fmt: str, out: str, stamp=False) ->
     return EXIT_OK
 
 
-def cmd_verify_identities(order: int = 200, decomp_order: int = 300) -> int:
+def cmd_verify_identities(order: int, decomp_order: int) -> int:
     """Run the four exact identity suites; exit 1 on the first mismatch."""
     def report(name, lhs, rhs):
         where = lhs.first_mismatch(rhs)
@@ -159,7 +168,7 @@ def cmd_verify_identities(order: int = 200, decomp_order: int = 300) -> int:
     return EXIT_OK if ok else EXIT_IDENTITY
 
 
-def cmd_scan(spec: FamilySpec, n_lo: int, n_hi: int, fmt="csv", out=None, stamp=False) -> int:
+def cmd_scan(spec: FamilySpec, n_lo: int, n_hi: int, fmt, out=None, stamp=False) -> int:
     """Check the family sign pattern on [n_lo, n_hi]; exit 3 on violation."""
     violations = families.scan_signs(spec, n_lo, n_hi)
     status = "violated" if violations else "clean"
@@ -173,7 +182,7 @@ def cmd_scan(spec: FamilySpec, n_lo: int, n_hi: int, fmt="csv", out=None, stamp=
     return EXIT_OK if not violations else EXIT_VIOLATION
 
 
-def cmd_compare(spec: FamilySpec, n_list, form="elementary", fmt="csv", out=None, stamp=False):
+def cmd_compare(spec: FamilySpec, n_list, form, fmt, out=None, stamp=False):
     """Exact versus main-term records for each N; returns (exit, records).
 
     CSV rows carry the log magnitudes; JSON rows carry full {sign, lnmag}
@@ -184,10 +193,11 @@ def cmd_compare(spec: FamilySpec, n_list, form="elementary", fmt="csv", out=None
     records = []
     for n in sorted(n_list):
         exact = LogValue.from_int(series[n])
-        main = asymptotics.mainterm_family(spec, n, form)
-        records.append(
-            ComparisonRecord(n, exact, main, logvalue_ratio(exact, main), form)
-        )
+        try:
+            main = asymptotics.mainterm_family(spec, n, form)
+        except OverflowError as exc:
+            raise ValueError("main term beyond float range: %s" % exc) from None
+        records.append(ComparisonRecord(n, exact, main, logvalue_ratio(exact, main)))
     if fmt == "json":
         rows = [(r.N, r.exact_ln, r.mainterm_ln, r.ratio) for r in records]
     else:
@@ -311,6 +321,7 @@ def main(argv=None) -> int:
                 raise ValueError("n-max above ceiling %d" % args.n_ceiling)
             spec = FamilySpec(FAMILY_FLAGS[args.family], args.R, args.S, args.k)
             out = resolve_out(args.out, "coeffs.%s" % args.format)
+            _check_writable(out)
             return cmd_coeffs(spec, args.n_max, args.format, out, args.stamp)
         if args.command == "verify-identities":
             if args.order < 50:
@@ -328,6 +339,7 @@ def main(argv=None) -> int:
             if args.n_hi > args.n_ceiling:
                 raise ValueError("n-hi above ceiling %d" % args.n_ceiling)
             spec = FamilySpec(FAMILY_FLAGS[args.family], args.R, args.S, args.k)
+            _check_writable(args.out)
             return cmd_scan(spec, args.n_lo, args.n_hi, args.format, args.out, args.stamp)
         if args.command == "compare":
             if min(args.n_list) < 1:
@@ -335,6 +347,7 @@ def main(argv=None) -> int:
             if max(args.n_list) > args.n_ceiling:
                 raise ValueError("--n above ceiling %d" % args.n_ceiling)
             spec = FamilySpec(FAMILY_FLAGS[args.family], args.R, args.S, args.k)
+            _check_writable(args.out)
             code, _ = cmd_compare(spec, args.n_list, args.form, args.format, args.out, args.stamp)
             return code
         if args.command == "circle":

@@ -39,7 +39,6 @@ from .series import (
     PowerSeries,
     ProductSpec,
     ThetaParams,
-    euler_product,
     pochhammer,
     ps_div_pochhammer,
     # Unused here, but perfbench/layers.py patches vars(families)["qbinomial"].
@@ -211,11 +210,8 @@ def decompose_family(spec: FamilySpec):
             n0 = (n_max if n_min is None else n_min) + s * parity
             flip = -1 if alternating and n0 % 2 else 1
             for sign, p in blocks:
-                # On the integers A = 2a, C = 2c, as theta_terms works.
-                A = 2 * p.a.numerator // p.a.denominator
-                C = 2 * p.c.numerator // p.c.denominator
-                a, c = Fraction(A * t * t, 2), Fraction(s * t * (2 * A * n0 + C), 2)
-                out.append((flip * sign, ThetaParams(a, c, (A * n0 + C) * n0 // 2 + p.d)))
+                a, c = Fraction(p.A * t * t, 2), Fraction(s * t * (2 * p.A * n0 + p.C), 2)
+                out.append((flip * sign, ThetaParams(a, c, (p.A * n0 + p.C) * n0 // 2 + p.d)))
     return out
 
 
@@ -239,7 +235,7 @@ def genfun_family_via_decomposition(spec: FamilySpec, order: int) -> PowerSeries
 def pentagonal_sides(order: int):
     """(q; q)_inf versus theta_{3,1} = sum_n (-1)^n q^(n(3n-1)/2)."""
     rhs = _theta_sum([(1, theta_rs_params(3, 1))], order, [(None, None)], True)
-    return euler_product(order), rhs
+    return pochhammer(ProductSpec([(1, 1)]), order), rhs
 
 
 def truncated_pentagonal_sides(k: int, order: int):

@@ -14,7 +14,7 @@ Conventions:
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import kernels
@@ -107,11 +107,14 @@ class ThetaParams:
     a and c are rationals with denominator 1 or 2; all exponents must be
     non-negative integers, which holds for every j once it holds for
     j = 1 and j = 2 (a + c and 4a + 2c integral and non-negative).
+    A = 2a and C = 2c, the integers exponents are worked out on, are fields.
     """
 
     a: Fraction
     c: Fraction
     d: int
+    A: int = field(init=False, repr=False, compare=False)
+    C: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # Fraction(x) costs about 2 us even when x already is one.
@@ -121,12 +124,13 @@ class ThetaParams:
         object.__setattr__(self, "c", c)
         if a.numerator <= 0:
             raise ValueError("a must be positive")
-        # On the integers A = 2a, C = 2c, as theta_terms works: a + c is
-        # (A + C)/2, and 4a + 2c = 2A + C is integral once C is.
+        # a + c is (A + C)/2, and 4a + 2c = 2A + C is integral once C is.
         A, ra = divmod(2 * a.numerator, a.denominator)
         C, rc = divmod(2 * c.numerator, c.denominator)
         if ra or rc:
             raise ValueError("a and c must have denominator 1 or 2")
+        object.__setattr__(self, "A", A)
+        object.__setattr__(self, "C", C)
         if (A + C) % 2:
             raise ValueError("a*j^2 + c*j must be integral for all j")
         if A + C < 0:
@@ -211,16 +215,6 @@ def pochhammer(spec: ProductSpec, order: int) -> PowerSeries:
     return PowerSeries(c, order)
 
 
-def pochhammer_inv(spec: ProductSpec, order: int) -> PowerSeries:
-    """Coefficients of prod 1/(q^A; q^B)_inf, truncated.
-
-    Equivalently the number of partitions of n with parts drawn from the
-    multiset of allowed part sizes (a part size occurring in two residue
-    pairs may be used with two colours).
-    """
-    return ps_div_pochhammer(PowerSeries.one(order), spec)
-
-
 def theta_terms(p: ThetaParams, order: int, n_min=0, n_max=None, alternating=False):
     """Pairs (a n^2 + c n + d, sign) with exponent below ``order``.
 
@@ -236,9 +230,7 @@ def theta_terms(p: ThetaParams, order: int, n_min=0, n_max=None, alternating=Fal
     direction s, so once it is positive no later exponent drops below the
     order.
     """
-    A = 2 * p.a.numerator // p.a.denominator
-    C = 2 * p.c.numerator // p.c.denominator
-    D, top = 2 * p.d, 2 * order
+    A, C, D, top = p.A, p.C, 2 * p.d, 2 * order
     terms = []
     for s, n, last in (
         (1, 0 if n_min is None else max(n_min, 0), n_max),
@@ -328,7 +320,8 @@ def _theta_factors(spec: ProductSpec):
 
 
 def ps_div_pochhammer(f: PowerSeries, spec: ProductSpec) -> PowerSeries:
-    """f times pochhammer_inv(spec, f.order), without the dense inverse.
+    """f times prod 1/(q^A; q^B)_inf over the parts of ``spec``, truncated
+    to f.order, without the dense inverse.
 
     Pair and triple products and (q^B; q^B)_inf are sparse theta series
     (see ``_theta_factors``).  Multiplying by one with ``mul_sparse``
@@ -347,11 +340,6 @@ def ps_div_pochhammer(f: PowerSeries, spec: ProductSpec) -> PowerSeries:
     for m in sorted(ProductSpec(leftover).parts(order)):
         kernels.div_one_minus(c, m)
     return PowerSeries(c, order)
-
-
-def euler_product(order: int) -> PowerSeries:
-    """(q; q)_inf truncated: the full product prod_{k>=1} (1 - q^k)."""
-    return pochhammer(ProductSpec([(1, 1)]), order)
 
 
 def theta_partial(p: ThetaParams, order: int) -> PowerSeries:

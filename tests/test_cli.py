@@ -160,7 +160,7 @@ class TestScan:
         argv = "scan --family C --R 3 --S 1 --k 1 --n-hi 5 --out".split() + [str(tmp_path)]
         assert run(argv) == 2
         captured = capsys.readouterr()
-        assert "clean" in captured.out
+        assert captured.out == ""
         assert captured.err == "error: cannot write %s: Is a directory\n" % tmp_path
 
     def test_bad_range(self, capsys):
@@ -247,6 +247,20 @@ class TestCompare:
         assert captured.out == ""
         assert captured.err == "error: --n must be >= 1\n"
 
+    @pytest.mark.parametrize("flag, reason", [
+        ("--k", "integer division result too large for a float"),
+        ("--R", "int too large to convert to float"),
+    ])
+    def test_main_term_beyond_float_range_exits_2(self, flag, reason, tmp_path, capsys):
+        # argparse keeps the last of a repeated flag
+        out = tmp_path / "c.csv"
+        argv = "compare --family C --R 3 --S 1 --k 1 --n 10 --out".split() + [str(out)]
+        assert run(argv + [flag, "1" + "0" * 400]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: main term beyond float range: %s\n" % reason
+        assert not out.exists()
+
     def test_bessel_form(self, tmp_path):
         out = tmp_path / "b.csv"
         code = run(
@@ -299,6 +313,16 @@ class TestCircle:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "invalid fraction value: '1/0'" in captured.err
+
+    @pytest.mark.parametrize("variant", ["threeR", "twoR"])
+    def test_all_zero_integrand_exits_0(self, variant, capsys):
+        # No theta exponent 400 + 6 j^2 + 7 j lies below the grid's cutoff,
+        # so both arcs are 0 and so is the coefficient.
+        argv = "circle --a 6 --c 7 --d 400 --R 3 --S 1 --N 50 --variant".split() + [variant]
+        assert run(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "exact            : 0" in lines
+        assert "|I''|/|I'|       : nan" in lines
 
     def test_undersampled_exits_2(self):
         argv = "circle --a 6 --c 7 --d 2 --R 3 --S 1 --N 50 --samples 128".split()
