@@ -19,6 +19,9 @@ real FFT each (``_poly_on_grid``), and divides by the exp of the log once.
 Only the lower half is evaluated (the upper half is the conjugate mirror,
 since L has real coefficients).  The last grid is cached, so a coefficient
 and its arc split cost one grid evaluation between them.
+Only the grid code uses numpy, and it imports numpy when it runs, so
+importing this module (or ``cli``) does not load numpy: the first circle
+grid does.
 
 eval_product_inv and transformed_pair_product accept an optional ``dps``:
 the identity they satisfy holds to exp(-2 pi / (R y)) relative, far below
@@ -36,8 +39,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-
-import numpy as np
 
 from .asymptotics import THREE_R, VARIANTS, bernoulli_poly, block_ladder
 from .families import pair_product_spec, triple_product_spec
@@ -358,6 +359,8 @@ def _poly_on_grid(n, c, ln_r: float, samples: int):
     with a[n mod samples] += c_n r^n (-1)^n; folding the exponents mod
     samples is exact there, since the grid is periodic.
     """
+    import numpy as np
+
     w = np.where(n & 1, -c, c) * np.exp(n * ln_r)
     a = np.bincount(n % samples, weights=w, minlength=samples)
     return np.conj(np.fft.rfft(a))
@@ -368,6 +371,8 @@ def _log_denominator_terms(spec: ProductSpec, product_order: int, log_order: int
     ``product_order``: -q^(m j)/j for every part m and j >= 1 with m j below
     ``log_order``.
     """
+    import numpy as np
+
     m = np.array(spec.parts(product_order), dtype=np.int64)
     reps = (log_order - 1) // m
     first = np.repeat(np.cumsum(reps) - reps, reps)
@@ -391,6 +396,8 @@ def _integrand_grid(p, R, S, N, samples, variant):
     The last grid is cached and returned read-only, so a coefficient and
     its arc split share one evaluation.
     """
+    import numpy as np
+
     spec = VARIANTS[variant].denominator(R, S)
     y = circle_y(N, R, variant)
     half = samples // 2
@@ -452,6 +459,8 @@ def arc_split_diagnostic(
     threeR splits the B (L) quadrature, twoR the B' (L') one, each on its
     own circle.  The ratio is nan when the main arc is 0.
     """
+    import numpy as np
+
     _check_bandwidth(QuadratureSpec(N, samples, variant), R)
     y = circle_y(N, R, variant)
     x = -0.5 + np.arange(samples) / samples

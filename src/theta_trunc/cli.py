@@ -24,6 +24,7 @@ import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 from . import analytic, asymptotics, families
@@ -68,13 +69,7 @@ def _fmt_real(v: float) -> str:
 
 
 def _fmt_cell(v) -> str:
-    if isinstance(v, bool):
-        return str(v)
-    if isinstance(v, int):
-        return str(v)
-    if isinstance(v, float):
-        return _fmt_real(v)
-    return str(v)
+    return _fmt_real(v) if isinstance(v, float) else str(v)
 
 
 def _json_cell(v):
@@ -84,6 +79,10 @@ def _json_cell(v):
     if isinstance(v, int) and abs(v) >= 2**53:
         return str(v)
     return v
+
+
+def _json_line(header, row) -> str:
+    return json.dumps({k: _json_cell(v) for k, v in zip(header, row)}, sort_keys=True)
 
 
 def resolve_out(path: str | None, default_name: str) -> str:
@@ -117,8 +116,7 @@ def write_table(path, fmt, header, rows, stamp=False):
             if stamp:
                 fh.write(json.dumps({"_stamp": datetime.now(timezone.utc).isoformat()}) + "\n")
             for row in rows:
-                obj = {k: _json_cell(v) for k, v in zip(header, row)}
-                fh.write(json.dumps(obj, sort_keys=True) + "\n")
+                fh.write(_json_line(header, row) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +184,9 @@ def cmd_compare(spec: FamilySpec, n_list, form, fmt, out=None, stamp=False):
     """Exact versus main-term records for each N; returns (exit, records).
 
     CSV rows carry the log magnitudes; JSON rows carry full {sign, lnmag}
-    objects for both log values.
+    objects for both log values.  Without ``out`` the rows go to stdout in
+    the same format: CSV without the header, JSON lines as in the file;
+    ``stamp`` applies to the file only.
     """
     n_max = max(n_list)
     series = families.genfun_family(spec, n_max + 1)
@@ -204,16 +204,15 @@ def cmd_compare(spec: FamilySpec, n_list, form, fmt, out=None, stamp=False):
         rows = [
             (r.N, r.exact_ln.lnmag, r.mainterm_ln.lnmag, r.ratio) for r in records
         ]
+    header = ("N", "ln_exact", "ln_mainterm", "ratio")
     if out is not None:
-        write_table(out, fmt, ("N", "ln_exact", "ln_mainterm", "ratio"), rows, stamp)
+        write_table(out, fmt, header, rows, stamp)
+    elif fmt == "json":
+        for row in rows:
+            print(_json_line(header, row))
     else:
-        for r in records:
-            print(
-                ",".join(
-                    _fmt_cell(c)
-                    for c in (r.N, r.exact_ln.lnmag, r.mainterm_ln.lnmag, r.ratio)
-                )
-            )
+        for row in rows:
+            print(",".join(_fmt_cell(c) for c in row))
     return EXIT_OK, records
 
 
@@ -268,7 +267,11 @@ def _add_io_flags(sp):
     sp.add_argument("--stamp", action="store_true")
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: argparse keeps no state between
+    ``parse_args`` calls (each returns a fresh namespace), so ``main`` builds
+    it once, not per call."""
     ap = argparse.ArgumentParser(
         prog="theta-trunc",
         description="exact and asymptotic coefficients of truncated theta series",

@@ -261,6 +261,18 @@ class TestCompare:
         assert captured.err == "error: main term beyond float range: %s\n" % reason
         assert not out.exists()
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_stdout_rows_match_the_file(self, fmt, tmp_path, capsys):
+        # without --out the rows print in the chosen format; CSV drops the
+        # header line, JSON prints the file's lines as they are (N = 1 is the
+        # exact 0: lnmag null, ratio sign-mismatch)
+        out = tmp_path / ("cmp." + fmt)
+        argv = "compare --family C --R 3 --S 1 --k 1 --n 1 --n 60 --format".split() + [fmt]
+        assert run(argv + ["--out", str(out)]) == 0
+        assert run(argv) == 0
+        lines = out.read_text().splitlines(keepends=True)
+        assert capsys.readouterr().out == "".join(lines[1:] if fmt == "csv" else lines)
+
     def test_bessel_form(self, tmp_path):
         out = tmp_path / "b.csv"
         code = run(
@@ -373,6 +385,30 @@ class TestCircle:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: %s\n" % message
+
+
+class TestParser:
+    """``build_parser`` is built once per process and keeps no state."""
+
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_append_does_not_accumulate(self):
+        argv = "compare --family C --R 3 --S 1 --k 1 --n 5 --n 7".split()
+        for _ in range(2):
+            assert cli.build_parser().parse_args(argv).n_list == [5, 7]
+
+    def test_valid_call_after_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run("scan --family Dp --R 3 --S 1 --k 1".split())
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "the following arguments are required: --n-hi" in captured.err
+        assert run("scan --family Dp --R 3 --S 1 --k 1 --n-hi 200".split()) == 0
+        captured = capsys.readouterr()
+        assert captured.out == "scan Dprime R=3 S=1 k=1 N in [1, 200]: clean (0 violations)\n"
+        assert captured.err == ""
 
 
 class TestDeterminism:

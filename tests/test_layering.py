@@ -1,4 +1,5 @@
-"""layering: each module imports on its own, loading only the layers below it."""
+"""layering: each module imports on its own, loading only the layers below it
+and not numpy, which only the circle grid loads."""
 
 import os
 import subprocess
@@ -8,9 +9,24 @@ import pytest
 
 import theta_trunc
 
-# Lowest layer first; each module may import only those before it.
+# Lowest layer first; each module may import only those before it, and
+# none imports numpy.
 LAYERS = ("kernels", "series", "families", "asymptotics", "analytic", "cli")
-NUMPY_FREE = ("kernels", "series", "families", "asymptotics")
+
+
+def fresh_python(code, cwd=None):
+    """stdout of ``code`` run by a fresh interpreter that imports this
+    package from its source directory."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(theta_trunc.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        cwd=cwd,
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
 
 
 @pytest.mark.parametrize("module", LAYERS)
@@ -20,17 +36,34 @@ def test_module_loads_only_lower_layers(module):
         "print(sorted(m for m in sys.modules if m.startswith('theta_trunc.')))\n"
         "print('numpy' in sys.modules)\n" % module
     )
-    src = os.path.dirname(os.path.dirname(os.path.abspath(theta_trunc.__file__)))
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    done = subprocess.run(
-        [sys.executable, "-c", code],
-        env=dict(os.environ, PYTHONPATH=path),
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    loaded, numpy_loaded = done.stdout.splitlines()
+    loaded, numpy_loaded = fresh_python(code).splitlines()
     below = LAYERS[: LAYERS.index(module) + 1]
     assert loaded == str(sorted("theta_trunc." + m for m in below))
-    if module in NUMPY_FREE:
-        assert numpy_loaded == "False"
+    assert numpy_loaded == "False"
+
+
+# Each CLI run but circle's works on exact series and Bessel terms only;
+# numpy loads with the first circle grid.
+EXACT_RUNS = (
+    "coeffs --family C --R 3 --S 1 --k 1 --n-max 20 --out coeffs.csv",
+    "scan --family Dp --R 3 --S 1 --k 1 --n-hi 50",
+    "compare --family C --R 3 --S 1 --k 1 --n 40 --form elementary",
+    "compare --family C --R 3 --S 1 --k 1 --n 40 --form bessel",
+    "verify-identities --order 50 --decomp-order 10",
+)
+
+
+def test_cli_loads_numpy_only_for_circle(tmp_path):
+    code = (
+        "import contextlib, io, sys\n"
+        "from theta_trunc import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [cli.main(argv.split()) for argv in %r]\n"
+        "print(codes, 'numpy' in sys.modules)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main('circle --a 6 --c 7 --d 2 --R 3 --S 1 --N 50'.split())\n"
+        "print(code, 'numpy' in sys.modules)\n" % (EXACT_RUNS,)
+    )
+    exact, circle = fresh_python(code, cwd=tmp_path).splitlines()
+    assert exact == "%s False" % ([0] * len(EXACT_RUNS))
+    assert circle == "0 True"
