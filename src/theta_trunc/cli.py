@@ -10,9 +10,9 @@ Subcommands:
 Exit codes: 0 success, 1 identity failure, 2 usage/validation error or
 an unwritable --out, 3 conjecture violation found, 4 quadrature mismatch.
 
-Output is deterministic: no timestamps unless --stamp is given, fixed
-summation orders, big integers as decimal strings, reals at 17 significant
-digits.  THETA_TRUNC_OUT overrides the default output directory.
+Output is deterministic: no timestamps, fixed summation orders, big
+integers as decimal strings, reals at 17 significant digits.
+THETA_TRUNC_OUT overrides the default output directory.
 """
 
 from __future__ import annotations
@@ -21,8 +21,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
-from datetime import datetime, timezone
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -42,22 +40,8 @@ EXIT_QUADRATURE = 4
 # Largest order or N of verify-identities and circle, and the default
 # --n-ceiling of coeffs, scan and compare.
 N_CEILING = 10_000
-# Largest circle --samples: the count min_samples asks for at N = R =
-# N_CEILING, the most any accepted circle input needs (2^20).  The grid holds
-# a few complex arrays of this length.
-SAMPLES_CEILING = analytic.min_samples(N_CEILING, N_CEILING, asymptotics.THREE_R)
 
 FAMILY_FLAGS = {"C": "C", "Cp": "Cprime", "D": "D", "Dp": "Dprime"}
-
-
-@dataclass(frozen=True)
-class ComparisonRecord:
-    """Exact versus main-term magnitude at one N."""
-
-    N: int
-    exact_ln: LogValue
-    mainterm_ln: LogValue
-    ratio: object  # float, or the string "sign-mismatch"
 
 
 # ---------------------------------------------------------------------------
@@ -69,6 +53,9 @@ def _fmt_real(v: float) -> str:
 
 
 def _fmt_cell(v) -> str:
+    """CSV cell: a LogValue as its log magnitude, a float at 17 digits."""
+    if isinstance(v, LogValue):
+        v = v.lnmag
     return _fmt_real(v) if isinstance(v, float) else str(v)
 
 
@@ -76,12 +63,13 @@ def _json_cell(v):
     if isinstance(v, LogValue):
         # ln 0 = -inf has no strict-JSON spelling
         return {"sign": v.sign, "lnmag": v.lnmag if v.sign else None}
-    if isinstance(v, int) and abs(v) >= 2**53:
-        return str(v)
     return v
 
 
-def _json_line(header, row) -> str:
+def _line(fmt, header, row) -> str:
+    """One table row: CSV cells, or a JSON object keyed by the header."""
+    if fmt == "csv":
+        return ",".join(_fmt_cell(c) for c in row)
     return json.dumps({k: _json_cell(v) for k, v in zip(header, row)}, sort_keys=True)
 
 
@@ -103,31 +91,24 @@ def _check_writable(path):
             os.remove(path)
 
 
-def write_table(path, fmt, header, rows, stamp=False):
+def write_table(path, fmt, header, rows):
     """Write rows as CSV (with header) or JSON lines with the header keys."""
     with open(path, "w", encoding="utf-8") as fh:
         if fmt == "csv":
-            if stamp:
-                fh.write("# stamp: %s\n" % datetime.now(timezone.utc).isoformat())
             fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(_fmt_cell(c) for c in row) + "\n")
-        else:
-            if stamp:
-                fh.write(json.dumps({"_stamp": datetime.now(timezone.utc).isoformat()}) + "\n")
-            for row in rows:
-                fh.write(_json_line(header, row) + "\n")
+        for row in rows:
+            fh.write(_line(fmt, header, row) + "\n")
 
 
 # ---------------------------------------------------------------------------
 # subcommands (domain-level; argparse wrappers below)
 # ---------------------------------------------------------------------------
 
-def cmd_coeffs(spec: FamilySpec, n_max: int, fmt: str, out: str, stamp=False) -> int:
+def cmd_coeffs(spec: FamilySpec, n_max: int, fmt: str, out: str) -> int:
     """Write the table N, coefficient (decimal string) for N = 0..n_max."""
     series = families.genfun_family(spec, n_max + 1)
     rows = [(n, str(series[n])) for n in range(n_max + 1)]
-    write_table(out, fmt, ("N", "coefficient"), rows, stamp)
+    write_table(out, fmt, ("N", "coefficient"), rows)
     return EXIT_OK
 
 
@@ -166,7 +147,7 @@ def cmd_verify_identities(order: int, decomp_order: int) -> int:
     return EXIT_OK if ok else EXIT_IDENTITY
 
 
-def cmd_scan(spec: FamilySpec, n_lo: int, n_hi: int, fmt, out=None, stamp=False) -> int:
+def cmd_scan(spec: FamilySpec, n_lo: int, n_hi: int, fmt, out=None) -> int:
     """Check the family sign pattern on [n_lo, n_hi]; exit 3 on violation."""
     violations = families.scan_signs(spec, n_lo, n_hi)
     status = "violated" if violations else "clean"
@@ -176,56 +157,44 @@ def cmd_scan(spec: FamilySpec, n_lo: int, n_hi: int, fmt, out=None, stamp=False)
     )
     if out is not None:
         rows = [(n, str(v)) for n, v in violations]
-        write_table(out, fmt, ("N", "coefficient"), rows, stamp)
+        write_table(out, fmt, ("N", "coefficient"), rows)
     return EXIT_OK if not violations else EXIT_VIOLATION
 
 
-def cmd_compare(spec: FamilySpec, n_list, form, fmt, out=None, stamp=False):
-    """Exact versus main-term records for each N; returns (exit, records).
-
-    CSV rows carry the log magnitudes; JSON rows carry full {sign, lnmag}
-    objects for both log values.  Without ``out`` the rows go to stdout in
-    the same format: CSV without the header, JSON lines as in the file;
-    ``stamp`` applies to the file only.
+def cmd_compare(spec: FamilySpec, n_list, form, fmt, out=None) -> int:
+    """Rows (N, exact LogValue, main-term LogValue, ratio) for each N, the
+    ratio a float or "sign-mismatch".  CSV cells carry the log magnitudes,
+    JSON rows {sign, lnmag} objects.  Without ``out`` the rows go to stdout
+    in the same format: CSV without the header, JSON lines as in the file.
     """
     n_max = max(n_list)
     series = families.genfun_family(spec, n_max + 1)
-    records = []
+    rows = []
     for n in sorted(n_list):
         exact = LogValue.from_int(series[n])
         try:
             main = asymptotics.mainterm_family(spec, n, form)
         except OverflowError as exc:
             raise ValueError("main term beyond float range: %s" % exc) from None
-        records.append(ComparisonRecord(n, exact, main, logvalue_ratio(exact, main)))
-    if fmt == "json":
-        rows = [(r.N, r.exact_ln, r.mainterm_ln, r.ratio) for r in records]
-    else:
-        rows = [
-            (r.N, r.exact_ln.lnmag, r.mainterm_ln.lnmag, r.ratio) for r in records
-        ]
+        rows.append((n, exact, main, logvalue_ratio(exact, main)))
     header = ("N", "ln_exact", "ln_mainterm", "ratio")
     if out is not None:
-        write_table(out, fmt, header, rows, stamp)
-    elif fmt == "json":
-        for row in rows:
-            print(_json_line(header, row))
+        write_table(out, fmt, header, rows)
     else:
         for row in rows:
-            print(",".join(_fmt_cell(c) for c in row))
-    return EXIT_OK, records
+            print(_line(fmt, header, row))
+    return EXIT_OK
 
 
-def cmd_circle(p: ThetaParams, R: int, S: int, N: int, samples=None, variant=asymptotics.THREE_R) -> int:
+def cmd_circle(p: ThetaParams, R: int, S: int, N: int, variant: str) -> int:
     """Quadrature versus exact coefficient; exit 4 unless they round equal.
 
+    The quadrature samples at ``analytic.min_samples(N, R, variant)``.
     Besides the value, its rounding and the exact coefficient, prints the
     arc split, the integer margin |v - round v| and the float headroom
     53 - bit length of the exact coefficient (negative past float64).
-    An invalid sample count raises ValueError before anything is printed.
     """
-    if samples is None:
-        samples = analytic.min_samples(N, R, variant)
+    samples = analytic.min_samples(N, R, variant)
     quad = QuadratureSpec(N, samples, variant)
     value = analytic.wright_coefficient(p, R, S, quad)
     split = analytic.arc_split_diagnostic(p, R, S, N, samples, variant=variant)
@@ -264,7 +233,6 @@ def _add_family_flags(sp):
 def _add_io_flags(sp):
     sp.add_argument("--out", default=None)
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
-    sp.add_argument("--stamp", action="store_true")
 
 
 @lru_cache(maxsize=1)
@@ -309,7 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--R", type=int, required=True)
     sp.add_argument("--S", type=int, required=True)
     sp.add_argument("--N", type=int, required=True)
-    sp.add_argument("--samples", type=int, default=None)
     sp.add_argument("--variant", choices=(asymptotics.THREE_R, asymptotics.TWO_R), default=asymptotics.THREE_R)
     return ap
 
@@ -325,7 +292,7 @@ def main(argv=None) -> int:
             spec = FamilySpec(FAMILY_FLAGS[args.family], args.R, args.S, args.k)
             out = resolve_out(args.out, "coeffs.%s" % args.format)
             _check_writable(out)
-            return cmd_coeffs(spec, args.n_max, args.format, out, args.stamp)
+            return cmd_coeffs(spec, args.n_max, args.format, out)
         if args.command == "verify-identities":
             if args.order < 50:
                 raise ValueError("order must be >= 50")
@@ -343,7 +310,7 @@ def main(argv=None) -> int:
                 raise ValueError("n-hi above ceiling %d" % args.n_ceiling)
             spec = FamilySpec(FAMILY_FLAGS[args.family], args.R, args.S, args.k)
             _check_writable(args.out)
-            return cmd_scan(spec, args.n_lo, args.n_hi, args.format, args.out, args.stamp)
+            return cmd_scan(spec, args.n_lo, args.n_hi, args.format, args.out)
         if args.command == "compare":
             if min(args.n_list) < 1:
                 raise ValueError("--n must be >= 1")
@@ -351,8 +318,7 @@ def main(argv=None) -> int:
                 raise ValueError("--n above ceiling %d" % args.n_ceiling)
             spec = FamilySpec(FAMILY_FLAGS[args.family], args.R, args.S, args.k)
             _check_writable(args.out)
-            code, _ = cmd_compare(spec, args.n_list, args.form, args.format, args.out, args.stamp)
-            return code
+            return cmd_compare(spec, args.n_list, args.form, args.format, args.out)
         if args.command == "circle":
             if args.N < 1:
                 raise ValueError("N must be >= 1")
@@ -364,10 +330,8 @@ def main(argv=None) -> int:
                 raise ValueError("need 1 <= S < R")
             if gcd(args.R, args.S) != 1:
                 raise ValueError("R and S must be coprime")
-            if args.samples is not None and args.samples > SAMPLES_CEILING:
-                raise ValueError("samples above ceiling %d" % SAMPLES_CEILING)
             p = ThetaParams(args.a, args.c, args.d)
-            return cmd_circle(p, args.R, args.S, args.N, args.samples, args.variant)
+            return cmd_circle(p, args.R, args.S, args.N, args.variant)
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE

@@ -424,7 +424,7 @@ class TestIntegrandGrid:
 
     def test_cmd_circle_builds_one_grid(self, capsys):
         _integrand_grid.cache_clear()
-        assert cli.cmd_circle(P672, 3, 1, 20) == 0
+        assert cli.cmd_circle(P672, 3, 1, 20, "threeR") == 0
         info = _integrand_grid.cache_info()
         assert (info.misses, info.hits) == (1, 1)
 

@@ -7,8 +7,9 @@ from fractions import Fraction
 import pytest
 
 from theta_trunc import cli
-from theta_trunc.asymptotics import LogValue
-from theta_trunc.families import FamilySpec
+from theta_trunc.analytic import min_samples
+from theta_trunc.asymptotics import LogValue, logvalue_ratio, mainterm_family
+from theta_trunc.families import FamilySpec, genfun_family
 from theta_trunc.series import PowerSeries, ThetaParams
 
 
@@ -174,32 +175,46 @@ class TestScan:
             assert captured.err == "error: %s\n" % message
 
 
+def expected_compare(spec, n_list, form):
+    """(N, exact, main term, ratio) per N, computed outside the CLI."""
+    rows = []
+    for n in n_list:
+        exact = LogValue.from_int(genfun_family(spec, n + 1)[n])
+        main = mainterm_family(spec, n, form)
+        rows.append((n, exact, main, logvalue_ratio(exact, main)))
+    return rows
+
+
 class TestCompare:
     def test_records_and_csv(self, tmp_path):
         out = tmp_path / "cmp.csv"
         spec = FamilySpec("C", 3, 1, 1)
-        code, records = cli.cmd_compare(spec, [200, 400], "elementary", "csv", str(out))
-        assert code == 0
+        assert cli.cmd_compare(spec, [200, 400], "elementary", "csv", str(out)) == 0
         rows = list(csv.reader(out.read_text().splitlines()))
         assert rows[0] == ["N", "ln_exact", "ln_mainterm", "ratio"]
         assert [r[0] for r in rows[1:]] == ["200", "400"]
         # every cell round-trips exactly: ints via int(), reals via float()
-        for row, rec in zip(rows[1:], records):
-            assert int(row[0]) == rec.N
-            assert float(row[1]) == rec.exact_ln.lnmag
-            assert float(row[2]) == rec.mainterm_ln.lnmag
-            assert float(row[3]) == rec.ratio
+        want = expected_compare(spec, [200, 400], "elementary")
+        for row, (n, exact, main, ratio) in zip(rows[1:], want):
+            assert int(row[0]) == n
+            assert float(row[1]) == exact.lnmag
+            assert float(row[2]) == main.lnmag
+            assert float(row[3]) == ratio
 
     def test_json_roundtrip_exact(self, tmp_path):
         out = tmp_path / "cmp.json"
         spec = FamilySpec("Dprime", 3, 1, 1)
-        _, records = cli.cmd_compare(spec, [150, 350], "elementary", "json", str(out))
+        assert cli.cmd_compare(spec, [150, 350], "elementary", "json", str(out)) == 0
         lines = [json.loads(line) for line in out.read_text().splitlines()]
-        for obj, rec in zip(lines, records):
-            assert obj["N"] == rec.N
-            assert obj["ln_exact"] == {"sign": rec.exact_ln.sign, "lnmag": rec.exact_ln.lnmag}
-            assert obj["ln_mainterm"]["lnmag"] == rec.mainterm_ln.lnmag
-            assert obj["ratio"] == rec.ratio
+        want = expected_compare(spec, [150, 350], "elementary")
+        assert len(lines) == len(want)
+        for obj, (n, exact, main, ratio) in zip(lines, want):
+            assert obj == {
+                "N": n,
+                "ln_exact": {"sign": exact.sign, "lnmag": exact.lnmag},
+                "ln_mainterm": {"sign": main.sign, "lnmag": main.lnmag},
+                "ratio": ratio,
+            }
 
     def test_ratio_positive_for_dprime(self, tmp_path):
         out = tmp_path / "dp.csv"
@@ -265,13 +280,15 @@ class TestCompare:
     def test_stdout_rows_match_the_file(self, fmt, tmp_path, capsys):
         # without --out the rows print in the chosen format; CSV drops the
         # header line, JSON prints the file's lines as they are (N = 1 is the
-        # exact 0: lnmag null, ratio sign-mismatch)
+        # exact 0: lnmag -inf in CSV, null in JSON, ratio sign-mismatch)
         out = tmp_path / ("cmp." + fmt)
         argv = "compare --family C --R 3 --S 1 --k 1 --n 1 --n 60 --format".split() + [fmt]
         assert run(argv + ["--out", str(out)]) == 0
         assert run(argv) == 0
         lines = out.read_text().splitlines(keepends=True)
         assert capsys.readouterr().out == "".join(lines[1:] if fmt == "csv" else lines)
+        zero = '"lnmag": null' if fmt == "json" else "1,-inf,"
+        assert zero in lines[1 if fmt == "csv" else 0]
 
     def test_bessel_form(self, tmp_path):
         out = tmp_path / "b.csv"
@@ -336,10 +353,6 @@ class TestCircle:
         assert "exact            : 0" in lines
         assert "|I''|/|I'|       : nan" in lines
 
-    def test_undersampled_exits_2(self):
-        argv = "circle --a 6 --c 7 --d 2 --R 3 --S 1 --N 50 --samples 128".split()
-        assert run(argv) == 2
-
     def test_mismatch_exits_4(self, monkeypatch):
         monkeypatch.setattr(
             cli.analytic, "wright_coefficient", lambda *a, **k: 12345.6
@@ -374,9 +387,7 @@ class TestCircle:
         ("--R 4 --S 2 --N 50", "R and S must be coprime"),
         ("--R 3 --S 1 --N -5", "N must be >= 1"),
         ("--R 3 --S 1 --N 10001", "N above ceiling 10000"),
-        ("--R 3 --S 1 --N 50 --samples 128", "samples=128 below the aliasing-safe minimum 1024"),
-        # Both would allocate grids of 2^21 and 2^28 complex samples.
-        ("--R 3 --S 1 --N 50 --samples 2097152", "samples above ceiling 1048576"),
+        # would allocate a grid of 2^28 complex samples
         ("--R 1000000000 --S 1 --N 10000", "R above ceiling 10000"),
     ])
     def test_invalid_input_exits_2(self, flags, message, capsys):
@@ -385,6 +396,12 @@ class TestCircle:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: %s\n" % message
+
+    @pytest.mark.parametrize("variant", ["threeR", "twoR"])
+    def test_largest_grid_is_2_to_the_20(self, variant):
+        # circle samples at min_samples(N, R), which grows with N and R; at
+        # the ceilings it is at most 2^20 complex samples
+        assert min_samples(cli.N_CEILING, cli.N_CEILING, variant) <= 2**20
 
 
 class TestParser:
@@ -410,6 +427,20 @@ class TestParser:
         assert captured.out == "scan Dprime R=3 S=1 k=1 N in [1, 200]: clean (0 violations)\n"
         assert captured.err == ""
 
+    @pytest.mark.parametrize("argv, flag", [
+        ("coeffs --family C --R 3 --S 1 --k 1 --n-max 2", "--stamp"),
+        ("scan --family C --R 3 --S 1 --k 1 --n-hi 2", "--stamp"),
+        ("compare --family C --R 3 --S 1 --k 1 --n 2", "--stamp"),
+        ("circle --a 6 --c 7 --d 2 --R 3 --S 1 --N 20", "--samples 1024"),
+    ])
+    def test_removed_options_exit_2(self, argv, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run((argv + " " + flag).split())
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: %s" % flag in captured.err
+
 
 class TestDeterminism:
     def test_byte_identical_reruns(self, tmp_path):
@@ -418,11 +449,3 @@ class TestDeterminism:
         run(argv.split() + [str(a)])
         run(argv.split() + [str(b)])
         assert a.read_bytes() == b.read_bytes()
-
-    def test_stamp_adds_header(self, tmp_path):
-        out = tmp_path / "s.csv"
-        run(
-            "coeffs --family C --R 3 --S 1 --k 1 --n-max 2 --stamp --out".split()
-            + [str(out)]
-        )
-        assert out.read_text().startswith("# stamp:")
