@@ -69,7 +69,7 @@ def _json_cell(v):
 def _line(fmt, header, row) -> str:
     """One table row: CSV cells, or a JSON object keyed by the header."""
     if fmt == "csv":
-        return ",".join(_fmt_cell(c) for c in row)
+        return ",".join(map(_fmt_cell, row))
     return json.dumps({k: _json_cell(v) for k, v in zip(header, row)}, sort_keys=True)
 
 

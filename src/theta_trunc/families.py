@@ -330,8 +330,7 @@ def scan_signs(spec: FamilySpec, n_lo: int, n_hi: int):
     """
     series = genfun_family(spec, n_hi + 1)
     bad = []
-    for n in range(n_lo, n_hi + 1):
-        v = series[n]
+    for n, v in enumerate(series.coeffs[n_lo:n_hi + 1], n_lo):
         if spec.family == "Dprime":
             if v > 0:
                 bad.append((n, v))

@@ -160,10 +160,7 @@ class ProductSpec:
         """All part sizes A + j*B below ``order``, per residue pair."""
         out = []
         for a, b in self.residues:
-            m = a
-            while m < order:
-                out.append(m)
-                m += b
+            out.extend(range(a, order, b))
         return out
 
 

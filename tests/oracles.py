@@ -80,6 +80,33 @@ def naive_poly_mul(a, b, order):
     return out
 
 
+def scalar_div_sparse(c, plus, minus):
+    """In place c <- c / (1 + sum_plus q^e - sum_minus q^e), truncated.
+
+    The per-element loop that ``kernels.div_sparse`` replaced, kept as its
+    reference: g[i] = c[i] + sum_minus g[i-e] - sum_plus g[i-e], one add
+    per active term, with the range of i cut where a new exponent becomes
+    active.
+    """
+    n = len(c)
+    cuts = sorted(set(e for e in plus + minus if e < n))
+    cuts.append(n)
+    start = 1
+    for stop in cuts:
+        if stop <= start:
+            continue
+        active_minus = [e for e in minus if e < stop]
+        active_plus = [e for e in plus if e < stop]
+        for i in range(start, stop):
+            acc = c[i]
+            for e in active_minus:
+                acc += c[i - e]
+            for e in active_plus:
+                acc -= c[i - e]
+            c[i] = acc
+        start = stop
+
+
 def dense_theta_div_pochhammer(coeffs, spec):
     """coeffs / prod (q^A; q^B)_inf with each theta multiply done densely.
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
+from theta_trunc import families
 from theta_trunc.families import (
     FamilySpec,
     decompose_family,
@@ -234,3 +235,9 @@ class TestScans:
 
     def test_D_with_k0(self):
         assert scan_signs(FamilySpec("D", 3, 1, 0), 1, 50) == []
+
+    def test_violations_in_order_over_the_closed_range(self, monkeypatch):
+        fake = PowerSeries([9, -1, -5, 2, -3, -7], 6)
+        monkeypatch.setattr(families, "genfun_family", lambda spec, order: fake)
+        assert scan_signs(FamilySpec("C", 3, 1, 1), 2, 5) == [(2, -5), (4, -3), (5, -7)]
+        assert scan_signs(FamilySpec("Dprime", 3, 1, 1), 2, 5) == [(3, 2)]

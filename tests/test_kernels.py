@@ -3,13 +3,15 @@
 The ``*_parity`` tests check ``conv_trunc``, ``inv_unit`` and
 ``mul_one_minus`` against the schoolbook product of ``tests/oracles.py``,
 and ``div_one_minus`` as the inverse of ``mul_one_minus``; ``div_sparse`` is
-checked against the kernels it generalizes, and ``mul_sparse`` against the
-schoolbook product and as the inverse of ``div_sparse``.
+checked bit for bit against the per-element loop it replaced, and against
+the kernels it generalizes, and ``mul_sparse`` against the schoolbook
+product and as the inverse of ``div_sparse``.
 """
 
+import math
 import random
 
-from oracles import naive_poly_mul
+from oracles import naive_poly_mul, scalar_div_sparse
 
 from theta_trunc import kernels
 from theta_trunc.series import theta_exponents
@@ -154,3 +156,42 @@ def test_div_sparse_undoes_mul_sparse():
         kernels.mul_sparse(c, plus, minus)
         kernels.div_sparse(c, plus, minus)
         assert c == base
+
+
+def _check_div_sparse_against_scalar(base, plus, minus):
+    got, want = list(base), list(base)
+    kernels.div_sparse(got, plus, minus)
+    scalar_div_sparse(want, plus, minus)
+    assert got == want, (len(base), plus[:4], minus[:4])
+
+
+def test_div_sparse_matches_scalar_loop_on_theta_exponents():
+    # every coprime 1 <= S < R <= 12 (R = 2, S = 1 lists each exponent
+    # twice), at n = 1, 2, around the smallest exponent, and 2001
+    rng = random.Random(9)
+    for R in range(2, 13):
+        for S in range(1, R):
+            if math.gcd(R, S) != 1:
+                continue
+            low = min(S, R - S)
+            for n in sorted({1, 2, low - 1, low, low + 1, 2001} - {0}):
+                base = [rng.randrange(-(10**6), 10**6) for _ in range(n)]
+                _check_div_sparse_against_scalar(base, *theta_exponents(R, S, n))
+
+
+def test_div_sparse_edge_inputs_match_scalar_loop():
+    rng = random.Random(10)
+    base = [rng.randrange(-(10**20), 10**20) for _ in range(40)]
+    _check_div_sparse_against_scalar(base, [], [])  # empty factor: c / 1
+    # one active exponent over [3, 9) (minus) and [4, 30) (plus)
+    _check_div_sparse_against_scalar(base, [], [3, 9])
+    _check_div_sparse_against_scalar(base, [4, 30], [])
+    _check_div_sparse_against_scalar(base, [1], [])  # h[1 - 2e] at e = 1 is h[-1]
+    # 300-bit coefficients
+    big = [rng.randrange(-(1 << 300), 1 << 300) for _ in range(500)]
+    _check_div_sparse_against_scalar(big, *theta_exponents(3, 1, 500))
+    _check_div_sparse_against_scalar(big, *theta_exponents(2, 1, 500))
+    # len(c) == 0 is a no-op
+    c = []
+    kernels.div_sparse(c, [1, 4], [2])
+    assert c == []

@@ -295,6 +295,12 @@ class TestProductSpec:
         # (q^R; q^R)_inf needs A == B
         assert ProductSpec([(3, 3)]).parts(10) == [3, 6, 9]
 
+    def test_parts_listed_per_residue_pair_in_order(self):
+        # not merged or sorted: residue by residue, each ascending; a pair
+        # whose first part is at or past the order contributes nothing
+        assert ProductSpec([(2, 5), (1, 3), (7, 7)]).parts(12) == [2, 7, 1, 4, 7, 10, 7]
+        assert ProductSpec([(2, 5), (12, 12)]).parts(12) == [2, 7]
+
 
 @st.composite
 def theta_term_args(draw):
