@@ -242,7 +242,8 @@ def truncated_pentagonal_sides(k: int, order: int):
     """Both sides of the truncated pentagonal number theorem.
 
     LHS: (1/(q;q)_inf) sum_{j=0..k-1} (-1)^j q^(j(3j+1)/2) (1 - q^(2j+1)),
-         whose numerator is theta_{3,1} over -(k-1) <= n <= k.
+         whose numerator is theta_{3,1} over -(k-1) <= n <= k, divided by
+         (q;q)_inf as the triple product (q, q^2, q^3; q^3)_inf.
     RHS: 1 + (-1)^(k-1) sum_{n>=1} q^((k+1)n + k(k-1)/2) / (q;q)_n
                                   * [n-1 choose k-1]_q.
 
@@ -260,7 +261,7 @@ def truncated_pentagonal_sides(k: int, order: int):
     if k < 1:
         raise ValueError("k must be >= 1")
     num = _theta_sum([(1, theta_rs_params(3, 1))], order, [(1 - k, k)], True)
-    lhs = ps_div_pochhammer(num, ProductSpec([(1, 1)]))
+    lhs = ps_div_pochhammer(num, triple_product_spec(3, 1))
 
     total = [0] * order
     inv_pochh = [1] + [0] * (order - 1)  # 1/(q;q)_{n-k}, starting at n = k

@@ -5,6 +5,12 @@ excluding) a truncation order.  Everything in this module is exact integer
 arithmetic; these series are the ground truth against which all floating
 point asymptotics are compared.
 
+Besides the series themselves the module lists theta exponents
+(``theta_terms``), builds forward q-products (``pochhammer``) over any
+``ProductSpec``, and divides by exactly two q-products, the pair and the
+triple product of the families, through their sparse Jacobi-triple-product
+theta series (``ps_div_pochhammer``).
+
 Conventions:
   * ``order`` is exclusive: coefficients are indexed 0 .. order-1.
   * binary operations truncate to the smaller operand order.
@@ -13,7 +19,6 @@ Conventions:
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -272,70 +277,34 @@ def theta_exponents(R: int, S: int, order: int):
     return plus, minus
 
 
-def theta_series(R: int, S: int, order: int) -> PowerSeries:
-    """theta_{R,S} truncated below ``order`` (see ``theta_exponents``)."""
-    plus, minus = theta_exponents(R, S, order)
-    c = [0] * order
-    c[0] = 1
-    for e in plus:
-        c[e] += 1
-    for e in minus:
-        c[e] -= 1
-    return PowerSeries(c, order)
-
-
-def _theta_factors(spec: ProductSpec):
-    """Split a spec into theta_{R,S} factors and leftover residue pairs.
-
-    Per modulus B the residues match, triples first:
-      {S, B-S, B}  ->  1 / theta_{B,S}
-      {S, B-S}     ->  theta_{3B,B} / theta_{B,S}
-      {B}          ->  1 / theta_{3B,B}      ((q^B; q^B)_inf)
-    Returns (mul, div, leftover): (R, S) of the theta series to multiply
-    by and to divide by, and the unmatched (A, B) pairs.
-    """
-    by_modulus = {}
-    for a, b in spec.residues:
-        by_modulus.setdefault(b, Counter())[a] += 1
-    mul, div, leftover = [], [], []
-    for b, count in by_modulus.items():
-        fulls = count.pop(b, 0)
-        pairs = []
-        for s in sorted(count):
-            if 2 * s > b:
-                continue
-            k = count[s] // 2 if 2 * s == b else min(count[s], count[b - s])
-            pairs += [s] * k
-            count[s] -= k
-            count[b - s] -= k
-        leftover += [(a, b) for a, k in count.items() for _ in range(k)]
-        triples = min(fulls, len(pairs))
-        div += [(b, s) for s in pairs]
-        mul += [(3 * b, b)] * (len(pairs) - triples)
-        div += [(3 * b, b)] * (fulls - triples)
-    return mul, div, leftover
-
-
 def ps_div_pochhammer(f: PowerSeries, spec: ProductSpec) -> PowerSeries:
-    """f times prod 1/(q^A; q^B)_inf over the parts of ``spec``, truncated
-    to f.order, without the dense inverse.
+    """f divided by the pair product (q^S, q^(R-S); q^R)_inf or the triple
+    product (q^S, q^(R-S), q^R; q^R)_inf, truncated to f.order, without
+    the dense inverse.
 
-    Pair and triple products and (q^B; q^B)_inf are sparse theta series
-    (see ``_theta_factors``).  Multiplying by one with ``mul_sparse``
-    costs O(nnz(f) * order^0.5) adds, O(order) for the sparse theta
-    numerators of the families; dividing by one with ``div_sparse`` costs
-    O(order^1.5) adds.  Residues that fit none of these shapes are divided
-    out one factor (1 - q^m) at a time.
+    ``spec`` must list exactly the residues of one of the two, in any
+    order; any other spec raises ValueError.  The triple product is the
+    sparse theta series theta_{R,S} (see ``theta_exponents``), and the
+    pair product is theta_{R,S} / theta_{3R,R}, since
+    theta_{3R,R} = (q^R; q^R)_inf.  So the triple is one ``div_sparse``,
+    O(order^1.5) adds, and the pair first multiplies by theta_{3R,R} with
+    ``mul_sparse``, O(nnz(f) * order^0.5) adds, O(order) for the sparse
+    theta numerators of the families.  (q; q)_inf is the triple at
+    (R, S) = (3, 1).
     """
+    S, R = min(spec.residues, default=(0, 0))
+    pair = [(S, R), (R - S, R)]
+    shape = sorted(spec.residues)
+    if not 0 < S < R or shape not in (pair, pair + [(R, R)]):
+        raise ValueError(
+            "need a pair or triple product (q^S, q^(R-S)[, q^R]; q^R)_inf, "
+            "got residues %r" % (spec.residues,)
+        )
     order = f.order
     c = list(f.coeffs)
-    mul, div, leftover = _theta_factors(spec)
-    for R, S in mul:
-        kernels.mul_sparse(c, *theta_exponents(R, S, order))
-    for R, S in div:
-        kernels.div_sparse(c, *theta_exponents(R, S, order))
-    for m in sorted(ProductSpec(leftover).parts(order)):
-        kernels.div_one_minus(c, m)
+    if shape == pair:
+        kernels.mul_sparse(c, *theta_exponents(3 * R, R, order))
+    kernels.div_sparse(c, *theta_exponents(R, S, order))
     return PowerSeries(c, order)
 
 

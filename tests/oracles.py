@@ -107,27 +107,37 @@ def scalar_div_sparse(c, plus, minus):
         start = stop
 
 
-def dense_theta_div_pochhammer(coeffs, spec):
-    """coeffs / prod (q^A; q^B)_inf with each theta multiply done densely.
+def theta_series(R, S, order):
+    """Coefficients of theta_{R,S} below ``order``, from ``series.theta_exponents``."""
+    from theta_trunc.series import theta_exponents
 
-    The factor split of ``series._theta_factors``: every theta_{R,S} to
-    multiply by is expanded in full (``series.theta_series``) and convolved
-    with ``kernels.conv_trunc``; then the theta divisions (``div_sparse``)
-    and the leftover parts (``div_one_minus``), as ``ps_div_pochhammer``
-    does them.
+    plus, minus = theta_exponents(R, S, order)
+    c = [0] * order
+    c[0] = 1
+    for e in plus:
+        c[e] += 1
+    for e in minus:
+        c[e] -= 1
+    return c
+
+
+def dense_theta_div_pochhammer(coeffs, spec):
+    """coeffs / a pair or triple product, with the pair's theta multiply dense.
+
+    The route of ``series.ps_div_pochhammer``, except that the pair's
+    theta_{3R,R} = (q^R; q^R)_inf is expanded in full (``theta_series``)
+    and convolved with ``kernels.conv_trunc``; then one ``div_sparse`` by
+    theta_{R,S}.
     """
     from theta_trunc import kernels
-    from theta_trunc.series import ProductSpec, _theta_factors, theta_exponents, theta_series
+    from theta_trunc.series import theta_exponents
 
+    (S, R), *rest = sorted(spec.residues)
     order = len(coeffs)
     c = list(coeffs)
-    mul, div, leftover = _theta_factors(spec)
-    for R, S in mul:
-        c = kernels.conv_trunc(theta_series(R, S, order).coeffs, c, order)
-    for R, S in div:
-        kernels.div_sparse(c, *theta_exponents(R, S, order))
-    for m in sorted(ProductSpec(leftover).parts(order)):
-        kernels.div_one_minus(c, m)
+    if len(rest) == 1:
+        c = kernels.conv_trunc(theta_series(3 * R, R, order), c, order)
+    kernels.div_sparse(c, *theta_exponents(R, S, order))
     return c
 
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 
 from theta_trunc import families
 from theta_trunc.families import (
+    GRID_RS,
     FamilySpec,
     decompose_family,
     default_grid,
@@ -21,7 +22,7 @@ from theta_trunc.families import (
     triple_product_spec,
     truncated_pentagonal_sides,
 )
-from theta_trunc.series import PowerSeries, ThetaParams, theta_terms
+from theta_trunc.series import PowerSeries, ProductSpec, ThetaParams, pochhammer, ps_mul, theta_terms
 from oracles import count_partitions, dense_truncated_pentagonal_rhs, paper_blocks
 from test_asymptotics import family_specs
 
@@ -156,6 +157,19 @@ class TestGenfuns:
     @given(family_specs(12, 4))
     def test_definition_equals_decomposition_random_specs(self, spec):
         assert genfun_family(spec, 150) == genfun_family_via_decomposition(spec, 150)
+
+    def test_C_is_Cprime_times_q_R_product(self):
+        # C_k = (q^R; q^R)_inf (Cprime_k + (-1)^k), by the Jacobi triple
+        # product: the triple is the pair times (q^R; q^R)_inf, so this
+        # checks the pair division against the triple division.
+        order = 2001
+        for R, S in GRID_RS:
+            q_R = pochhammer(ProductSpec([(R, R)]), order)
+            for k in (1, 2, 3):
+                cprime = genfun_family(FamilySpec("Cprime", R, S, k), order)
+                shifted = cprime + PowerSeries.from_terms([(0, (-1) ** k)], order)
+                want = genfun_family(FamilySpec("C", R, S, k), order)
+                assert ps_mul(q_R, shifted) == want, (R, S, k)
 
     def test_corrupted_offset_reports_lowest_exponent(self):
         # mutate T1 upward by one and locate the first mismatch
