@@ -3,7 +3,7 @@
 Subcommands:
   coeffs             exact coefficient table of one family instance
   verify-identities  the four exact identity suites
-  scan               sign scan of a family over an N range
+  scan               sign scan of a family over an N range, for one or more k
   compare            exact coefficients against closed-form main terms
   circle             circle-method quadrature against the exact coefficient
 
@@ -148,7 +148,11 @@ def cmd_verify_identities(order: int, decomp_order: int) -> int:
 
 
 def cmd_scan(spec: FamilySpec, n_lo: int, n_hi: int, fmt, out=None) -> int:
-    """Check the family sign pattern on [n_lo, n_hi]; exit 3 on violation."""
+    """Check the family sign pattern on [n_lo, n_hi]; exit 3 on violation.
+
+    ``scan`` with several --k runs this once per k, in the order given;
+    the k of one (R, S) share the family's cached quotient.
+    """
     violations = families.scan_signs(spec, n_lo, n_hi)
     status = "violated" if violations else "clean"
     print(
@@ -223,11 +227,11 @@ def fraction(text: str) -> Fraction:
         raise ValueError(text) from None
 
 
-def _add_family_flags(sp):
+def _add_family_flags(sp, repeat_k=False):
     sp.add_argument("--family", required=True, choices=sorted(FAMILY_FLAGS))
     sp.add_argument("--R", type=int, required=True)
     sp.add_argument("--S", type=int, required=True)
-    sp.add_argument("--k", type=int, required=True)
+    sp.add_argument("--k", type=int, required=True, action="append" if repeat_k else "store")
 
 
 def _add_io_flags(sp):
@@ -257,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--decomp-order", type=int, default=300)
 
     sp = sub.add_parser("scan", help="sign scan over an N range")
-    _add_family_flags(sp)
+    _add_family_flags(sp, repeat_k=True)
     sp.add_argument("--n-lo", type=int, default=1)
     sp.add_argument("--n-hi", type=int, required=True)
     sp.add_argument("--n-ceiling", type=int, default=N_CEILING)
@@ -308,9 +312,12 @@ def main(argv=None) -> int:
                 raise ValueError("need 1 <= n-lo <= n-hi")
             if args.n_hi > args.n_ceiling:
                 raise ValueError("n-hi above ceiling %d" % args.n_ceiling)
-            spec = FamilySpec(FAMILY_FLAGS[args.family], args.R, args.S, args.k)
+            specs = [FamilySpec(FAMILY_FLAGS[args.family], args.R, args.S, k) for k in args.k]
+            if args.out is not None and len(specs) > 1:
+                raise ValueError("--out takes a single --k")
             _check_writable(args.out)
-            return cmd_scan(spec, args.n_lo, args.n_hi, args.format, args.out)
+            codes = [cmd_scan(spec, args.n_lo, args.n_hi, args.format, args.out) for spec in specs]
+            return EXIT_VIOLATION if EXIT_VIOLATION in codes else EXIT_OK
         if args.command == "compare":
             if min(args.n_list) < 1:
                 raise ValueError("--n must be >= 1")

@@ -22,17 +22,28 @@ G_{a,c,d}, which ``decompose_family`` derives from the same numerator as
 ``family_denominator``: the triple product for Cprime, the pair product
 for the others.
 ``genfun_family_via_decomposition`` rebuilds the series from that
-decomposition, and exact equality of the two routes is one of the identity
-suites.  The classical pentagonal, truncated pentagonal and quintuple
-product identities are provided as further exact oracles.
+decomposition by dividing its numerator once, and exact equality of the two
+routes is one of the identity suites.  The classical pentagonal, truncated
+pentagonal and quintuple product identities are provided as further exact
+oracles.
+
+``genfun_family``, ``genfun_B`` and ``genfun_Bprime`` divide once per
+(R, S), not per call.  By the Jacobi triple and quintuple products each of
+their series is a few shifted copies of one of three quotients per (R, S),
+1/pair, 1/triple and Q/pair (``_quotient``), each divided once and kept in
+a per-process cache of the last four (R, S): the terms of a finite range of
+theta_{R,S} or Q, or of a block G_{a,c,d}, are slice adds in C.  The reuse
+is within one process; a lone C or Cprime still costs one division, a lone
+D or Dprime two.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import islice
 from math import gcd
-from operator import add
+from operator import add, neg, sub
 
 from . import kernels
 from .series import (
@@ -41,8 +52,10 @@ from .series import (
     ThetaParams,
     pochhammer,
     ps_div_pochhammer,
-    # Unused here, but perfbench/layers.py patches vars(families)["qbinomial"].
+    # Unused here, but perfbench/layers.py patches vars(families)["qbinomial"]
+    # and vars(families)["theta_partial"].
     qbinomial,
+    theta_exponents,
     theta_partial,
     theta_rs_params,
     theta_terms,
@@ -102,16 +115,73 @@ def family_denominator(spec: FamilySpec) -> ProductSpec:
 # generating functions
 # ---------------------------------------------------------------------------
 
+# The per-(R, S) quotients of ``_quotient``, least recently used first:
+# (R, S) -> {kind: coefficient list}, each list as long as the longest
+# order asked of it.  Lists here are never handed out.
+_QUOTIENTS = {}
+_QUOTIENT_RS = 4
+
+
+def _build_quotient(kind, R, S, order):
+    """The quotient ``kind`` of (R, S), truncated below ``order``:
+      pair     1/pair = theta_{3R,R} / theta_{R,S}
+      triple   1/triple = 1 / theta_{R,S}
+      Q/pair   (q^R; q^R)_inf (q^(R-2S), q^(R+2S); q^(2R))_inf by the
+               quintuple product, that is theta_{3R,R} theta_{2R,R-2S}
+               over (q^(2R); q^(2R))_inf, the triple product at (6R, 2R),
+               whose theta series is sparser than theta_{R,S}.
+    """
+    if kind == "Q/pair":
+        num = _theta_sum([(1, theta_rs_params(3 * R, R))], order, [(None, None)], True)
+        kernels.mul_sparse(num.coeffs, *theta_exponents(2 * R, R - 2 * S, order))
+        return ps_div_pochhammer(num, triple_product_spec(6 * R, 2 * R)).coeffs
+    product = pair_product_spec if kind == "pair" else triple_product_spec
+    return ps_div_pochhammer(PowerSeries.one(order), product(R, S)).coeffs
+
+
+def _quotient(kind, R, S, order):
+    """The truncated quotient ``kind`` ("pair": 1/pair, "triple": 1/triple,
+    "Q/pair") of (R, S), at least ``order`` long: read it, never change it.
+
+    A truncated quotient is a prefix of every longer one, so each (R, S)
+    keeps the longest built and serves shorter orders from it; a longer
+    order rebuilds it.  The cache holds the last ``_QUOTIENT_RS`` (R, S)
+    used, with no knob.  For (3, 1) the three lists take 0.26 MB at order
+    2001, 1.7 MB at 10^4 and 32 MB at 10^5, where they take 14 s to build
+    (Intel Xeon).
+    """
+    if order < 1:
+        raise ValueError("order must be positive")
+    entry = _QUOTIENTS.pop((R, S), {})
+    coeffs = entry.get(kind)
+    if coeffs is None or len(coeffs) < order:
+        coeffs = entry[kind] = _build_quotient(kind, R, S, order)
+    _QUOTIENTS[R, S] = entry
+    if len(_QUOTIENTS) > _QUOTIENT_RS:
+        del _QUOTIENTS[next(iter(_QUOTIENTS))]
+    return coeffs
+
+
+def _add_shifted(out, terms, quotient):
+    """``out`` plus sign * q^e * quotient for each (e, sign) of ``terms``,
+    signs +-1 and every e below len(out), as a PowerSeries; ``out`` is
+    updated in place, one slice add in C per term."""
+    n = len(out)
+    for e, sign in terms:
+        out[e:] = map(add if sign > 0 else sub, out[e:], quotient[:n - e])
+    return PowerSeries(out, n)
+
+
 def genfun_B(p: ThetaParams, R: int, S: int, order: int) -> PowerSeries:
-    """G_{a,c,d} / (q^S, q^(R-S); q^R)_inf, truncated."""
-    return ps_div_pochhammer(theta_partial(p, order), pair_product_spec(R, S))
+    """G_{a,c,d} / (q^S, q^(R-S); q^R)_inf, truncated: the ~sqrt(order/a)
+    terms of G_{a,c,d} as shifted copies of the cached 1/pair."""
+    return _add_shifted([0] * order, theta_terms(p, order), _quotient("pair", R, S, order))
 
 
 def genfun_Bprime(p: ThetaParams, R: int, S: int, order: int) -> PowerSeries:
-    """G_{a,c,d} / (q^S, q^(R-S), q^R; q^R)_inf, truncated."""
-    return ps_div_pochhammer(
-        theta_partial(p, order), triple_product_spec(R, S)
-    )
+    """G_{a,c,d} / (q^S, q^(R-S), q^R; q^R)_inf, truncated, over the cached
+    1/triple as ``genfun_B`` is over 1/pair."""
+    return _add_shifted([0] * order, theta_terms(p, order), _quotient("triple", R, S, order))
 
 
 def _quintuple_theta(R: int, S: int):
@@ -130,15 +200,17 @@ def _quintuple_theta(R: int, S: int):
 def _theta_sum(blocks, order, ranges, alternating=False):
     """Sum of sign * q^(a n^2 + c n + d) over (sign, params) in ``blocks`` and
     n in each (n_min, n_max) of ``ranges``, truncated below ``order``."""
-    return PowerSeries.from_terms(
-        [
-            (e, sign * v)
-            for sign, p in blocks
-            for n_min, n_max in ranges
-            for e, v in theta_terms(p, order, n_min, n_max, alternating)
-        ],
-        order,
-    )
+    return PowerSeries.from_terms(_signed_terms(blocks, order, ranges, alternating), order)
+
+
+def _signed_terms(blocks, order, ranges, alternating):
+    """The (exponent, sign) terms that ``_theta_sum`` adds up."""
+    return [
+        (e, sign * v)
+        for sign, p in blocks
+        for n_min, n_max in ranges
+        for e, v in theta_terms(p, order, n_min, n_max, alternating)
+    ]
 
 
 def _family_numerator(spec: FamilySpec):
@@ -162,11 +234,40 @@ def _family_numerator(spec: FamilySpec):
 
 
 def genfun_family(spec: FamilySpec, order: int) -> PowerSeries:
-    """The family series from its defining expression: the numerator of
-    ``_family_numerator`` over ``family_denominator(spec)``."""
+    """The family series: the numerator of ``_family_numerator`` over
+    ``family_denominator(spec)``, as shifted copies of a cached quotient.
+
+    With P_k = theta_{R,S} over 1-k <= n <= k and Q_[lo, hi] = Q over
+    lo <= n <= hi, the Jacobi triple product (theta_{R,S} is the triple
+    product, theta_{3R,R} = (q^R; q^R)_inf) and the quintuple product give
+
+      Cprime_k = (-1)^(k-1) P_k / triple           2k terms
+      C_k      = (-1)^k (theta_{3R,R} - P_k / pair)
+      D_k      = Q_[-k, k] / pair - Q/pair          4k + 2 terms
+      Dprime_k = Q_[-k, k-1] / pair - Q/pair
+
+    so a spec costs its terms' slice adds once its (R, S) has the quotient
+    (``_quotient``), and a truncated quotient is exact to its order, so the
+    series equals the numerator-over-denominator route's bit for bit.
+    """
+    R, S = spec.R, spec.S
     blocks, ranges, alternating = _family_numerator(spec)
-    num = _theta_sum(blocks, order, ranges, alternating)
-    return ps_div_pochhammer(num, family_denominator(spec))
+    if spec.family == "Cprime":
+        out, quotient = [0] * order, _quotient("triple", R, S, order)
+    else:
+        # The two tails n <= hi and n >= lo are the whole theta series minus
+        # its range hi < n < lo.  Over the pair, the whole theta_{R,S} is
+        # theta_{3R,R} and the whole Q is Q/pair.
+        (_, hi), (lo, _) = ranges
+        ranges = [(hi + 1, lo - 1)]
+        if spec.family == "C":
+            whole = [(blocks[0][0], theta_rs_params(3 * R, R))]
+            out = _theta_sum(whole, order, [(None, None)], True).coeffs
+        else:
+            out = list(map(neg, islice(_quotient("Q/pair", R, S, order), order)))
+        blocks = [(-sign, p) for sign, p in blocks]
+        quotient = _quotient("pair", R, S, order)
+    return _add_shifted(out, _signed_terms(blocks, order, ranges, alternating), quotient)
 
 
 def decompose_family(spec: FamilySpec):

@@ -141,6 +141,19 @@ def dense_theta_div_pochhammer(coeffs, spec):
     return c
 
 
+def family_by_division(spec, order):
+    """The family series by the division route: the numerator of
+    ``families._family_numerator`` summed, then divided once by
+    ``family_denominator(spec)`` with ``series.ps_div_pochhammer``.  No
+    cached quotient is used."""
+    from theta_trunc import families
+    from theta_trunc.series import ps_div_pochhammer
+
+    blocks, ranges, alternating = families._family_numerator(spec)
+    num = families._theta_sum(blocks, order, ranges, alternating)
+    return ps_div_pochhammer(num, families.family_denominator(spec))
+
+
 def naive_finite_pochhammer(n, order):
     """(q; q)_n expanded factor by factor with naive convolution."""
     acc = [1] + [0] * (order - 1)

@@ -174,6 +174,40 @@ class TestScan:
             assert captured.out == ""
             assert captured.err == "error: %s\n" % message
 
+    @pytest.mark.parametrize("family, ks", [
+        ("C", (1, 2, 3)), ("Cp", (1, 2, 3)), ("D", (0, 1, 2, 3)), ("Dp", (1, 2, 3)),
+    ])
+    def test_multi_k_prints_the_single_scans(self, family, ks, capsys):
+        base = ("scan --family %s --R 3 --S 1 --n-hi 2000" % family).split()
+        singles = {}
+        for k in ks:
+            assert run(base + ["--k", str(k)]) == 0
+            singles[k] = capsys.readouterr().out
+        for order in (ks, ks[::-1]):
+            assert run(base + [a for k in order for a in ("--k", str(k))]) == 0
+            assert capsys.readouterr().out == "".join(singles[k] for k in order)
+
+    def test_multi_k_exits_3_when_any_k_violates(self, monkeypatch, capsys):
+        clean, bad = PowerSeries([0, 1, 5, 2], 4), PowerSeries([0, 1, -5, 2], 4)
+        monkeypatch.setattr(cli.families, "genfun_family", lambda spec, order: bad if spec.k == 2 else clean)
+        assert run("scan --family C --R 3 --S 1 --k 1 --k 2 --k 3 --n-hi 3".split()) == 3
+        assert capsys.readouterr().out == "".join(
+            "scan C R=3 S=1 k=%d N in [1, 3]: %s\n" % (k, status)
+            for k, status in ((1, "clean (0 violations)"), (2, "violated (1 violations)"), (3, "clean (0 violations)"))
+        )
+
+    @pytest.mark.parametrize("flags, message", [
+        ("--k 1 --k 2 --out x.csv", "--out takes a single --k"),
+        ("--k 1 --k 0", "need k >= 1 for C"),
+    ])
+    def test_multi_k_usage_errors_exit_2_before_any_scan(self, flags, message, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run(("scan --family C --R 3 --S 1 --n-hi 5 " + flags).split()) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: %s\n" % message
+        assert list(tmp_path.iterdir()) == []
+
 
 def expected_compare(spec, n_list, form):
     """(N, exact, main term, ratio) per N, computed outside the CLI."""
@@ -412,8 +446,10 @@ class TestParser:
 
     def test_append_does_not_accumulate(self):
         argv = "compare --family C --R 3 --S 1 --k 1 --n 5 --n 7".split()
+        scan = "scan --family C --R 3 --S 1 --k 1 --k 2 --n-hi 5".split()
         for _ in range(2):
             assert cli.build_parser().parse_args(argv).n_list == [5, 7]
+            assert cli.build_parser().parse_args(scan).k == [1, 2]
 
     def test_valid_call_after_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,12 +1,14 @@
 """families: decompositions, generating functions, classical identities."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings, strategies as st
 
 from theta_trunc import families
 from theta_trunc.families import (
+    FAMILIES,
     GRID_RS,
     FamilySpec,
     decompose_family,
@@ -22,8 +24,17 @@ from theta_trunc.families import (
     triple_product_spec,
     truncated_pentagonal_sides,
 )
-from theta_trunc.series import PowerSeries, ProductSpec, ThetaParams, pochhammer, ps_mul, theta_terms
-from oracles import count_partitions, dense_truncated_pentagonal_rhs, paper_blocks
+from theta_trunc.series import (
+    PowerSeries,
+    ProductSpec,
+    ThetaParams,
+    pochhammer,
+    ps_div_pochhammer,
+    ps_mul,
+    theta_partial,
+    theta_terms,
+)
+from oracles import count_partitions, dense_truncated_pentagonal_rhs, family_by_division, paper_blocks
 from test_asymptotics import family_specs
 
 
@@ -183,6 +194,101 @@ class TestGenfuns:
             block = genfun_B(p, 3, 1, 80)
             bad = bad + block if s > 0 else bad - block
         assert good.first_mismatch(bad) == t0.d
+
+
+@st.composite
+def cached_route_cases(draw):
+    """(spec, order): coprime R <= 12 (R = 2S included), every family the
+    pair admits, k <= 8, and orders 1, 2, around the smallest theta_{R,S}
+    exponent min(S, R - S), or up to 400."""
+    R = draw(st.integers(2, 12))
+    S = draw(st.sampled_from([s for s in range(1, R) if gcd(R, s) == 1]))
+    family = draw(st.sampled_from(FAMILIES if 2 * S < R else ("C", "Cprime")))
+    k = draw(st.integers(0 if family == "D" else 1, 8))
+    e = min(S, R - S)
+    order = draw(st.sampled_from(sorted({1, 2, max(e - 1, 1), e, e + 1})) | st.integers(1, 400))
+    return FamilySpec(family, R, S, k), order
+
+
+@st.composite
+def block_cases(draw):
+    """(ThetaParams, R, S, order) for ``genfun_B`` and ``genfun_Bprime``."""
+    A = draw(st.integers(1, 12))
+    C = draw(st.integers(-A, 20).filter(lambda c: (A + c) % 2 == 0))
+    p = ThetaParams(Fraction(A, 2), Fraction(C, 2), draw(st.integers(0, 30)))
+    R = draw(st.integers(2, 12))
+    S = draw(st.sampled_from([s for s in range(1, R) if gcd(R, s) == 1]))
+    return p, R, S, draw(st.integers(1, 300))
+
+
+class TestCachedRoute:
+    """``genfun_family`` and the blocks as shifted sums of the cached
+    per-(R, S) quotients, against the numerator-over-denominator route."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(cached_route_cases())
+    @example((FamilySpec("C", 2, 1, 8), 2))
+    @example((FamilySpec("Cprime", 2, 1, 3), 300))
+    def test_matches_the_division_route(self, case):
+        spec, order = case
+        assert genfun_family(spec, order) == family_by_division(spec, order)
+
+    def test_default_grid_at_order_2001(self):
+        # grid-scan's order, served from the quotients of its first spec
+        for spec in default_grid():
+            assert genfun_family(spec, 2001) == family_by_division(spec, 2001), spec
+
+    @pytest.mark.parametrize("orders", [(900, 301, 1), (1, 301, 900)])
+    def test_shorter_order_is_a_prefix_longer_order_regrows(self, orders):
+        families._QUOTIENTS.clear()
+        specs = [FamilySpec(f, 5, 2, 2) for f in FAMILIES]
+        for order in orders:
+            for spec in specs:
+                assert genfun_family(spec, order) == family_by_division(spec, order), (spec, order)
+            # every piece is as long as the longest order asked so far
+            lengths = {len(c) for c in families._QUOTIENTS[5, 2].values()}
+            assert lengths == {max(orders[:orders.index(order) + 1])}
+        assert sorted(families._QUOTIENTS[5, 2]) == ["Q/pair", "pair", "triple"]
+
+    def test_holds_at_most_four_rs_least_recently_used_out(self):
+        families._QUOTIENTS.clear()
+        rs = [(3, 1), (4, 1), (5, 2), (7, 3), (5, 1)]
+        for R, S in rs:
+            spec = FamilySpec("C", R, S, 1)
+            assert genfun_family(spec, 200) == family_by_division(spec, 200)
+            assert len(families._QUOTIENTS) <= 4
+        assert list(families._QUOTIENTS) == rs[1:]
+        genfun_family(FamilySpec("Cprime", 4, 1, 2), 200)  # (4, 1) used again
+        genfun_family(FamilySpec("C", 8, 3, 1), 200)
+        assert list(families._QUOTIENTS) == [(7, 3), (5, 1), (4, 1), (8, 3)]
+
+    def test_mutating_a_result_leaves_the_next_unchanged(self):
+        p = ThetaParams(Fraction(3), Fraction(2), 1)
+        calls = [lambda n, f=f: genfun_family(FamilySpec(f, 3, 1, 1), n) for f in FAMILIES]
+        calls += [lambda n: genfun_B(p, 3, 1, n), lambda n: genfun_Bprime(p, 3, 1, n)]
+        for call in calls:
+            for order in (300, 120):
+                want = list(call(order).coeffs)
+                got = call(order)
+                got.coeffs[:] = [7] * order
+                assert call(order).coeffs == want
+
+    @pytest.mark.parametrize("order", [0, -3])
+    def test_order_below_one_is_a_value_error(self, order):
+        p = ThetaParams(Fraction(3), Fraction(2), 1)
+        calls = [lambda f=f: genfun_family(FamilySpec(f, 3, 1, 1), order) for f in FAMILIES]
+        calls += [lambda: genfun_B(p, 3, 1, order), lambda: genfun_Bprime(p, 3, 1, order)]
+        for call in calls:
+            with pytest.raises(ValueError, match="order must be positive"):
+                call()
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(block_cases())
+    def test_blocks_match_the_division_route(self, case):
+        p, R, S, order = case
+        num = theta_partial(p, order)
+        assert genfun_B(p, R, S, order) == ps_div_pochhammer(num, pair_product_spec(R, S))
+        assert genfun_Bprime(p, R, S, order) == ps_div_pochhammer(num, triple_product_spec(R, S))
 
 
 class TestTruncatedPentagonal:
