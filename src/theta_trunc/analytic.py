@@ -270,7 +270,7 @@ def F_expansion(b, theta: complex, nterms: int = 4) -> complex:
         raise SectorViolation(
             "theta=%r outside the sector |Im| <= Re" % (theta,)
         )
-    half_b = Fraction(b) / 2 if not isinstance(b, float) else b / 2
+    half_b = Fraction(b) / 2
     acc = cmath.sqrt(math.pi / theta) / 2
     for n in range(nterms):
         coeff = float(bernoulli_poly(2 * n + 1, half_b))

@@ -102,17 +102,11 @@ def _bernoulli_number(n: int) -> Fraction:
 
 
 def bernoulli_poly(n: int, x):
-    """B_n(x) = sum_k C(n,k) B_k x^(n-k).
-
-    Exact (Fraction) for rational x, float for float x.
+    """B_n(x) = sum_k C(n,k) B_k x^(n-k), exact: x goes through Fraction,
+    which converts a float exactly too.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    if isinstance(x, float):
-        return sum(
-            math.comb(n, k) * float(_bernoulli_number(k)) * x ** (n - k)
-            for k in range(n + 1)
-        )
     x = Fraction(x)
     acc = Fraction(0)
     for k in range(n + 1):
@@ -198,19 +192,15 @@ TWO_R = "twoR"
 # product) the 2R circle.  m gives the circle height y = 1/(2 sqrt(mRN)), the
 # Bessel argument x = 2 pi sqrt(N/(mR)) and the power base s = pi/sqrt(mRN);
 # E carries e_r * R; the block ladder starts at power ``first`` with
-# prefactor even(a, R) on its even rungs and odd(R) on its odd ones;
+# prefactor odd(R) on its odd rungs and sqrt(pi/a) * odd(R) on its even ones
+# (sqrt(pi/a) on threeR, sqrt(R/(2a)) on twoR);
 # denominator(R, S) is the q-product of the circle's blocks and families.
-CircleVariant = namedtuple("CircleVariant", "m e_r first even odd denominator")
+CircleVariant = namedtuple("CircleVariant", "m e_r first odd denominator")
 
 VARIANTS = {
-    THREE_R: CircleVariant(
-        3, Fraction(1, 12), Fraction(1, 2),
-        lambda a, R: math.sqrt(math.pi / a), lambda R: 1.0, pair_product_spec,
-    ),
+    THREE_R: CircleVariant(3, Fraction(1, 12), Fraction(1, 2), lambda R: 1.0, pair_product_spec),
     TWO_R: CircleVariant(
-        2, Fraction(1, 8), Fraction(1),
-        lambda a, R: math.sqrt(R / (2 * a)), lambda R: math.sqrt(R / (2 * math.pi)),
-        triple_product_spec,
+        2, Fraction(1, 8), Fraction(1), lambda R: math.sqrt(R / (2 * math.pi)), triple_product_spec,
     ),
 }
 
@@ -227,8 +217,8 @@ def ladder_value_scaled(ladder, N: int, R: int, variant: str):
     """(value / e^x, x) of the ladder sum coeff * s^p * I_{-p}(x) over its
     rungs (coeff, p), with x and s of the variant at N.
 
-    Summing in scaled space keeps full double precision through the strong
-    cancellation between the four decomposition blocks.
+    Summing in scaled space keeps the rungs, which all carry the factor
+    e^x, inside float range at any N.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -260,11 +250,12 @@ def block_rationals(p: ThetaParams, R: int, S: int, variant: str):
 
 def scaled_ladder(rationals, a, R: int, S: int, variant: str):
     """The (coefficient, power) rungs of rung rationals: rung i at power
-    first + i/2 of the variant, times even(a, R)/(4 sin0) for even i and
-    odd(R)/(2 sin0) for odd i."""
+    first + i/2 of the variant, times sqrt(pi/a) odd(R)/(4 sin0) for even i
+    and odd(R)/(2 sin0) for odd i."""
     v = VARIANTS[variant]
     sin0 = math.sin(math.pi * S / R)
-    scales = ((v.even(float(a), R), 4 * sin0), (v.odd(R), 2 * sin0))
+    odd = v.odd(R)
+    scales = ((math.sqrt(math.pi / float(a)) * odd, 4 * sin0), (odd, 2 * sin0))
     return tuple(
         (float(r) * scales[i % 2][0] / scales[i % 2][1], v.first + Fraction(i, 2))
         for i, r in enumerate(rationals)
@@ -332,19 +323,3 @@ def mainterm_family(spec: FamilySpec, N: int, form: str) -> LogValue:
         + x
     )
     return LogValue(1 if coeff > 0 else -1, ln)
-
-
-def mainterm_family_sum(spec: FamilySpec, N: int):
-    """The signed four-block sum in scaled space plus its LogValue.
-
-    This is the left side of the collapse identity: summed with the shared
-    e^x factored out, so the cancellation costs no precision beyond the
-    doubles themselves.
-    """
-    variant, _ = _family_term(spec)
-    acc = 0.0
-    for sign, p in decompose_family(spec):
-        ladder = block_ladder(p, spec.R, spec.S, variant)
-        v, x = ladder_value_scaled(ladder, N, spec.R, variant)
-        acc += sign * v
-    return acc, LogValue.from_scaled(acc, x)

@@ -266,6 +266,32 @@ def paper_blocks(spec):
     return [(sign, ThetaParams(a, Fraction(c), d)) for sign, c, d in rows]
 
 
+# The paper's family main terms: each family's is the last rung of its
+# blocks, w S odd(R)/(2 sin0) s^p I_{-p}(x), on its circle, at weight w.
+PAPER_RUNGS = {
+    "C": ("threeR", lambda k: k),
+    "Cprime": ("twoR", lambda k: k),
+    "D": ("threeR", lambda k: 2 * k + 1),
+    "Dprime": ("threeR", lambda k: -4 * k),
+}
+
+
+def mp_family_mainterm(spec, N):
+    """The family main term of ``PAPER_RUNGS`` at N in mpmath: circle 3R
+    with odd = 1 and p = 2, or circle 2R with odd = sqrt(R/(2 pi)) and
+    p = 5/2; x = 2 pi sqrt(N/(mR)), s = pi/sqrt(mRN) on circle mR."""
+    import mpmath as mp
+
+    variant, weight = PAPER_RUNGS[spec.family]
+    with mp.workdps(30):
+        R, S, N = spec.R, spec.S, mp.mpf(N)
+        m, odd, p = (3, 1, 2) if variant == "threeR" else (2, mp.sqrt(R / (2 * mp.pi)), mp.mpf(5) / 2)
+        x = 2 * mp.pi * mp.sqrt(N / (m * R))
+        s = mp.pi / mp.sqrt(m * R * N)
+        coeff = weight(spec.k) * S * odd / (2 * mp.sin(mp.pi * S / R))
+        return coeff * s**p * mp.besseli(-p, x)
+
+
 def _grid_cutoffs(R, N, variant, tail_tol):
     """y and the theta-sum, product and log-product orders of the grid."""
     from theta_trunc.analytic import circle_y

@@ -41,13 +41,14 @@ from theta_trunc.analytic import (
 from theta_trunc.asymptotics import (
     LogValue,
     bessel_I_scaled,
+    block_rationals,
     logvalue_ratio,
     mainterm_family,
-    mainterm_family_sum,
 )
 from theta_trunc.families import (
     FamilySpec,
     GRID_RS,
+    decompose_family,
     default_grid,
     genfun_B,
     genfun_Bprime,
@@ -59,6 +60,8 @@ from theta_trunc.families import (
     truncated_pentagonal_sides,
 )
 from theta_trunc.series import ProductSpec, ThetaParams
+
+from oracles import PAPER_RUNGS
 
 HALF = Fraction(1, 2)
 
@@ -108,19 +111,22 @@ def test_c2_conjecture_scans():
 # -- criterion 3: collapse identity -------------------------------------------
 
 def test_c3_collapse_identity():
-    worst = 0.0
-    ok = True
+    # exact: the blocks' rung rationals summed with their signs leave only
+    # the last rung, at w S
+    bad = []
     for spec in default_grid():
-        for N in (10**2, 10**4):
-            _, total = mainterm_family_sum(spec, N)
-            single = mainterm_family(spec, N, "bessel")
-            r = logvalue_ratio(total, single)
-            if r == "sign-mismatch":
-                ok = False
-                continue
-            worst = max(worst, abs(r - 1))
-    ok &= worst < 1e-10
-    assert report("3 collapse-identity", ok, " (worst %.2e)" % worst)
+        variant, weight = PAPER_RUNGS[spec.family]
+        rows = [
+            [sign * r for r in block_rationals(p, spec.R, spec.S, variant)]
+            for sign, p in decompose_family(spec)
+        ]
+        if tuple(map(sum, zip(*rows))) != (0, 0, 0, weight(spec.k) * spec.S):
+            bad.append(spec)
+    ok = not bad
+    assert report(
+        "3 collapse-identity", ok, " (%d specs exact)%s"
+        % (len(default_grid()), "" if ok else " %r" % bad)
+    )
 
 
 # -- criterion 4: asymptotic convergence --------------------------------------

@@ -1,6 +1,7 @@
 """harness-cli: subcommands, exit codes, file formats, determinism."""
 
 import csv
+import hashlib
 import json
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ import pytest
 from theta_trunc import cli
 from theta_trunc.analytic import min_samples
 from theta_trunc.asymptotics import LogValue, logvalue_ratio, mainterm_family
-from theta_trunc.families import FamilySpec, genfun_family
+from theta_trunc.families import FamilySpec, default_grid, genfun_family
 from theta_trunc.series import PowerSeries, ThetaParams
 
 
@@ -485,3 +486,35 @@ class TestDeterminism:
         run(argv.split() + [str(a)])
         run(argv.split() + [str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestComparePin:
+    """compare stdout byte for byte over the 52 default-grid specs: the
+    SHA-256 of the concatenated rows.  A change to either form's main term
+    fails here even where it moves only the last of the 17 printed digits;
+    a change meant to keep the output must leave these digests as they are."""
+
+    NS = (1, 7, 50, 333, 1000, 2500, 4000)
+    DIGESTS = {
+        ("bessel", "csv"): "68ce13f8ac3eed54a7f28e9d607c6136564cef9d0708edf8fe99449b6e53c6c9",
+        ("elementary", "csv"): "c250be92e931af6857a00c42328b93d7b8038858269c8832d5d5ecf825cd3958",
+        # JSON lines: the k = 1 subset, 16 specs
+        ("bessel", "json"): "82f5e70c6e49a5661588531cd75abe7870096d2cd92af5a585255a2546321cfe",
+        ("elementary", "json"): "134b921739f33bb1d522ab06a677731a3d6be46bbd1d9a1ee83e034d7a180f2d",
+    }
+
+    @pytest.mark.parametrize("form, fmt", sorted(DIGESTS))
+    def test_stdout_digest(self, form, fmt, capsys):
+        flags = {family: flag for flag, family in cli.FAMILY_FLAGS.items()}
+        specs = [s for s in default_grid() if fmt == "csv" or s.k == 1]
+        for spec in specs:
+            argv = [
+                "compare", "--family", flags[spec.family], "--R", str(spec.R),
+                "--S", str(spec.S), "--k", str(spec.k), "--form", form, "--format", fmt,
+            ]
+            for n in self.NS:
+                argv += ["--n", str(n)]
+            assert run(argv) == 0
+        out = capsys.readouterr().out
+        assert out.count("\n") == len(specs) * len(self.NS)
+        assert hashlib.sha256(out.encode()).hexdigest() == self.DIGESTS[form, fmt]
