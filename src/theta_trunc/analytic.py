@@ -45,24 +45,8 @@ from .families import pair_product_spec, triple_product_spec
 from .series import ProductSpec, ThetaParams, theta_terms
 
 
-class SectorViolation(ValueError):
-    """theta outside the sector |Im theta| <= Re theta."""
-
-
-class MainArcViolation(ValueError):
-    """tau outside the main-arc box |x| <= y."""
-
-
 # Quadrature integrand tails below this are dropped; it also sets min_samples.
 TAIL_TOL = 1e-20
-
-
-class BandwidthTooSmall(ValueError):
-    """Sample count below the aliasing-safe minimum."""
-
-
-class RangeViolation(ValueError):
-    """tau outside the strip y <= |x| <= 1/2."""
 
 
 @dataclass(frozen=True)
@@ -267,7 +251,7 @@ def F_expansion(b, theta: complex, nterms: int = 4) -> complex:
         raise ValueError("nterms must be in 1..4")
     theta = complex(theta)
     if abs(theta.imag) > theta.real:
-        raise SectorViolation(
+        raise ValueError(
             "theta=%r outside the sector |Im| <= Re" % (theta,)
         )
     half_b = Fraction(b) / 2
@@ -337,7 +321,7 @@ def mainarc_L_expansion(p: ThetaParams, R: int, S: int, tau: TauPoint) -> comple
     ratio convergence, not absolute error.
     """
     if abs(tau.x) > tau.y:
-        raise MainArcViolation("|x| must not exceed y on the main arc")
+        raise ValueError("|x| must not exceed y on the main arc")
     t = tau.tau
     w = -2j * math.pi * t
     ladder = block_ladder(p, R, S, THREE_R)
@@ -426,7 +410,7 @@ def _pairwise_reduce(values: np.ndarray) -> complex:
 def _check_bandwidth(quad: QuadratureSpec, R: int):
     need = min_samples(quad.N, R, quad.radius_variant)
     if quad.samples < need:
-        raise BandwidthTooSmall(
+        raise ValueError(
             "samples=%d below the aliasing-safe minimum %d" % (quad.samples, need)
         )
 
@@ -489,7 +473,7 @@ def bound_check_away(A: int, B: int, tau: TauPoint, tol: float = 1e-16) -> Bound
     if not (B > A >= 1) or gcd(A, B) != 1:
         raise ValueError("need coprime B > A >= 1")
     if not tau.y <= abs(tau.x) <= 0.5:
-        raise RangeViolation("need y <= |x| <= 1/2")
+        raise ValueError("need y <= |x| <= 1/2")
     spec = ProductSpec([(A, B)])
     lhs = abs(eval_product_inv(spec, tau, tol))
     rhs = eval_product_inv(spec, TauPoint(0.0, tau.y), tol).real

@@ -39,10 +39,6 @@ from .series import ThetaParams
 _LN2 = math.log(2)
 
 
-class UnsupportedOrder(ValueError):
-    """Bessel order outside the supported integer/half-integer range."""
-
-
 # ---------------------------------------------------------------------------
 # LogValue
 # ---------------------------------------------------------------------------
@@ -121,7 +117,7 @@ def bernoulli_poly(n: int, x):
 def _check_order(nu) -> Fraction:
     v = Fraction(nu)
     if (2 * v).denominator != 1 or not (-4 <= v <= 4):
-        raise UnsupportedOrder(
+        raise ValueError(
             "order must be an integer or half-integer in [-4, 4], got %s" % (nu,)
         )
     return v

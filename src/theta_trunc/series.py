@@ -25,10 +25,6 @@ from fractions import Fraction
 from . import kernels
 
 
-class NonUnitConstantTerm(ValueError):
-    """Series inversion needs constant term +1 or -1."""
-
-
 class PowerSeries:
     """Integer coefficients of a q-series, truncated below ``order``."""
 
@@ -182,7 +178,7 @@ def ps_mul(f: PowerSeries, g: PowerSeries) -> PowerSeries:
 def ps_inv(f: PowerSeries) -> PowerSeries:
     """Series inverse; the constant term must be +1 or -1."""
     if not f.coeffs or f.coeffs[0] not in (1, -1):
-        raise NonUnitConstantTerm(
+        raise ValueError(
             "constant term must be +1 or -1, got %r" % (f.coeffs[0] if f.coeffs else None,)
         )
     return PowerSeries(kernels.inv_unit(f.coeffs), f.order)

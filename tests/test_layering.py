@@ -1,6 +1,8 @@
 """layering: each module imports on its own, loading only the layers below it
-and not numpy, which only the circle grid loads."""
+and not numpy, which only the circle grid loads; no module defines an
+exception type of its own."""
 
+import importlib
 import os
 import subprocess
 import sys
@@ -40,6 +42,20 @@ def test_module_loads_only_lower_layers(module):
     below = LAYERS[: LAYERS.index(module) + 1]
     assert loaded == str(sorted("theta_trunc." + m for m in below))
     assert numpy_loaded == "False"
+
+
+def test_no_module_defines_an_exception_type():
+    # Invalid input raises ValueError with a message; cli.main turns it
+    # into exit 2, so no caller needs a type of its own.
+    own = [
+        "%s.%s" % (module, name)
+        for module in LAYERS
+        for name, obj in vars(importlib.import_module("theta_trunc." + module)).items()
+        if isinstance(obj, type)
+        and issubclass(obj, BaseException)
+        and obj.__module__.startswith("theta_trunc")
+    ]
+    assert own == []
 
 
 # Each CLI run but circle's works on exact series and Bessel terms only;

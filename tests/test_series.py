@@ -8,7 +8,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from theta_trunc.series import (
-    NonUnitConstantTerm,
     PowerSeries,
     ProductSpec,
     ThetaParams,
@@ -83,7 +82,7 @@ class TestPsInv:
         assert inv.coeffs == expect == [1, 1, 2, 3, 5, 7]
 
     def test_rejects_non_unit(self):
-        with pytest.raises(NonUnitConstantTerm):
+        with pytest.raises(ValueError, match="constant term must be"):
             ps_inv(PowerSeries([2, 1], 4))
 
     def test_roundtrip_random_units(self):
