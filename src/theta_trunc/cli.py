@@ -73,6 +73,13 @@ def _line(fmt, header, row) -> str:
     return json.dumps({k: _json_cell(v) for k, v in zip(header, row)}, sort_keys=True)
 
 
+# The (N, coefficient) table of coeffs and scan --out: one row template per
+# format, the bytes _line writes for (n, str(c)) plus the newline.  In JSON
+# "N" sorts before "coefficient" and a decimal integer needs no escaping.
+COEFF_HEADER = ("N", "coefficient")
+COEFF_ROW = {"csv": "%d,%d\n", "json": '{"N": %d, "coefficient": "%d"}\n'}
+
+
 def resolve_out(path: str | None, default_name: str) -> str:
     """Output path: --out wins; else default name in THETA_TRUNC_OUT or cwd."""
     if path is not None:
@@ -91,13 +98,13 @@ def _check_writable(path):
             os.remove(path)
 
 
-def write_table(path, fmt, header, rows):
-    """Write rows as CSV (with header) or JSON lines with the header keys."""
+def write_table(path, fmt, header, lines):
+    """Write formatted table lines, each ending in a newline, after the
+    header line in CSV (JSON lines carry the header as their keys)."""
     with open(path, "w", encoding="utf-8") as fh:
         if fmt == "csv":
             fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(_line(fmt, header, row) + "\n")
+        fh.writelines(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -107,8 +114,7 @@ def write_table(path, fmt, header, rows):
 def cmd_coeffs(spec: FamilySpec, n_max: int, fmt: str, out: str) -> int:
     """Write the table N, coefficient (decimal string) for N = 0..n_max."""
     series = families.genfun_family(spec, n_max + 1)
-    rows = [(n, str(series[n])) for n in range(n_max + 1)]
-    write_table(out, fmt, ("N", "coefficient"), rows)
+    write_table(out, fmt, COEFF_HEADER, map(COEFF_ROW[fmt].__mod__, enumerate(series.coeffs)))
     return EXIT_OK
 
 
@@ -160,8 +166,7 @@ def cmd_scan(spec: FamilySpec, n_lo: int, n_hi: int, fmt, out=None) -> int:
         % (spec.family, spec.R, spec.S, spec.k, n_lo, n_hi, status, len(violations))
     )
     if out is not None:
-        rows = [(n, str(v)) for n, v in violations]
-        write_table(out, fmt, ("N", "coefficient"), rows)
+        write_table(out, fmt, COEFF_HEADER, map(COEFF_ROW[fmt].__mod__, violations))
     return EXIT_OK if not violations else EXIT_VIOLATION
 
 
@@ -183,7 +188,7 @@ def cmd_compare(spec: FamilySpec, n_list, form, fmt, out=None) -> int:
         rows.append((n, exact, main, logvalue_ratio(exact, main)))
     header = ("N", "ln_exact", "ln_mainterm", "ratio")
     if out is not None:
-        write_table(out, fmt, header, rows)
+        write_table(out, fmt, header, (_line(fmt, header, row) + "\n" for row in rows))
     else:
         for row in rows:
             print(_line(fmt, header, row))

@@ -428,14 +428,15 @@ def scan_signs(spec: FamilySpec, n_lo: int, n_hi: int):
     """Check the conjectured sign pattern of the coefficients.
 
     C, Cprime and D must be >= 0, Dprime must be <= 0, for every N in
-    [n_lo, n_hi].  Returns the list of (N, coefficient) violations.
+    [n_lo, n_hi].  Returns the list of (N, coefficient) violations.  A
+    window's min (max for Dprime), taken in C, clears it in one step;
+    only a window that fails it is walked for the violations.
     """
-    series = genfun_family(spec, n_hi + 1)
-    bad = []
-    for n, v in enumerate(series.coeffs[n_lo:n_hi + 1], n_lo):
-        if spec.family == "Dprime":
-            if v > 0:
-                bad.append((n, v))
-        elif v < 0:
-            bad.append((n, v))
-    return bad
+    window = genfun_family(spec, n_hi + 1).coeffs[n_lo:n_hi + 1]
+    if spec.family == "Dprime":
+        if max(window, default=0) <= 0:
+            return []
+        return [(n, v) for n, v in enumerate(window, n_lo) if v > 0]
+    if min(window, default=0) >= 0:
+        return []
+    return [(n, v) for n, v in enumerate(window, n_lo) if v < 0]

@@ -6,6 +6,7 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from theta_trunc import cli
 from theta_trunc.analytic import min_samples
@@ -99,6 +100,49 @@ class TestCoeffs:
 
         series = genfun_family(FamilySpec("C", 3, 1, 1), 401)
         assert [int(obj["coefficient"]) for obj in lines] == series.coeffs
+
+
+class TestCoeffTable:
+    """The (N, coefficient) table of coeffs and scan --out: one row template
+    per format, which writes what the generic formatter would."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        st.integers(min_value=0, max_value=10**6),
+        st.integers()
+        | st.integers(min_value=2**300, max_value=2**400)
+        | st.integers(min_value=-(2**400), max_value=-(2**300)),
+    )
+    @example(0, 0)
+    @example(7, -1)
+    @example(10**4, 2**300 + 1)
+    @example(10**4, -(2**300) - 1)
+    def test_template_is_the_generic_formatter(self, n, c):
+        for fmt, template in cli.COEFF_ROW.items():
+            line = template % (n, c)
+            assert line == cli._line(fmt, ("N", "coefficient"), (n, str(c))) + "\n"
+        assert json.loads(line) == {"N": n, "coefficient": str(c)}
+
+    # SHA-256 of the tables as written by _line, row by row, before the
+    # templates existed.
+    DIGESTS = {
+        "csv": "605326051992364364751e6cb7c16011ea7dec352674b4c3357fc80044dc3dbc",
+        "json": "fd43828ca48191bfd22b0e7d54cb7b21df6d085e50f765cfc9deb1d0fc0bd304",
+    }
+
+    @pytest.mark.parametrize("fmt", sorted(DIGESTS))
+    def test_coeffs_digest(self, fmt, tmp_path):
+        out = tmp_path / ("coeffs." + fmt)
+        argv = "coeffs --family Dp --R 3 --S 1 --k 2 --n-max 2000 --format".split()
+        assert run(argv + [fmt, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.DIGESTS[fmt]
+
+    @pytest.mark.parametrize("fmt, content", [("csv", b"N,coefficient\n"), ("json", b"")])
+    def test_clean_scan_out(self, fmt, content, tmp_path):
+        out = tmp_path / ("scan." + fmt)
+        argv = "scan --family Dp --R 3 --S 1 --k 1 --n-hi 200 --format".split()
+        assert run(argv + [fmt, "--out", str(out)]) == 0
+        assert out.read_bytes() == content
 
 
 class TestVerifyIdentities:

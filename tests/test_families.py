@@ -361,3 +361,30 @@ class TestScans:
         monkeypatch.setattr(families, "genfun_family", lambda spec, order: fake)
         assert scan_signs(FamilySpec("C", 3, 1, 1), 2, 5) == [(2, -5), (4, -3), (5, -7)]
         assert scan_signs(FamilySpec("Dprime", 3, 1, 1), 2, 5) == [(3, 2)]
+
+    @pytest.mark.parametrize("family, bad", [("C", -1), ("Cprime", -1), ("D", -1), ("Dprime", 1)])
+    def test_screen_edges(self, family, bad, monkeypatch):
+        """Window [3, 6] of a planted series of zeros and good signs: a
+        violation at either end is reported, one just outside is not."""
+        spec = FamilySpec(family, 3, 1, 1)
+
+        def planted(*at):
+            c = [-bad * (i % 2) for i in range(9)]
+            for i in at:
+                c[i] = bad
+            monkeypatch.setattr(families, "genfun_family", lambda spec, order: PowerSeries(c, 9))
+
+        planted()
+        assert scan_signs(spec, 3, 6) == []
+        planted(2, 7)
+        assert scan_signs(spec, 3, 6) == []
+        planted(3)
+        assert scan_signs(spec, 3, 6) == [(3, bad)]
+        planted(6)
+        assert scan_signs(spec, 3, 6) == [(6, bad)]
+        planted(2, 3, 6, 7)
+        assert scan_signs(spec, 3, 6) == [(3, bad), (6, bad)]
+        monkeypatch.setattr(families, "genfun_family", lambda spec, order: PowerSeries.zero(9))
+        assert scan_signs(spec, 3, 6) == []
+        planted(*range(9))
+        assert scan_signs(spec, 6, 3) == []
