@@ -259,8 +259,8 @@ def scaled_ladder(rationals, a, R: int, S: int, variant: str):
 
 
 def block_ladder(p: ThetaParams, R: int, S: int, variant: str):
-    """The four (coefficient, power) rungs of a block's main term, which
-    ``analytic.mainarc_L_expansion`` reads too."""
+    """The four (coefficient, power) rungs of a block's main term; the
+    main-arc expansion of L in ``tests/paper_lemmas.py`` reads them too."""
     return scaled_ladder(block_rationals(p, R, S, variant), p.a, R, S, variant)
 
 

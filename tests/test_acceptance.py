@@ -29,13 +29,8 @@ import pytest
 
 from theta_trunc.analytic import (
     QuadratureSpec,
-    TauPoint,
     arc_split_diagnostic,
-    eval_product_inv,
-    F_direct,
-    F_expansion,
     min_samples,
-    transformed_pair_product,
     wright_coefficient,
 )
 from theta_trunc.asymptotics import (
@@ -62,6 +57,14 @@ from theta_trunc.families import (
 from theta_trunc.series import ProductSpec, ThetaParams
 
 from oracles import PAPER_RUNGS
+from paper_lemmas import (
+    TauPoint,
+    eval_product_inv,
+    F_direct,
+    F_expansion,
+    mp_main_factor_gap,
+    transformed_pair_product,
+)
 
 HALF = Fraction(1, 2)
 
@@ -267,12 +270,7 @@ def test_c7_transformation_identity():
     for R, S in GRID_RS:
         for y in (0.05, 0.02):
             with mp.workdps(130):
-                tau = TauPoint(0.0, y)
-                direct = eval_product_inv(
-                    ProductSpec([(S, R), (R - S, R)]), tau, 1e-80, dps=130
-                )
-                main = transformed_pair_product(R, S, tau, dps=130)
-                gap = abs(direct / main - 1)
+                gap = mp_main_factor_gap(R, S, y)
                 bound = 10 * mp.exp(-2 * mp.pi / (R * y))
                 ok &= gap <= bound
                 worst_margin = max(worst_margin, float(gap / bound))

@@ -1,4 +1,5 @@
-"""analytic: point evaluation, saddle expansions, circle quadrature."""
+"""The paper's lemmas at a point (tests/paper_lemmas.py), then the circle
+quadrature of analytic."""
 
 import cmath
 import math
@@ -14,19 +15,9 @@ from theta_trunc.analytic import (
     _integrand_grid,
     ArcSplit,
     QuadratureSpec,
-    TauPoint,
     arc_split_diagnostic,
-    bound_check_away,
     circle_y,
-    eval_G,
-    eval_L,
-    eval_Lprime,
-    eval_product_inv,
-    F_direct,
-    F_expansion,
-    mainarc_L_expansion,
     min_samples,
-    transformed_pair_product,
     wright_coefficient,
 )
 from theta_trunc.families import genfun_B, genfun_Bprime, pair_product_spec, triple_product_spec
@@ -37,11 +28,28 @@ from oracles import (
     mainarc_bracket,
     mp_integrand_samples,
 )
+from paper_lemmas import (
+    TauPoint,
+    _denominator,
+    bound_check_away,
+    eval_G,
+    eval_product_inv,
+    F_direct,
+    F_expansion,
+    mainarc_L_expansion,
+    mp_main_factor_gap,
+    mp_product_inv,
+    transformed_pair_product,
+)
 from test_acceptance import QUAD_INSTANCES
 
 P672 = ThetaParams(Fraction(6), Fraction(7), 2)
 P210 = ThetaParams(Fraction(2), Fraction(1), 0)
+# L = G / pair and L' = G / triple at (R, S) = (3, 1)
+PAIR31, TRIPLE31 = pair_product_spec(3, 1), triple_product_spec(3, 1)
 
+
+# The point evaluators of tests/paper_lemmas.py.
 
 class TestEvalG:
     def test_squares_at_tau_i(self):
@@ -89,13 +97,14 @@ class TestEvalProduct:
         assert a == pytest.approx(b, rel=1e-12)
 
     def test_mpmath_path_matches_float_path(self):
-        # Both paths run the one body, one exp per part; the worst seen is
-        # 6.6e-15, at y = 0.002.
+        # The float product, one exp per part, against mpmath.qp at 40
+        # digits; the worst seen is 5.4e-15, at y = 0.002.
         for spec in (ProductSpec([(1, 3), (2, 3)]), ProductSpec([(1, 3), (2, 3), (3, 3)])):
             for tau in (TauPoint(0.02, 0.05), TauPoint(0.0, 0.005), TauPoint(0.02, 0.005),
                         TauPoint(0.0, 0.002), TauPoint(0.02, 0.002)):
                 a = eval_product_inv(spec, tau, 1e-16)
-                b = eval_product_inv(spec, tau, 1e-16, dps=40)
+                with mp.workdps(40):
+                    b = mp_product_inv(spec, tau)
                 assert a == pytest.approx(complex(b), rel=1e-12)
 
 
@@ -105,22 +114,23 @@ class TestEvalL:
         series = genfun_B(P210, 3, 1, 200)
         q = tau.q
         ref = sum(series[n] * q**n for n in range(200))
-        got = eval_L(P210, 3, 1, tau, 1e-18)
+        got = eval_G(P210, tau, 1e-18) * eval_product_inv(PAIR31, tau, 1e-18)
         assert got == pytest.approx(ref, rel=1e-12)
 
     def test_Lprime_is_L_times_extra_factor(self):
         tau = TauPoint(0.04, 0.09)
         extra = eval_product_inv(ProductSpec([(3, 3)]), tau)
-        assert eval_Lprime(P210, 3, 1, tau) == pytest.approx(
-            eval_L(P210, 3, 1, tau) * extra, rel=1e-12
+        g = eval_G(P210, tau)
+        assert g * eval_product_inv(TRIPLE31, tau) == pytest.approx(
+            g * eval_product_inv(PAIR31, tau) * extra, rel=1e-12
         )
 
     def test_constant_term_limit(self):
         # as y -> infinity, L -> 1 for d = 0 and -> 0 for d > 0
         tau = TauPoint(0.0, 40.0)
-        assert eval_L(P210, 3, 1, tau) == pytest.approx(1.0, abs=1e-100)
+        assert eval_G(P210, tau) * eval_product_inv(PAIR31, tau) == pytest.approx(1.0, abs=1e-100)
         p_d2 = ThetaParams(Fraction(2), Fraction(1), 2)
-        assert abs(eval_L(p_d2, 3, 1, tau)) < 1e-100
+        assert abs(eval_G(p_d2, tau) * eval_product_inv(PAIR31, tau)) < 1e-100
 
 
 class TestFb:
@@ -181,13 +191,9 @@ class TestTransformedPairProduct:
 
     def test_main_factor_gap_bound(self):
         # |direct/main - 1| <= 10 exp(-2 pi/(R y)) at tau = i y; needs mpmath
-        spec = ProductSpec([(1, 3), (2, 3)])
         for y in (0.05, 0.02):
             with mp.workdps(100):
-                tau = TauPoint(0.0, y)
-                direct = eval_product_inv(spec, tau, 1e-70, dps=100)
-                main = transformed_pair_product(3, 1, tau, dps=100)
-                gap = abs(direct / main - 1)
+                gap = mp_main_factor_gap(3, 1, y)
                 assert gap <= 10 * mp.exp(-2 * mp.pi / (3 * y))
 
     def test_rejects_bad_rs(self):
@@ -200,9 +206,8 @@ class TestMainArc:
         gaps = []
         for y in (0.04, 0.02, 0.01, 0.005):
             tau = TauPoint(0.0, y)
-            gaps.append(
-                abs(eval_L(P672, 3, 1, tau, 1e-18) / mainarc_L_expansion(P672, 3, 1, tau) - 1)
-            )
+            L = eval_G(P672, tau, 1e-18) * eval_product_inv(PAIR31, tau, 1e-18)
+            gaps.append(abs(L / mainarc_L_expansion(P672, 3, 1, tau) - 1))
         assert all(a > b for a, b in zip(gaps, gaps[1:]))
 
     def test_bernoulli_terms_drop_when_c_is_a(self):
@@ -238,6 +243,33 @@ class TestMainArc:
         with pytest.raises(ValueError, match="on the main arc"):
             mainarc_L_expansion(P672, 3, 1, TauPoint(0.05, 0.01))
 
+
+class TestBoundCheck:
+    def test_lhs_below_shape(self):
+        r = bound_check_away(1, 3, TauPoint(0.05, 0.05))
+        assert r.lhs < r.rhs_shape
+
+    def test_ratio_decays_with_y(self):
+        r1 = bound_check_away(1, 3, TauPoint(0.10, 0.05))
+        r2 = bound_check_away(1, 3, TauPoint(0.04, 0.02))
+        assert r2.ratio < r1.ratio
+
+    def test_real_negative_q(self):
+        r = bound_check_away(1, 2, TauPoint(0.5, 0.03))
+        assert math.isfinite(r.lhs) and math.isfinite(r.rhs_shape)
+
+    def test_range_violation(self):
+        with pytest.raises(ValueError, match=r"need y <= \|x\| <= 1/2"):
+            bound_check_away(1, 3, TauPoint(0.01, 0.05))
+        with pytest.raises(ValueError, match=r"need y <= \|x\| <= 1/2"):
+            bound_check_away(1, 3, TauPoint(0.7, 0.05))
+
+    def test_requires_coprime(self):
+        with pytest.raises(ValueError, match="need coprime B > A >= 1"):
+            bound_check_away(2, 4, TauPoint(0.1, 0.05))
+
+
+# The circle quadrature that analytic runs for the CLI.
 
 class TestQuadrature:
     def test_spec_validation(self):
@@ -394,7 +426,7 @@ class TestIntegrandGrid:
         grid = np.exp(analytic._poly_on_grid(*terms, ln_r, samples))
         for k in (0, half // 3, half - math.floor(y * samples), half):
             ln_q = complex(ln_r, 2 * math.pi * (k / samples - 0.5))
-            want = analytic._denominator(spec, ln_q, product_order, cmath.exp)
+            want = _denominator(spec, ln_q, product_order)
             assert grid[k] == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("R, S", [(2, 1), (7, 3)])
@@ -444,31 +476,6 @@ class TestArcSplit:
             if prev is not None:
                 assert split.ratio < prev
             prev = split.ratio
-
-
-class TestBoundCheck:
-    def test_lhs_below_shape(self):
-        r = bound_check_away(1, 3, TauPoint(0.05, 0.05))
-        assert r.lhs < r.rhs_shape
-
-    def test_ratio_decays_with_y(self):
-        r1 = bound_check_away(1, 3, TauPoint(0.10, 0.05))
-        r2 = bound_check_away(1, 3, TauPoint(0.04, 0.02))
-        assert r2.ratio < r1.ratio
-
-    def test_real_negative_q(self):
-        r = bound_check_away(1, 2, TauPoint(0.5, 0.03))
-        assert math.isfinite(r.lhs) and math.isfinite(r.rhs_shape)
-
-    def test_range_violation(self):
-        with pytest.raises(ValueError, match=r"need y <= \|x\| <= 1/2"):
-            bound_check_away(1, 3, TauPoint(0.01, 0.05))
-        with pytest.raises(ValueError, match=r"need y <= \|x\| <= 1/2"):
-            bound_check_away(1, 3, TauPoint(0.7, 0.05))
-
-    def test_requires_coprime(self):
-        with pytest.raises(ValueError, match="need coprime B > A >= 1"):
-            bound_check_away(2, 4, TauPoint(0.1, 0.05))
 
 
 class TestGridDefaults:
