@@ -7,10 +7,10 @@ Layers:
   series       exact truncated integer power series and q-products
   families     the C / Cprime / D / Dprime generating functions and the
                classical identities used as oracles
-  asymptotics  Bernoulli polynomials, scaled Bessel functions and every
-               closed-form main term, evaluated in log space
-  analytic     complex-plane evaluation, saddle expansions and circle-method
-               quadrature with arc diagnostics
+  asymptotics  scaled Bessel functions and every closed-form main term,
+               evaluated in log space
+  analytic     circle-method quadrature of a block coefficient with its arc
+               diagnostics
   cli          the ``theta-trunc`` command line front end
 """
 

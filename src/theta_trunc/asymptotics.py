@@ -1,5 +1,5 @@
-"""Closed-form main terms: Bernoulli polynomials, scaled Bessel functions,
-and the rung ladders of the B / B' coefficient blocks and of the families.
+"""Closed-form main terms: scaled Bessel functions and the rung ladders of
+the B / B' coefficient blocks and of the families.
 
 A main term is a ladder: rungs (coeff, p), each standing for
 coeff * s^p * I_{-p}(x), all evaluated by ``ladder_value_scaled``.  Every
@@ -8,7 +8,9 @@ of 3R), so all values are carried either as exponentially scaled floats or
 as LogValue, a (sign, log of magnitude) pair.
 
 The B ladder has four rungs; with x = 2*pi*sqrt(N/(3R)), s = pi/sqrt(3RN),
-E = d - c^2/(4a) + R/12 - S/2 + S^2/(2R), h = c/(2a), sin0 = sin(S*pi/R):
+E = d - c^2/(4a) + R/12 - S/2 + S^2/(2R), h = c/(2a), sin0 = sin(S*pi/R)
+and the Bernoulli polynomials B1(h) = h - 1/2, B3(h) = h (h - 1/2) (h - 1),
+the only two the ladder uses, in closed form:
 
     sqrt(pi/a)/(4 sin0) * s^(1/2) I_{-1/2}(x)
   - B1(h)/(2 sin0)      * s       I_{-1}(x)
@@ -80,34 +82,6 @@ def logvalue_ratio(num: LogValue, den: LogValue):
     if num.sign == 0 or den.sign == 0 or num.sign != den.sign:
         return "sign-mismatch"
     return math.exp(num.lnmag - den.lnmag)
-
-
-# ---------------------------------------------------------------------------
-# Bernoulli polynomials
-# ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def _bernoulli_number(n: int) -> Fraction:
-    """B_n (B_1 = -1/2) by the standard recurrence."""
-    if n == 0:
-        return Fraction(1)
-    acc = Fraction(0)
-    for j in range(n):
-        acc += math.comb(n + 1, j) * _bernoulli_number(j)
-    return -acc / (n + 1)
-
-
-def bernoulli_poly(n: int, x):
-    """B_n(x) = sum_k C(n,k) B_k x^(n-k), exact: x goes through Fraction,
-    which converts a float exactly too.
-    """
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    x = Fraction(x)
-    acc = Fraction(0)
-    for k in range(n + 1):
-        acc += math.comb(n, k) * _bernoulli_number(k) * x ** (n - k)
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -240,8 +214,9 @@ def block_rationals(p: ThetaParams, R: int, S: int, variant: str):
     """The exact rung rationals 1, -B1(h), -E, E B1(h) + a B3(h)/3, h = c/2a."""
     h = p.c / (2 * p.a)
     e = e_constant(p, R, S, variant)
-    b1 = bernoulli_poly(1, h)
-    return (Fraction(1), -b1, -e, e * b1 + p.a * bernoulli_poly(3, h) / 3)
+    b1 = h - Fraction(1, 2)
+    b3 = h * b1 * (h - 1)
+    return (Fraction(1), -b1, -e, e * b1 + p.a * b3 / 3)
 
 
 def scaled_ladder(rationals, a, R: int, S: int, variant: str):

@@ -1,13 +1,15 @@
 """Independent brute-force oracles used by the test suite.
 
 Everything here deliberately avoids the package's series kernels: partition
-counts come from literal enumeration, products from naive convolution, and
-special functions from mpmath at high precision.
+counts come from literal enumeration, products from naive convolution,
+Bernoulli polynomials from their general recurrence, and special functions
+from mpmath at high precision.
 """
 
 import cmath
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -264,6 +266,37 @@ def paper_blocks(spec):
                 (1, Fraction((6 * k + 1) * R, 2) + 3 * S, h34 + S * (3 * k + 1)),  # H4'
             ]
     return [(sign, ThetaParams(a, Fraction(c), d)) for sign, c, d in rows]
+
+
+@lru_cache(maxsize=None)
+def bernoulli_number(n):
+    """B_n (B_1 = -1/2) by the standard recurrence sum_{j<=n} C(n+1, j) B_j = 0."""
+    if n == 0:
+        return Fraction(1)
+    acc = Fraction(0)
+    for j in range(n):
+        acc += math.comb(n + 1, j) * bernoulli_number(j)
+    return -acc / (n + 1)
+
+
+def bernoulli_poly(n, x):
+    """B_n(x) = sum_k C(n,k) B_k x^(n-k), exact: x goes through Fraction,
+    which converts a float exactly too."""
+    x = Fraction(x)
+    return sum(math.comb(n, k) * bernoulli_number(k) * x ** (n - k) for k in range(n + 1))
+
+
+def paper_block_rationals(p, R, S, variant):
+    """A block's rung rationals as the paper writes them,
+    1, -B1(h), -E, E B1(h) + a B3(h)/3 with h = c/(2a) and
+    E = d - c^2/(4a) + R/12 - S/2 + S^2/(2R) (R/8 in place of R/12 on the
+    twoR circle), with B1 and B3 from ``bernoulli_poly``."""
+    a, c = p.a, p.c
+    h = c / (2 * a)
+    r_term = Fraction(R, 12 if variant == "threeR" else 8)
+    e = p.d - c * c / (4 * a) + r_term - Fraction(S, 2) + Fraction(S * S, 2 * R)
+    b1, b3 = bernoulli_poly(1, h), bernoulli_poly(3, h)
+    return (Fraction(1), -b1, -e, e * b1 + a * b3 / 3)
 
 
 # The paper's family main terms: each family's is the last rung of its

@@ -42,8 +42,10 @@ from math import gcd
 import mpmath as mp
 
 from theta_trunc.analytic import _tail_orders
-from theta_trunc.asymptotics import THREE_R, bernoulli_poly, block_ladder
+from theta_trunc.asymptotics import THREE_R, block_ladder
 from theta_trunc.series import ProductSpec, ThetaParams, theta_terms
+
+from oracles import bernoulli_poly
 
 
 @dataclass(frozen=True)
@@ -135,7 +137,8 @@ def F_expansion(b, theta: complex, nterms: int = 4) -> complex:
     exp(b^2 theta / 4) { sqrt(pi/theta)/2
                          - sum_{n<nterms} (-1)^n B_{2n+1}(b/2) theta^n
                                           / ((2n+1) n!) }
-    with the principal square root.
+    with the principal square root and B_1 .. B_7 from
+    ``oracles.bernoulli_poly``.
     """
     if not 1 <= nterms <= 4:
         raise ValueError("nterms must be in 1..4")

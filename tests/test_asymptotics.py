@@ -1,4 +1,5 @@
-"""asymptotics: Bernoulli, scaled Bessel, LogValue, main-term ladders."""
+"""asymptotics: scaled Bessel, LogValue, main-term ladders, and the rung
+rationals against the Bernoulli reference of tests/oracles.py."""
 
 import math
 import random
@@ -14,9 +15,9 @@ from theta_trunc.asymptotics import (
     TWO_R,
     VARIANTS,
     LogValue,
-    bernoulli_poly,
     bessel_I_scaled,
     bessel_argument,
+    block_rationals,
     e_constant,
     family_ladder,
     ladder_value_scaled,
@@ -27,12 +28,15 @@ from theta_trunc.asymptotics import (
 from theta_trunc.families import FAMILIES, FamilySpec, decompose_family, default_grid
 from theta_trunc.series import ThetaParams
 
-from oracles import PAPER_RUNGS, mp_family_mainterm
+from oracles import PAPER_RUNGS, bernoulli_poly, mp_family_mainterm, paper_block_rationals
 
 HALF = Fraction(1, 2)
 
 
 class TestBernoulli:
+    """The general recurrence of tests/oracles.py, the reference the rung
+    rationals are checked against, against printed values and mpmath."""
+
     def test_printed_values(self):
         assert bernoulli_poly(1, Fraction(0)) == Fraction(-1, 2)
         assert bernoulli_poly(3, HALF) == 0
@@ -54,6 +58,33 @@ class TestBernoulli:
 
     def test_float_input(self):
         assert bernoulli_poly(1, 0.25) == Fraction(-1, 4)
+
+
+@st.composite
+def theta_params(draw):
+    """Valid ThetaParams: a = A/2 > 0 and c = C/2 with A + C even and >= 0."""
+    A = draw(st.integers(1, 60))
+    C = 2 * draw(st.integers(0, 80)) - A
+    return ThetaParams(Fraction(A, 2), Fraction(C, 2), draw(st.integers(0, 200)))
+
+
+class TestBlockRationals:
+    """block_rationals, with B1 and B3 in closed form, against the paper's
+    rationals built from the general recurrence of tests/oracles.py."""
+
+    def test_every_default_grid_block(self):
+        for spec in default_grid():
+            for variant in VARIANTS:
+                for _, p in decompose_family(spec):
+                    got = block_rationals(p, spec.R, spec.S, variant)
+                    assert all(type(r) is Fraction for r in got)
+                    assert got == paper_block_rationals(p, spec.R, spec.S, variant), (spec, variant, p)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(theta_params(), st.integers(2, 60), st.data(), st.sampled_from(sorted(VARIANTS)))
+    def test_drawn_blocks(self, p, R, data, variant):
+        S = data.draw(st.integers(1, R - 1))
+        assert block_rationals(p, R, S, variant) == paper_block_rationals(p, R, S, variant)
 
 
 class TestBesselScaled:
@@ -331,10 +362,7 @@ class TestCollapse:
             assert len({p.a for _, p in terms}) == 1
             sums = [Fraction(0)] * 4
             for sign, p in terms:
-                a, h = p.a, p.c / (2 * p.a)
-                e = e_constant(p, spec.R, spec.S, variant)
-                b1, b3 = bernoulli_poly(1, h), bernoulli_poly(3, h)
-                for i, rung in enumerate((1, -b1, -e, e * b1 + a * b3 / 3)):
+                for i, rung in enumerate(paper_block_rationals(p, spec.R, spec.S, variant)):
                     sums[i] += sign * rung
             assert sums == [0, 0, 0, weight(spec.k) * spec.S], spec
             assert family_ladder(spec) == paper_ladder(spec), spec

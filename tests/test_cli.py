@@ -4,6 +4,7 @@ import csv
 import hashlib
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -562,3 +563,64 @@ class TestComparePin:
         out = capsys.readouterr().out
         assert out.count("\n") == len(specs) * len(self.NS)
         assert hashlib.sha256(out.encode()).hexdigest() == self.DIGESTS[form, fmt]
+
+
+class TestReadmeExamples:
+    """The seven CLI examples of the README, run in-process in an empty
+    directory.  The five exact-side examples are pinned by the SHA-256 of
+    their stdout and of the file they write; the two circle examples by
+    their exit code and the lines that do not depend on numpy's FFT build
+    (rounded, exact, float headroom)."""
+
+    README = Path(__file__).resolve().parents[1] / "README.md"
+    STDOUT = {
+        "coeffs --family C --R 3 --S 1 --k 1 --n-max 100 --out coeffs.csv":
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "verify-identities --order 200 --decomp-order 300":
+            "a3b7e8c80e3bdd6d7ce01ac952db3c068470d5ae3752da10c9f434bab944688e",
+        "scan --family Dp --R 3 --S 1 --k 1 --n-hi 2000":
+            "4de1d9fe3b77b07320072c688185652ee143dc37b0f62ac705576b8560cbe13d",
+        "compare --family C --R 3 --S 1 --k 1 --n 1000 --n 2000 --n 4000 --form elementary":
+            "4a009e6b78ee97cf8fb97367dc3190804e7505dd9d5ddc64f21376c01fdc5399",
+        "scan --family C --R 3 --S 1 --k 1 --k 2 --k 3 --n-hi 2000":
+            "d67095ad59da838d21996762af0a1f7e4509e84c7a66504d6aadf0fceb6733b6",
+    }
+    FILES = {
+        "coeffs --family C --R 3 --S 1 --k 1 --n-max 100 --out coeffs.csv":
+            ("coeffs.csv", "8002561c0aa6213af029aeb087b14335d8b4cde80c220585fc20a92e47b16387"),
+    }
+    CIRCLE = {
+        "circle --a 6 --c 7 --d 2 --R 3 --S 1 --N 50":
+            ["rounded          : 20791", "exact            : 20791", "float headroom   : 38"],
+        "circle --a 9/2 --c 21/2 --d 6 --R 3 --S 1 --N 20 --variant twoR":
+            ["rounded          : 135", "exact            : 135", "float headroom   : 45"],
+    }
+
+    @pytest.fixture(autouse=True)
+    def _empty_cwd(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("THETA_TRUNC_OUT", raising=False)
+
+    def test_pins_cover_the_readme_examples(self):
+        prefix = "theta-trunc "
+        examples = [l[len(prefix):] for l in self.README.read_text().splitlines() if l.startswith(prefix)]
+        assert sorted(examples) == sorted([*self.STDOUT, *self.CIRCLE])
+
+    @pytest.mark.parametrize("example", sorted(STDOUT))
+    def test_exact_example_digests(self, example, tmp_path, capsys):
+        assert run(example.split()) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == self.STDOUT[example]
+        written = sorted(p.name for p in tmp_path.iterdir())
+        if example in self.FILES:
+            name, digest = self.FILES[example]
+            assert written == [name]
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+        else:
+            assert written == []
+
+    @pytest.mark.parametrize("example", sorted(CIRCLE))
+    def test_circle_example_lines(self, example, capsys):
+        assert run(example.split()) == 0
+        keep = ("rounded", "exact", "float headroom")
+        lines = capsys.readouterr().out.splitlines()
+        assert [l for l in lines if l.partition(":")[0].strip() in keep] == self.CIRCLE[example]

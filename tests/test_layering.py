@@ -1,17 +1,21 @@
 """layering: each module imports on its own, loading only the layers below it
 and not numpy, which only the circle grid loads, nor mpmath, which no run
 loads; no module defines an exception type of its own; ``analytic`` defines
-only what ``cli`` runs."""
+only what ``cli`` runs; every name the benchmark's tracer patches exists and
+is restored."""
 
 import ast
 import importlib
 import os
 import subprocess
 import sys
+import types
+from pathlib import Path
 
 import pytest
 
 import theta_trunc
+import theta_trunc.cli
 
 # Lowest layer first; each module may import only those before it, and
 # none imports numpy or mpmath.
@@ -116,3 +120,39 @@ def test_analytic_defines_only_what_cli_runs():
         and not any(name in _names_used(node) for j, node in enumerate(body) if j != i)
     ]
     assert unused == []
+
+
+def test_benchmark_tracer_patches_existing_names_and_restores_them():
+    # perfbench/layers.py wraps package functions by name for the traced
+    # benchmark passes; a deleted or renamed name fails here.  The file is
+    # compiled from its source, so nothing is written next to it.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+    layers = types.ModuleType("perfbench_layers")
+    exec(compile(path.read_text(), str(path), "exec"), vars(layers))
+    owners = [importlib.import_module("theta_trunc." + m) for m in LAYERS]
+    owners.append(theta_trunc.series.PowerSeries)
+    before = [dict(vars(owner)) for owner in owners]
+
+    tracer = layers.Tracer()
+    try:
+        tracer.install(theta_trunc)
+        patched = [
+            (owner.__name__, attr)
+            for owner, old in zip(owners, before)
+            for attr, value in vars(owner).items()
+            if old.get(attr) is not value
+        ]
+    except KeyError as exc:
+        pytest.fail("perfbench/layers.py patches %s, which the package does not define" % exc)
+    finally:
+        tracer.uninstall()
+
+    assert patched
+    after = [dict(vars(owner)) for owner in owners]
+    moved = [
+        (owner.__name__, attr)
+        for owner, old, new in zip(owners, before, after)
+        for attr in old.keys() | new.keys()
+        if old.get(attr) is not new.get(attr)
+    ]
+    assert moved == []
