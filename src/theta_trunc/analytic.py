@@ -10,10 +10,14 @@ theta-sum exponents with |q|^e >= tol (1 - |q|), product parts with
 |q|^m >= tol, and for the log of the product the terms with
 |q|^(m j) >= eps tol, all at ``TAIL_TOL``.
 The samples lie on a uniform grid in x, so the integrand grid evaluates the
-theta sum and the log of the block denominator as polynomials in q, by one
-real FFT each (``_poly_on_grid``), and divides by the exp of the log once.
+theta sum times q^(-N) (its exponents shifted to e - N) and the log of the
+block denominator as polynomials in q, by one real FFT each
+(``_poly_on_grid``), and divides by the exp of the log once.  The log's
+coefficients are -sigma(n)/n, sigma(n) the sum of the parts dividing n
+(``_log_denominator``).
 Only the lower half is evaluated (the upper half is the conjugate mirror,
-since L has real coefficients).  The last grid is cached, so a coefficient
+since L has real coefficients), and the coefficient and both arcs are
+real sums over that lower half.  The last grid is cached, so a coefficient
 and its arc split cost one grid evaluation between them.
 Only the grid code uses numpy, and it imports numpy when it runs, so
 importing this module (or ``cli``) does not load numpy: the first circle
@@ -102,8 +106,8 @@ def _poly_on_grid(n, c, ln_r: float, samples: int):
     """sum_n c_n q^n on the lower half grid, x_k = -1/2 + k/samples for
     k = 0..samples/2.
 
-    ``n`` are integer exponents (repeats add), ``c`` real coefficients and
-    ln_r = ln|q| = -2 pi y.  On the grid
+    ``n`` are integer exponents, negative ones too (repeats add), ``c``
+    real coefficients and ln_r = ln|q| = -2 pi y.  On the grid
     q_k^n = r^n (-1)^n exp(2 pi i n k/samples), so the sum is conj(rfft(a))
     with a[n mod samples] += c_n r^n (-1)^n; folding the exponents mod
     samples is exact there, since the grid is periodic.
@@ -115,18 +119,24 @@ def _poly_on_grid(n, c, ln_r: float, samples: int):
     return np.conj(np.fft.rfft(a))
 
 
-def _log_denominator_terms(spec: ProductSpec, product_order: int, log_order: int):
+def _log_denominator(spec: ProductSpec, product_order: int, log_order: int):
     """(exponents, coefficients) of log prod (1 - q^m) over the parts m below
-    ``product_order``: -q^(m j)/j for every part m and j >= 1 with m j below
-    ``log_order``.
+    ``product_order``, for the exponents 1 <= n < ``log_order``.
+
+    log prod (1 - q^m) = -sum_{m, j >= 1} q^(m j)/j = -sum_n sigma(n) q^n / n,
+    with sigma(n) the sum of those parts that divide n.
     """
     import numpy as np
 
+    # m j with weight m for every part m and j >= 1 with m j < log_order
     m = np.array(spec.parts(product_order), dtype=np.int64)
     reps = (log_order - 1) // m
     first = np.repeat(np.cumsum(reps) - reps, reps)
     j = np.arange(1, first.size + 1) - first
-    return np.repeat(m, reps) * j, -1.0 / j
+    parts = np.repeat(m, reps)
+    sigma = np.bincount(parts * j, weights=parts, minlength=log_order)
+    n = np.arange(1, log_order)
+    return n, -sigma[1:] / n
 
 
 @lru_cache(maxsize=1)
@@ -134,10 +144,11 @@ def _integrand_grid(p, R, S, N, samples, variant):
     """Values of L(q) (or L'(q), by variant) exp(2 pi N y - 2 pi i N x) on
     the sample grid.
 
-    The theta sum and the log of the block denominator are polynomials in
-    q, evaluated on the grid by one real FFT each (``_poly_on_grid``); the
-    theta sum is divided by the exp of the log once, and exp(-N ln q) is a
-    factor of its own.
+    The theta sum times q^(-N) and the log of the block denominator are
+    polynomials in q, evaluated on the grid by one real FFT each
+    (``_poly_on_grid``): the theta exponents enter as e - N, and the log
+    comes from the divisor sums of ``_log_denominator``.  The shifted theta
+    sum is divided by the exp of the log once.
 
     L has real coefficients, so the value at -x is the conjugate of the
     value at x: only x = -1/2 + k/samples for k = 0..samples/2 is
@@ -151,25 +162,40 @@ def _integrand_grid(p, R, S, N, samples, variant):
     y = circle_y(N, R, variant)
     half = samples // 2
     ln_r = -2 * math.pi * y
-    ln_q = ln_r + (2j * math.pi) * (-0.5 + np.arange(half + 1) / samples)
     theta_order, product_order, log_order = _tail_orders(y, TAIL_TOL)
-    exps = np.array([e for e, _ in theta_terms(p, theta_order)], dtype=np.int64)
+    exps = np.array([e - N for e, _ in theta_terms(p, theta_order)], dtype=np.int64)
     g = _poly_on_grid(exps, np.ones(exps.size), ln_r, samples)
-    log_den = _poly_on_grid(
-        *_log_denominator_terms(spec, product_order, log_order), ln_r, samples
-    )
-    lower = g * np.exp(-N * ln_q) / np.exp(log_den)
+    log_den = _poly_on_grid(*_log_denominator(spec, product_order, log_order), ln_r, samples)
+    lower = g / np.exp(log_den)
     vals = np.concatenate((lower, np.conj(lower[half - 1:0:-1])))
     vals.flags.writeable = False
     return vals
 
 
-def _pairwise_reduce(values: np.ndarray) -> complex:
+def _pairwise_reduce(values: np.ndarray) -> float:
     """Index-ascending pairwise reduction (deterministic, power-of-two len)."""
     v = values
     while v.size > 1:
         v = v[0::2] + v[1::2]
-    return complex(v[0])
+    return float(v[0])
+
+
+def _real_lower_half(vals: np.ndarray) -> np.ndarray:
+    """w_k for k < samples/2 with sum_k w_k + Re v_half = Re sum of the grid:
+    w_0 = Re v_0 and w_k = 2 Re v_k, since v_(samples-k) = conj(v_k)."""
+    w = 2 * vals[:vals.size // 2].real
+    w[0] = vals[0].real
+    return w
+
+
+def _main_arc_start(y: float, samples: int) -> int:
+    """The first lower-half index k of the main arc |x_k| <= y.
+
+    With x_k = -1/2 + k/samples the arc is samples/2 - k <= y samples, that
+    is k >= ceil(samples/2 - y samples) = samples/2 - floor(y samples),
+    exact in floats since samples is a power of two.
+    """
+    return samples // 2 - math.floor(y * samples)
 
 
 def _check_bandwidth(quad: QuadratureSpec, R: int):
@@ -182,21 +208,25 @@ def _check_bandwidth(quad: QuadratureSpec, R: int):
 
 def wright_coefficient(p: ThetaParams, R: int, S: int, quad: QuadratureSpec) -> float:
     """Coefficient of q^N in L (threeR) or L' (twoR) by trapezoid quadrature
-    on the circle of ``quad.radius_variant``.
+    on the circle of ``quad.radius_variant``: the real part of the grid's
+    sum, Re v_0 + Re v_half + 2 sum_{0<k<half} Re v_k over the lower half.
 
     For desk-scale N the result rounds to the exact integer coefficient.
     """
     _check_bandwidth(quad, R)
     vals = _integrand_grid(p, R, S, quad.N, quad.samples, quad.radius_variant)
-    return (_pairwise_reduce(vals) / quad.samples).real
+    half = quad.samples // 2
+    return (_pairwise_reduce(_real_lower_half(vals)) + vals[half].real) / quad.samples
 
 
 @dataclass(frozen=True)
 class ArcSplit:
-    """Quadrature split into the main arc |x| <= y and its complement."""
+    """Quadrature split into the main arc |x| <= y and its complement.
 
-    I_main: complex
-    I_error: complex
+    Both arcs are symmetric about x = 0, so each integral is real."""
+
+    I_main: float
+    I_error: float
     ratio: float
 
 
@@ -206,15 +236,17 @@ def arc_split_diagnostic(
     """Main-arc / error-arc split of the coefficient quadrature.
 
     threeR splits the B (L) quadrature, twoR the B' (L') one, each on its
-    own circle.  The ratio is nan when the main arc is 0.
+    own circle.  The main arc holds the lower-half indices from
+    ``_main_arc_start`` to samples/2 and their mirrors, so each part is a
+    real sum over the lower half as in ``wright_coefficient``.  The ratio
+    is nan when the main arc is 0.
     """
     import numpy as np
 
     _check_bandwidth(QuadratureSpec(N, samples, variant), R)
-    y = circle_y(N, R, variant)
-    x = -0.5 + np.arange(samples) / samples
     vals = _integrand_grid(p, R, S, N, samples, variant)
-    mask = np.abs(x) <= y
-    main = _pairwise_reduce(np.where(mask, vals, 0.0)) / samples
-    err = _pairwise_reduce(np.where(mask, 0.0, vals)) / samples
+    w = _real_lower_half(vals)
+    on_main = np.arange(w.size) >= _main_arc_start(circle_y(N, R, variant), samples)
+    main = (_pairwise_reduce(np.where(on_main, w, 0.0)) + vals[samples // 2].real) / samples
+    err = _pairwise_reduce(np.where(on_main, 0.0, w)) / samples
     return ArcSplit(main, err, abs(err) / abs(main) if main else math.nan)

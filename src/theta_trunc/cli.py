@@ -176,11 +176,10 @@ def cmd_compare(spec: FamilySpec, n_list, form, fmt, out=None) -> int:
     JSON rows {sign, lnmag} objects.  Without ``out`` the rows go to stdout
     in the same format: CSV without the header, JSON lines as in the file.
     """
-    n_max = max(n_list)
-    series = families.genfun_family(spec, n_max + 1)
+    n_list = sorted(n_list)
     rows = []
-    for n in sorted(n_list):
-        exact = LogValue.from_int(series[n])
+    for n, coefficient in zip(n_list, families.family_coefficients(spec, n_list)):
+        exact = LogValue.from_int(coefficient)
         try:
             main = asymptotics.mainterm_family(spec, n, form)
         except OverflowError as exc:
@@ -207,8 +206,8 @@ def cmd_circle(p: ThetaParams, R: int, S: int, N: int, variant: str) -> int:
     quad = QuadratureSpec(N, samples, variant)
     value = analytic.wright_coefficient(p, R, S, quad)
     split = analytic.arc_split_diagnostic(p, R, S, N, samples, variant=variant)
-    genfun = families.genfun_B if variant == asymptotics.THREE_R else families.genfun_Bprime
-    exact = genfun(p, R, S, N + 1)[N]
+    read = families.coefficient_B if variant == asymptotics.THREE_R else families.coefficient_Bprime
+    exact = read(p, R, S, N)
     rounded = round(value)
     print("quadrature value : %s" % _fmt_real(value))
     print("rounded          : %d" % rounded)

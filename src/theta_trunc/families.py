@@ -35,15 +35,23 @@ a per-process cache of the last four (R, S): the terms of a finite range of
 theta_{R,S} or Q, or of a block G_{a,c,d}, are slice adds in C.  The reuse
 is within one process; a lone C or Cprime still costs one division, a lone
 D or Dprime two.
+
+Each series is stated once, as its shifts: (quotient, signed exponents)
+pairs, ``_family_shifts`` for a family and the theta terms of G_{a,c,d}
+over 1/pair or 1/triple for a block.  The shifts are read two ways: the
+whole truncated series by slice adds (``genfun_family``, ``genfun_B``,
+``genfun_Bprime``), or single coefficients, [q^N] = sum sign *
+quotient[N - e], as one dot product each (``family_coefficients``,
+``coefficient_B``, ``coefficient_Bprime``), which is what ``compare`` and
+``circle`` print.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import islice
 from math import gcd
-from operator import add, neg, sub
+from operator import add, sub
 
 from . import kernels
 from .series import (
@@ -163,25 +171,72 @@ def _quotient(kind, R, S, order):
 
 
 def _add_shifted(out, terms, quotient):
-    """``out`` plus sign * q^e * quotient for each (e, sign) of ``terms``,
-    signs +-1 and every e below len(out), as a PowerSeries; ``out`` is
-    updated in place, one slice add in C per term."""
-    n = len(out)
+    """Add sign * q^e * quotient to ``out`` in place for each (e, sign) of
+    ``terms``, signs +-1, every e below len(out) and the quotient at least
+    that long: one slice add in C per term, which ``map`` stops at the end
+    of ``out``."""
     for e, sign in terms:
-        out[e:] = map(add if sign > 0 else sub, out[e:], quotient[:n - e])
-    return PowerSeries(out, n)
+        out[e:] = map(add if sign > 0 else sub, out[e:], quotient)
+
+
+def _series(R, S, shifts, order):
+    """The series of ``shifts``, truncated below ``order``.
+
+    ``shifts`` is a list of (kind, terms) pairs standing for the sum of
+    sign * q^e * ``_quotient(kind, R, S, ...)`` over each (e, sign) of
+    terms, the quotient being the series 1 when kind is None.  Each term
+    is one slice add in C over its cached quotient.
+    """
+    plain = [t for kind, terms in shifts if kind is None for t in terms]
+    out = PowerSeries.from_terms(plain, order).coeffs
+    for kind, terms in shifts:
+        if kind is not None:
+            _add_shifted(out, terms, _quotient(kind, R, S, order))
+    return PowerSeries(out, order)
+
+
+def _coefficients(R, S, shifts, ns):
+    """[q^N] of the series of ``shifts`` for each N of ``ns``, with every
+    term below max(ns) + 1 listed: one dot product
+    sum sign * quotient[N - e] over the terms with e <= N per N, on
+    quotients built (once) to that order."""
+    if min(ns) < 0:
+        raise ValueError("N must be >= 0")
+    order = max(ns) + 1
+    read = [(None if kind is None else _quotient(kind, R, S, order), terms) for kind, terms in shifts]
+    out = []
+    for N in ns:
+        total = 0
+        for q, terms in read:
+            if q is None:
+                total += sum(sign for e, sign in terms if e == N)
+            else:
+                total += sum(sign * q[N - e] for e, sign in terms if e <= N)
+        out.append(total)
+    return out
 
 
 def genfun_B(p: ThetaParams, R: int, S: int, order: int) -> PowerSeries:
     """G_{a,c,d} / (q^S, q^(R-S); q^R)_inf, truncated: the ~sqrt(order/a)
     terms of G_{a,c,d} as shifted copies of the cached 1/pair."""
-    return _add_shifted([0] * order, theta_terms(p, order), _quotient("pair", R, S, order))
+    return _series(R, S, [("pair", theta_terms(p, order))], order)
 
 
 def genfun_Bprime(p: ThetaParams, R: int, S: int, order: int) -> PowerSeries:
     """G_{a,c,d} / (q^S, q^(R-S), q^R; q^R)_inf, truncated, over the cached
     1/triple as ``genfun_B`` is over 1/pair."""
-    return _add_shifted([0] * order, theta_terms(p, order), _quotient("triple", R, S, order))
+    return _series(R, S, [("triple", theta_terms(p, order))], order)
+
+
+def coefficient_B(p: ThetaParams, R: int, S: int, N: int) -> int:
+    """[q^N] of ``genfun_B``, as one dot product over the cached 1/pair."""
+    return _coefficients(R, S, [("pair", theta_terms(p, N + 1))], [N])[0]
+
+
+def coefficient_Bprime(p: ThetaParams, R: int, S: int, N: int) -> int:
+    """[q^N] of ``genfun_Bprime``, as one dot product over the cached
+    1/triple."""
+    return _coefficients(R, S, [("triple", theta_terms(p, N + 1))], [N])[0]
 
 
 def _quintuple_theta(R: int, S: int):
@@ -233,9 +288,8 @@ def _family_numerator(spec: FamilySpec):
     return minus_q, [(None, -(k + 1)), (first, None)], False
 
 
-def genfun_family(spec: FamilySpec, order: int) -> PowerSeries:
-    """The family series: the numerator of ``_family_numerator`` over
-    ``family_denominator(spec)``, as shifted copies of a cached quotient.
+def _family_shifts(spec: FamilySpec, order: int):
+    """The family series as shifts (see ``_series``), terms below ``order``.
 
     With P_k = theta_{R,S} over 1-k <= n <= k and Q_[lo, hi] = Q over
     lo <= n <= hi, the Jacobi triple product (theta_{R,S} is the triple
@@ -246,28 +300,41 @@ def genfun_family(spec: FamilySpec, order: int) -> PowerSeries:
       D_k      = Q_[-k, k] / pair - Q/pair          4k + 2 terms
       Dprime_k = Q_[-k, k-1] / pair - Q/pair
 
-    so a spec costs its terms' slice adds once its (R, S) has the quotient
+    from the numerator of ``_family_numerator``: the two tails n <= hi and
+    n >= lo of C, D and Dprime are the whole theta series minus its range
+    hi < n < lo, and over the pair the whole theta_{R,S} is theta_{3R,R}
+    and the whole Q is Q/pair.
+    """
+    blocks, ranges, alternating = _family_numerator(spec)
+    if spec.family == "Cprime":
+        return [("triple", _signed_terms(blocks, order, ranges, alternating))]
+    (_, hi), (lo, _) = ranges
+    if spec.family == "C":
+        whole = [(blocks[0][0], theta_rs_params(3 * spec.R, spec.R))]
+        first = (None, _signed_terms(whole, order, [(None, None)], True))
+    else:
+        first = ("Q/pair", [(0, -1)])
+    minus = [(-sign, p) for sign, p in blocks]
+    return [first, ("pair", _signed_terms(minus, order, [(hi + 1, lo - 1)], alternating))]
+
+
+def genfun_family(spec: FamilySpec, order: int) -> PowerSeries:
+    """The family series: the numerator of ``_family_numerator`` over
+    ``family_denominator(spec)``, as the shifted copies of cached quotients
+    that ``_family_shifts`` lists.
+
+    A spec costs its terms' slice adds once its (R, S) has the quotient
     (``_quotient``), and a truncated quotient is exact to its order, so the
     series equals the numerator-over-denominator route's bit for bit.
     """
-    R, S = spec.R, spec.S
-    blocks, ranges, alternating = _family_numerator(spec)
-    if spec.family == "Cprime":
-        out, quotient = [0] * order, _quotient("triple", R, S, order)
-    else:
-        # The two tails n <= hi and n >= lo are the whole theta series minus
-        # its range hi < n < lo.  Over the pair, the whole theta_{R,S} is
-        # theta_{3R,R} and the whole Q is Q/pair.
-        (_, hi), (lo, _) = ranges
-        ranges = [(hi + 1, lo - 1)]
-        if spec.family == "C":
-            whole = [(blocks[0][0], theta_rs_params(3 * R, R))]
-            out = _theta_sum(whole, order, [(None, None)], True).coeffs
-        else:
-            out = list(map(neg, islice(_quotient("Q/pair", R, S, order), order)))
-        blocks = [(-sign, p) for sign, p in blocks]
-        quotient = _quotient("pair", R, S, order)
-    return _add_shifted(out, _signed_terms(blocks, order, ranges, alternating), quotient)
+    return _series(spec.R, spec.S, _family_shifts(spec, order), order)
+
+
+def family_coefficients(spec: FamilySpec, ns):
+    """[q^N] of ``genfun_family(spec, ...)`` for each N >= 0 of ``ns``, in
+    that order: one dot product over the cached quotients per N, so a few
+    coefficients cost the terms of ``_family_shifts``, not the series."""
+    return _coefficients(spec.R, spec.S, _family_shifts(spec, max(ns) + 1), ns)
 
 
 def decompose_family(spec: FamilySpec):

@@ -374,15 +374,30 @@ def full_integrand_grid(p, R, S, N, samples, variant, which, tail_tol, ks=None):
     return g * prod * np.exp(-N * ln_q)
 
 
+def log_denominator_terms(spec, product_order, log_order):
+    """(exponents, coefficients) of log prod (1 - q^m) over the parts m below
+    ``product_order``: -q^(m j)/j for every part m and j >= 1 with m j below
+    ``log_order``, one term per (m, j), as numpy arrays (repeated exponents
+    add).  The term-by-term enumeration that ``analytic._log_denominator``
+    replaces by divisor sums.
+    """
+    m = np.array(spec.parts(product_order), dtype=np.int64)
+    reps = (log_order - 1) // m
+    first = np.repeat(np.cumsum(reps) - reps, reps)
+    j = np.arange(1, first.size + 1) - first
+    return np.repeat(m, reps) * j, -1.0 / j
+
+
 def full_fft_grid(p, R, S, N, samples, variant, which, tail_tol):
     """The circle integrand at every sample by a full complex FFT.
 
     The polynomials of ``analytic._integrand_grid``, built term by term:
-    the theta sum's q^e, and -q^(m j)/j of log prod (1 - q^m) per part m
-    and j >= 1 down to |q|^(m j) >= eps tail_tol.  Each coefficient times
-    |q|^n (-1)^n is folded to n mod samples and the polynomial is
-    samples * ifft(folded) at every sample, with no symmetry.  It takes its
-    own ``which`` and ``tail_tol``, as ``full_integrand_grid`` does.
+    the theta sum times q^(-N), that is q^(e - N) per theta exponent e, and
+    -q^(m j)/j of log prod (1 - q^m) per part m and j >= 1 down to
+    |q|^(m j) >= eps tail_tol.  Each coefficient times |q|^n (-1)^n is
+    folded to n mod samples and the polynomial is samples * ifft(folded) at
+    every sample, with no symmetry.  It takes its own ``which`` and
+    ``tail_tol``, as ``full_integrand_grid`` does.
     """
     from theta_trunc.series import theta_terms
 
@@ -394,18 +409,14 @@ def full_fft_grid(p, R, S, N, samples, variant, which, tail_tol):
             folded[n % samples] += c * (-1) ** n * math.exp(-2 * math.pi * y * n)
         return samples * np.fft.ifft(folded)
 
-    g = on_grid((e, 1.0) for e, _ in theta_terms(p, g_order))
+    g = on_grid((e - N, 1.0) for e, _ in theta_terms(p, g_order))
     log_terms = []
     for m in _denominator_spec(R, S, which).parts(p_order):
         j = 1
         while m * j < log_order:
             log_terms.append((m * j, -1.0 / j))
             j += 1
-    log_den = on_grid(log_terms)
-
-    x = -0.5 + np.arange(samples) / samples
-    ln_q = (-2 * math.pi * y) + (2j * math.pi) * x
-    return g * np.exp(-N * ln_q) / np.exp(log_den)
+    return g / np.exp(on_grid(log_terms))
 
 
 def mp_integrand_samples(p, R, S, N, samples, variant, which, tail_tol, ks):

@@ -20,7 +20,7 @@ from theta_trunc.analytic import (
 )
 from theta_trunc.families import genfun_B, genfun_Bprime, pair_product_spec, triple_product_spec
 from theta_trunc.series import ThetaParams
-from oracles import full_fft_grid, full_integrand_grid, mp_integrand_samples
+from oracles import full_fft_grid, full_integrand_grid, log_denominator_terms, mp_integrand_samples
 from paper_lemmas import _denominator
 from test_acceptance import QUAD_INSTANCES
 
@@ -75,7 +75,7 @@ class TestQuadrature:
     def test_error_budget_on_300_cases(self):
         # The criterion-5 instances x both variants x N = 50, 75, ..., 400.
         # Every error stays within 64 eps mean|v_k| of the grid values v_k
-        # (worst seen: 13.2), and 243 of the 300 round to the exact value.
+        # (worst seen: 12.0), and 245 of the 300 round to the exact value.
         eps = np.finfo(float).eps
         worst, exact_count = 0.0, 0
         for a, c, d, R, S in QUAD_INSTANCES:
@@ -90,7 +90,7 @@ class TestQuadrature:
                     worst = max(worst, err)
                     exact_count += round(val) == exact[N]
         assert worst <= 64
-        assert exact_count >= 243
+        assert exact_count >= 245
 
 
 class TestIntegrandGrid:
@@ -107,7 +107,8 @@ class TestIntegrandGrid:
     @pytest.mark.parametrize("p, R, S, N, which, variant", CASES)
     def test_matches_per_part_loop(self, p, R, S, N, which, variant):
         # The FFT grid rounds differently from one exp and one division per
-        # part; the worst relative difference seen is 7.0e-14.
+        # part and a separate factor q^(-N); the worst relative difference
+        # seen is 1.7e-13.
         samples = min_samples(N, R, variant)
         vals = _integrand_grid(p, R, S, N, samples, variant)
         ref = full_integrand_grid(p, R, S, N, samples, variant, which, 1e-20)
@@ -141,7 +142,7 @@ class TestIntegrandGrid:
         # The upper half is the conjugate mirror of the lower half, bit for
         # bit.  Against the same polynomials evaluated at every sample by a
         # full complex FFT, with no mirror, every value agrees to 1e-13
-        # relative; the worst difference seen is 8.4e-15.
+        # relative; the worst difference seen is 1.3e-14.
         samples = min_samples(N, R, variant)
         half = samples // 2
         vals = _integrand_grid(p, R, S, N, samples, variant)
@@ -152,11 +153,15 @@ class TestIntegrandGrid:
         assert np.all(np.abs(vals - full) <= 1e-13 * np.abs(full))
 
     def test_poly_on_grid_folds_high_exponents(self):
-        # Exponents up to three times the sample count, some repeated:
-        # folding them mod samples gives the direct sum of c_n q_k^n.
+        # Exponents from minus twice to three times the sample count, some
+        # repeated: folding them mod samples gives the direct sum of
+        # c_n q_k^n, for the negative exponents of the q^(-N) shift too.
         rng = np.random.default_rng(7)
         samples, ln_r = 64, -2 * math.pi * 0.002
-        n = np.r_[rng.integers(0, 3 * samples, 200), 5, 5, samples + 5, 3 * samples - 1]
+        n = np.r_[
+            rng.integers(-2 * samples, 3 * samples, 200),
+            5, 5, samples + 5, 3 * samples - 1, -1, -1, -samples - 5, -2 * samples,
+        ]
         c = rng.standard_normal(n.size)
         got = analytic._poly_on_grid(n, c, ln_r, samples)
         ln_q = ln_r + 2j * math.pi * (-0.5 + np.arange(samples // 2 + 1) / samples)
@@ -178,12 +183,34 @@ class TestIntegrandGrid:
         _, product_order, log_order = analytic._tail_orders(y, analytic.TAIL_TOL)
         samples = min_samples(N, R, variant)
         half, ln_r = samples // 2, -2 * math.pi * y
-        terms = analytic._log_denominator_terms(spec, product_order, log_order)
+        terms = analytic._log_denominator(spec, product_order, log_order)
         grid = np.exp(analytic._poly_on_grid(*terms, ln_r, samples))
         for k in (0, half // 3, half - math.floor(y * samples), half):
             ln_q = complex(ln_r, 2 * math.pi * (k / samples - 0.5))
             want = _denominator(spec, ln_q, product_order)
             assert grid[k] == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("tol", [1e-20, 1e-3])
+    @pytest.mark.parametrize("R, S", [(3, 1), (5, 2), (7, 3)])
+    @pytest.mark.parametrize(
+        "spec_of, variant",
+        [(pair_product_spec, "threeR"), (triple_product_spec, "twoR")],
+        ids=("pair", "triple"),
+    )
+    def test_divisor_sums_match_term_enumeration(self, spec_of, variant, R, S, tol):
+        # -sigma(n)/n, sigma(n) the parts below product_order dividing n,
+        # against the bincount of -1/j over every (m, j) with m j below
+        # log_order.  At 1e-3 log_order is about six times product_order,
+        # so parts >= product_order would divide n with j > 1 as well, and
+        # none of them may enter.
+        spec = spec_of(R, S)
+        _, product_order, log_order = analytic._tail_orders(circle_y(300, R, variant), tol)
+        assert log_order > (6 if tol == 1e-3 else 1) * product_order
+        n, c = analytic._log_denominator(spec, product_order, log_order)
+        exps, coeffs = log_denominator_terms(spec, product_order, log_order)
+        want = np.bincount(exps, weights=coeffs, minlength=log_order)
+        assert np.array_equal(n, np.arange(1, log_order))
+        assert np.all(np.abs(c - want[1:]) <= 1e-15 * np.abs(want[1:]))
 
     @pytest.mark.parametrize("R, S", [(2, 1), (7, 3)])
     @pytest.mark.parametrize("which, variant", [("B", "threeR"), ("Bprime", "twoR")])
@@ -224,6 +251,20 @@ class TestArcSplit:
             recombined = (split.I_main + split.I_error).real
             assert recombined == pytest.approx(total, rel=1e-12)
             assert split.ratio < 1
+
+    def test_main_arc_start_matches_mask(self):
+        # The lower-half index from which |x_k| <= y, against that mask
+        # over the whole grid: it must be exactly k0 <= k <= samples - k0.
+        for R in (2, 3, 4, 5, 7, 11):
+            for variant in ("threeR", "twoR"):
+                for N in range(1, 2001):
+                    samples = min_samples(N, R, variant)
+                    y = circle_y(N, R, variant)
+                    k0 = analytic._main_arc_start(y, samples)
+                    mask = np.abs(-0.5 + np.arange(samples) / samples) <= y
+                    assert 1 <= k0 <= samples // 2
+                    assert mask.sum() == samples - 2 * k0 + 1
+                    assert mask[k0] and not mask[k0 - 1], (R, variant, N)
 
     def test_ratio_decreases(self):
         prev = None

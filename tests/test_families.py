@@ -11,8 +11,11 @@ from theta_trunc.families import (
     FAMILIES,
     GRID_RS,
     FamilySpec,
+    coefficient_B,
+    coefficient_Bprime,
     decompose_family,
     default_grid,
+    family_coefficients,
     family_denominator,
     genfun_B,
     genfun_Bprime,
@@ -35,6 +38,7 @@ from theta_trunc.series import (
     theta_terms,
 )
 from oracles import count_partitions, dense_truncated_pentagonal_rhs, family_by_division, paper_blocks
+from test_acceptance import QUAD_INSTANCES
 from test_asymptotics import family_specs
 
 
@@ -219,6 +223,36 @@ def block_cases(draw):
     R = draw(st.integers(2, 12))
     S = draw(st.sampled_from([s for s in range(1, R) if gcd(R, s) == 1]))
     return p, R, S, draw(st.integers(1, 300))
+
+
+class TestPointReads:
+    """Single coefficients as dot products over the cached quotients,
+    against the whole series read from the same shifts."""
+
+    @pytest.mark.parametrize("read, genfun", [(coefficient_B, genfun_B), (coefficient_Bprime, genfun_Bprime)])
+    def test_block_reads_match_the_series(self, read, genfun):
+        # The criterion-5 instances, each N read on its own.
+        for a, c, d, R, S in QUAD_INSTANCES:
+            p = ThetaParams(a, c, d)
+            for N in range(1, 401):
+                assert read(p, R, S, N) == genfun(p, R, S, N + 1)[N], (p, R, S, N)
+
+    def test_block_below_its_first_exponent_reads_zero(self):
+        p = ThetaParams(Fraction(6), Fraction(13), 7)  # G starts at q^7
+        for N in range(7):
+            assert coefficient_B(p, 3, 1, N) == coefficient_Bprime(p, 3, 1, N) == 0
+        assert coefficient_B(p, 3, 1, 7) == coefficient_Bprime(p, 3, 1, 7) == 1
+
+    def test_family_reads_match_the_series(self):
+        extra = [FamilySpec(f, R, S, 10) for f in FAMILIES for R, S in ((3, 1), (7, 3))]
+        for spec in default_grid() + extra:
+            want = genfun_family(spec, 401).coeffs
+            assert family_coefficients(spec, range(401)) == want, spec
+            assert family_coefficients(spec, [400, 3, 3, 0]) == [want[400], want[3], want[3], want[0]]
+
+    def test_negative_n_is_a_value_error(self):
+        with pytest.raises(ValueError, match="N must be >= 0"):
+            family_coefficients(FamilySpec("C", 3, 1, 1), [5, -1])
 
 
 class TestCachedRoute:
