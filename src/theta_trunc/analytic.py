@@ -15,10 +15,11 @@ block denominator as polynomials in q, by one real FFT each
 (``_poly_on_grid``), and divides by the exp of the log once.  The log's
 coefficients are -sigma(n)/n, sigma(n) the sum of the parts dividing n
 (``_log_denominator``).
-Only the lower half is evaluated (the upper half is the conjugate mirror,
-since L has real coefficients), and the coefficient and both arcs are
-real sums over that lower half.  The last grid is cached, so a coefficient
-and its arc split cost one grid evaluation between them.
+L has real coefficients, so sample samples - k is the conjugate of sample
+k: the grid is the lower half, k = 0..samples/2, checked once against
+``min_samples``, and the coefficient and both arcs are real sums over it.
+The last grid is cached, so a coefficient and its arc split cost one grid
+evaluation between them.
 Only the grid code uses numpy, and it imports numpy when it runs, so
 importing this module (or ``cli``) does not load numpy: the first circle
 grid does.
@@ -142,7 +143,7 @@ def _log_denominator(spec: ProductSpec, product_order: int, log_order: int):
 @lru_cache(maxsize=1)
 def _integrand_grid(p, R, S, N, samples, variant):
     """Values of L(q) (or L'(q), by variant) exp(2 pi N y - 2 pi i N x) on
-    the sample grid.
+    the lower half grid, x = -1/2 + k/samples for k = 0..samples/2.
 
     The theta sum times q^(-N) and the log of the block denominator are
     polynomials in q, evaluated on the grid by one real FFT each
@@ -150,24 +151,25 @@ def _integrand_grid(p, R, S, N, samples, variant):
     comes from the divisor sums of ``_log_denominator``.  The shifted theta
     sum is divided by the exp of the log once.
 
-    L has real coefficients, so the value at -x is the conjugate of the
-    value at x: only x = -1/2 + k/samples for k = 0..samples/2 is
-    evaluated, and the upper half is the mirrored conjugate, bit for bit.
-    The last grid is cached and returned read-only, so a coefficient and
-    its arc split share one evaluation.
+    L has real coefficients, so these samples/2 + 1 values are the whole
+    grid: sample k of the upper half is conj(v[samples - k]).  A
+    ``samples`` below ``min_samples`` raises ValueError, the one check of
+    the bandwidth rule.  The last grid is cached and returned read-only, so
+    a coefficient and its arc split share one evaluation.
     """
     import numpy as np
 
+    need = min_samples(N, R, variant)
+    if samples < need:
+        raise ValueError("samples=%d below the aliasing-safe minimum %d" % (samples, need))
     spec = VARIANTS[variant].denominator(R, S)
     y = circle_y(N, R, variant)
-    half = samples // 2
     ln_r = -2 * math.pi * y
     theta_order, product_order, log_order = _tail_orders(y, TAIL_TOL)
     exps = np.array([e - N for e, _ in theta_terms(p, theta_order)], dtype=np.int64)
     g = _poly_on_grid(exps, np.ones(exps.size), ln_r, samples)
     log_den = _poly_on_grid(*_log_denominator(spec, product_order, log_order), ln_r, samples)
-    lower = g / np.exp(log_den)
-    vals = np.concatenate((lower, np.conj(lower[half - 1:0:-1])))
+    vals = g / np.exp(log_den)
     vals.flags.writeable = False
     return vals
 
@@ -183,7 +185,7 @@ def _pairwise_reduce(values: np.ndarray) -> float:
 def _real_lower_half(vals: np.ndarray) -> np.ndarray:
     """w_k for k < samples/2 with sum_k w_k + Re v_half = Re sum of the grid:
     w_0 = Re v_0 and w_k = 2 Re v_k, since v_(samples-k) = conj(v_k)."""
-    w = 2 * vals[:vals.size // 2].real
+    w = 2 * vals[:-1].real
     w[0] = vals[0].real
     return w
 
@@ -198,14 +200,6 @@ def _main_arc_start(y: float, samples: int) -> int:
     return samples // 2 - math.floor(y * samples)
 
 
-def _check_bandwidth(quad: QuadratureSpec, R: int):
-    need = min_samples(quad.N, R, quad.radius_variant)
-    if quad.samples < need:
-        raise ValueError(
-            "samples=%d below the aliasing-safe minimum %d" % (quad.samples, need)
-        )
-
-
 def wright_coefficient(p: ThetaParams, R: int, S: int, quad: QuadratureSpec) -> float:
     """Coefficient of q^N in L (threeR) or L' (twoR) by trapezoid quadrature
     on the circle of ``quad.radius_variant``: the real part of the grid's
@@ -213,10 +207,8 @@ def wright_coefficient(p: ThetaParams, R: int, S: int, quad: QuadratureSpec) -> 
 
     For desk-scale N the result rounds to the exact integer coefficient.
     """
-    _check_bandwidth(quad, R)
     vals = _integrand_grid(p, R, S, quad.N, quad.samples, quad.radius_variant)
-    half = quad.samples // 2
-    return (_pairwise_reduce(_real_lower_half(vals)) + vals[half].real) / quad.samples
+    return (_pairwise_reduce(_real_lower_half(vals)) + vals[-1].real) / quad.samples
 
 
 @dataclass(frozen=True)
@@ -243,10 +235,10 @@ def arc_split_diagnostic(
     """
     import numpy as np
 
-    _check_bandwidth(QuadratureSpec(N, samples, variant), R)
+    QuadratureSpec(N, samples, variant)  # validates N, samples and variant
     vals = _integrand_grid(p, R, S, N, samples, variant)
     w = _real_lower_half(vals)
     on_main = np.arange(w.size) >= _main_arc_start(circle_y(N, R, variant), samples)
-    main = (_pairwise_reduce(np.where(on_main, w, 0.0)) + vals[samples // 2].real) / samples
+    main = (_pairwise_reduce(np.where(on_main, w, 0.0)) + vals[-1].real) / samples
     err = _pairwise_reduce(np.where(on_main, 0.0, w)) / samples
     return ArcSplit(main, err, abs(err) / abs(main) if main else math.nan)

@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import signal
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -346,6 +347,8 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
+    except BrokenPipeError:
+        raise  # stdout's reader left; no --out failed
     except OSError as exc:
         print("error: cannot write %s: %s" % (exc.filename, exc.strerror), file=sys.stderr)
         return EXIT_USAGE
@@ -353,6 +356,8 @@ def main(argv=None) -> int:
 
 
 def console_main():
+    """Shell entry point: a reader leaving stdout ends it by SIGPIPE (141)."""
+    signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())
 
 

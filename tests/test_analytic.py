@@ -27,6 +27,15 @@ from test_acceptance import QUAD_INSTANCES
 P672 = ThetaParams(Fraction(6), Fraction(7), 2)
 
 
+def full_grid_at(vals, ks):
+    """Samples ``ks`` of the full grid read from the half grid ``vals``: an
+    upper-half sample k is conj(v[samples - k])."""
+    ks = np.asarray(ks)
+    half = vals.size - 1
+    lower = np.minimum(ks, 2 * half - ks)
+    return np.where(ks > half, np.conj(vals[lower]), vals[lower])
+
+
 class TestQuadrature:
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -39,6 +48,8 @@ class TestQuadrature:
     def test_bandwidth_rule(self):
         with pytest.raises(ValueError, match="aliasing-safe minimum"):
             wright_coefficient(P672, 3, 1, QuadratureSpec(50, 256))
+        with pytest.raises(ValueError, match="aliasing-safe minimum"):
+            arc_split_diagnostic(P672, 3, 1, 50, 256)
 
     def test_rounds_to_exact_both_variants(self):
         # 20 seeded (p, R, S, N <= 60) draws, each in both variants
@@ -74,8 +85,10 @@ class TestQuadrature:
 
     def test_error_budget_on_300_cases(self):
         # The criterion-5 instances x both variants x N = 50, 75, ..., 400.
-        # Every error stays within 64 eps mean|v_k| of the grid values v_k
-        # (worst seen: 12.0), and 245 of the 300 round to the exact value.
+        # Every error stays within 64 eps mean|v_k| of the full grid's values
+        # v_k (worst seen: 12.0), and 245 of the 300 round to the exact
+        # value.  mean|v_k| comes from the half grid, whose upper-half
+        # conjugates have the same moduli.
         eps = np.finfo(float).eps
         worst, exact_count = 0.0, 0
         for a, c, d, R, S in QUAD_INSTANCES:
@@ -85,8 +98,9 @@ class TestQuadrature:
                 for N in range(50, 401, 25):
                     quad = QuadratureSpec(N, min_samples(N, R, variant), variant)
                     val = wright_coefficient(p, R, S, quad)
-                    vals = _integrand_grid(p, R, S, N, quad.samples, variant)
-                    err = abs(val - exact[N]) / (eps * np.abs(vals).mean())
+                    vals = np.abs(_integrand_grid(p, R, S, N, quad.samples, variant))
+                    mean = (vals[0] + vals[-1] + 2 * vals[1:-1].sum()) / quad.samples
+                    err = abs(val - exact[N]) / (eps * mean)
                     worst = max(worst, err)
                     exact_count += round(val) == exact[N]
         assert worst <= 64
@@ -108,10 +122,11 @@ class TestIntegrandGrid:
     def test_matches_per_part_loop(self, p, R, S, N, which, variant):
         # The FFT grid rounds differently from one exp and one division per
         # part and a separate factor q^(-N); the worst relative difference
-        # seen is 1.7e-13.
+        # seen on the half grid is 1.7e-13.
         samples = min_samples(N, R, variant)
         vals = _integrand_grid(p, R, S, N, samples, variant)
-        ref = full_integrand_grid(p, R, S, N, samples, variant, which, 1e-20)
+        ks = np.arange(samples // 2 + 1)
+        ref = full_integrand_grid(p, R, S, N, samples, variant, which, 1e-20, ks)
         assert vals.shape == ref.shape
         assert np.all(np.abs(vals - ref) <= 1e-12 * np.abs(ref))
 
@@ -124,7 +139,8 @@ class TestIntegrandGrid:
         samples = min_samples(N, R, variant)
         vals = _integrand_grid(p, R, S, N, samples, variant)
         _integrand_grid.cache_clear()  # its key does not hold TAIL_TOL
-        ref = full_integrand_grid(p, R, S, N, samples, variant, which, 1e-3)
+        ks = np.arange(samples // 2 + 1)
+        ref = full_integrand_grid(p, R, S, N, samples, variant, which, 1e-3, ks)
         assert np.all(np.abs(vals - ref) <= 1e-12 * np.abs(ref))
 
     @pytest.mark.parametrize("p, R, S, N, which, variant", MP_CASES)
@@ -133,24 +149,35 @@ class TestIntegrandGrid:
         half = samples // 2
         arc = half - math.floor(circle_y(N, R, variant) * samples)  # |x| <= y
         ks = [0, half // 2, arc, half, samples - 1 - half // 3]
-        vals = _integrand_grid(p, R, S, N, samples, variant)[ks]
+        vals = full_grid_at(_integrand_grid(p, R, S, N, samples, variant), ks)
         ref = mp_integrand_samples(p, R, S, N, samples, variant, which, 1e-20, ks)
         assert np.all(np.abs(vals - ref) <= 1e-12 * np.abs(ref))
 
     @pytest.mark.parametrize("p, R, S, N, which, variant", CASES)
     def test_half_grid_matches_full_grid_bitwise(self, p, R, S, N, which, variant):
-        # The upper half is the conjugate mirror of the lower half, bit for
-        # bit.  Against the same polynomials evaluated at every sample by a
-        # full complex FFT, with no mirror, every value agrees to 1e-13
-        # relative; the worst difference seen is 1.3e-14.
+        # The half grid's two self-conjugate samples, x = -1/2 and x = 0,
+        # are real bit for bit, so the full grid's sum is real and the
+        # reducers lose nothing by reading Re v_0 and Re v_half.  Against
+        # the same polynomials evaluated at every sample by a full complex
+        # FFT, with no symmetry, every value, the upper half read as
+        # conj(v[samples - k]), agrees to 1e-13 relative; the worst
+        # difference seen is 1.3e-14.  The coefficient and the two arcs,
+        # real sums over the half grid, lie within 64 eps mean|v_k| of the
+        # real part of the full grid's plain sum; the worst seen is 7.0 for
+        # the coefficient and 6.3 for I_main + I_error.
         samples = min_samples(N, R, variant)
-        half = samples // 2
         vals = _integrand_grid(p, R, S, N, samples, variant)
-        mirror = np.conj(vals[half - 1:0:-1])
-        assert np.array_equal(vals[half + 1:].view(np.uint64), mirror.view(np.uint64))
+        assert vals.shape == (samples // 2 + 1,)
+        assert vals[0].imag == vals[-1].imag == 0.0
         full = full_fft_grid(p, R, S, N, samples, variant, which, 1e-20)
-        assert vals.shape == full.shape
-        assert np.all(np.abs(vals - full) <= 1e-13 * np.abs(full))
+        got = full_grid_at(vals, np.arange(samples))
+        assert np.all(np.abs(got - full) <= 1e-13 * np.abs(full))
+        want = full.sum().real / samples
+        bound = 64 * np.finfo(float).eps * np.abs(full).mean()
+        val = wright_coefficient(p, R, S, QuadratureSpec(N, samples, variant))
+        split = arc_split_diagnostic(p, R, S, N, samples, variant)
+        assert abs(val - want) <= bound
+        assert abs(split.I_main + split.I_error - want) <= bound
 
     def test_poly_on_grid_folds_high_exponents(self):
         # Exponents from minus twice to three times the sample count, some
@@ -225,7 +252,7 @@ class TestIntegrandGrid:
         assert np.isfinite(vals).all()
         ks = np.unique(np.r_[np.arange(0, samples, samples // 64), half - 8 : half + 9])
         ref = full_integrand_grid(P672, R, S, N, samples, variant, which, 1e-20, ks)
-        assert np.all(np.abs(vals[ks] - ref) <= 1e-11 * np.abs(ref))
+        assert np.all(np.abs(full_grid_at(vals, ks) - ref) <= 1e-11 * np.abs(ref))
 
     def test_grid_is_read_only(self):
         vals = _integrand_grid(P672, 3, 1, 20, min_samples(20, 3), "threeR")

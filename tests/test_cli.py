@@ -3,6 +3,10 @@
 import csv
 import hashlib
 import json
+import os
+import signal
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -482,6 +486,52 @@ class TestCircle:
         # circle samples at min_samples(N, R), which grows with N and R; at
         # the ceilings it is at most 2^20 complex samples
         assert min_samples(cli.N_CEILING, cli.N_CEILING, variant) <= 2**20
+
+    @pytest.mark.parametrize("S, variant, samples", [
+        (1, "threeR", 2**20),
+        (9999, "twoR", 2**19),
+    ], ids=("threeR", "twoR"))
+    def test_largest_grids_round_exact(self, S, variant, samples, capsys):
+        # N = R = 10,000: the largest grid of each variant the CLI admits
+        assert min_samples(cli.N_CEILING, cli.N_CEILING, variant) == samples
+        argv = "circle --a 6 --c 7 --d 2 --R 10000 --S %d --N 10000 --variant %s" % (S, variant)
+        assert run(argv.split()) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1:3] == ["rounded          : 41", "exact            : 41"]
+
+
+class TestClosedStdout:
+    """A reader that leaves stdout is not an unwritable --out."""
+
+    def test_in_process_main_raises_broken_pipe(self, monkeypatch):
+        class Closed:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", Closed())
+        with pytest.raises(BrokenPipeError):
+            run("compare --family D --R 3 --S 1 --k 1 --n 10".split())
+
+    def test_console_script_ends_silently(self):
+        # Over 64 KB of rows, so the writer blocks on the full pipe and is
+        # still printing when its reader leaves after one line.
+        argv = "compare --family D --R 3 --S 1 --k 1".split()
+        for n in range(1, 3001):
+            argv += ["--n", str(n)]
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        with subprocess.Popen(
+            [sys.executable, "-c", "from theta_trunc.cli import console_main; console_main()", *argv],
+            env=dict(os.environ, PYTHONPATH=path),
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        ) as proc:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            err = proc.stderr.read()
+        assert first.startswith(b"1,")
+        assert err == b""
+        assert proc.returncode == -signal.SIGPIPE
 
 
 class TestParser:
