@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .asymptotics import THREE_R, VARIANTS
+from .families import PRODUCTS
 from .series import ProductSpec, ThetaParams, theta_terms
 
 
@@ -162,7 +163,7 @@ def _integrand_grid(p, R, S, N, samples, variant):
     need = min_samples(N, R, variant)
     if samples < need:
         raise ValueError("samples=%d below the aliasing-safe minimum %d" % (samples, need))
-    spec = VARIANTS[variant].denominator(R, S)
+    spec = PRODUCTS[VARIANTS[variant].quotient](R, S)
     y = circle_y(N, R, variant)
     ln_r = -2 * math.pi * y
     theta_order, product_order, log_order = _tail_orders(y, TAIL_TOL)

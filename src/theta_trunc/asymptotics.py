@@ -20,9 +20,9 @@ the only two the ladder uses, in closed form:
 The B' ladder replaces R/12 by R/8 in E, uses x = 2*pi*sqrt(N/(2R)),
 s = pi/sqrt(2RN), and shifts the ladder to orders -1 .. -5/2 with
 coefficients sqrt(R/2a) and sqrt(R/2pi) in place of sqrt(pi/a) and 1.
-These differences, with the circle and the denominator of each block, are
+These differences, with the circle and the quotient of each block, are
 the two entries of ``VARIANTS``.  A family takes the circle of
-``families.family_denominator``; its ladder is what survives of its blocks'
+``families.family_quotient``; its ladder is what survives of its blocks'
 exact rung rationals summed with their signs: the last rung.
 """
 
@@ -34,8 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .families import FamilySpec, decompose_family, family_denominator
-from .families import pair_product_spec, triple_product_spec
+from .families import FamilySpec, decompose_family, family_quotient
 from .series import ThetaParams
 
 _LN2 = math.log(2)
@@ -164,13 +163,14 @@ TWO_R = "twoR"
 # E carries e_r * R; the block ladder starts at power ``first`` with
 # prefactor odd(R) on its odd rungs and sqrt(pi/a) * odd(R) on its even ones
 # (sqrt(pi/a) on threeR, sqrt(R/(2a)) on twoR);
-# denominator(R, S) is the q-product of the circle's blocks and families.
-CircleVariant = namedtuple("CircleVariant", "m e_r first odd denominator")
+# quotient names, in ``families.PRODUCTS``, the q-product of the circle's
+# blocks and families.
+CircleVariant = namedtuple("CircleVariant", "m e_r first odd quotient")
 
 VARIANTS = {
-    THREE_R: CircleVariant(3, Fraction(1, 12), Fraction(1, 2), lambda R: 1.0, pair_product_spec),
+    THREE_R: CircleVariant(3, Fraction(1, 12), Fraction(1, 2), lambda R: 1.0, "pair"),
     TWO_R: CircleVariant(
-        2, Fraction(1, 8), Fraction(1), lambda R: math.sqrt(R / (2 * math.pi)), triple_product_spec,
+        2, Fraction(1, 8), Fraction(1), lambda R: math.sqrt(R / (2 * math.pi)), "triple",
     ),
 }
 
@@ -248,11 +248,10 @@ def mainterm_block(p: ThetaParams, R: int, S: int, N: int, variant: str):
 
 @lru_cache(maxsize=256)
 def _family_term(spec: FamilySpec):
-    """(variant, ladder) of a family on the circle of its denominator: its blocks'
+    """(variant, ladder) of a family on the circle of its quotient: its blocks'
     rung rationals summed with their signs, scaled, keeping the non-zero sums."""
     R, S = spec.R, spec.S
-    den = family_denominator(spec)
-    (variant,) = [name for name, v in VARIANTS.items() if v.denominator(R, S) == den]
+    (variant,) = [name for name, v in VARIANTS.items() if v.quotient == family_quotient(spec)]
     blocks = decompose_family(spec)  # (sign, ThetaParams) pairs
     rows = [[sign * r for r in block_rationals(p, R, S, variant)] for sign, p in blocks]
     sums = [sum(column) for column in zip(*rows)]

@@ -207,8 +207,7 @@ def cmd_circle(p: ThetaParams, R: int, S: int, N: int, variant: str) -> int:
     quad = QuadratureSpec(N, samples, variant)
     value = analytic.wright_coefficient(p, R, S, quad)
     split = analytic.arc_split_diagnostic(p, R, S, N, samples, variant=variant)
-    read = families.coefficient_B if variant == asymptotics.THREE_R else families.coefficient_Bprime
-    exact = read(p, R, S, N)
+    exact = families.block_coefficient(p, R, S, N, asymptotics.VARIANTS[variant].quotient)
     rounded = round(value)
     print("quadrature value : %s" % _fmt_real(value))
     print("rounded          : %d" % rounded)
@@ -290,33 +289,32 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _check_range(name, low, high, *values):
+    """Raise ValueError unless every value is at least ``low`` (None: no
+    lower bound) and at most the ceiling ``high``, the lower bound first."""
+    if low is not None and min(values) < low:
+        raise ValueError("%s must be >= %d" % (name, low))
+    if max(values) > high:
+        raise ValueError("%s above ceiling %d" % (name, high))
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "coeffs":
-            if args.n_max < 0:
-                raise ValueError("n-max must be >= 0")
-            if args.n_max > args.n_ceiling:
-                raise ValueError("n-max above ceiling %d" % args.n_ceiling)
+            _check_range("n-max", 0, args.n_ceiling, args.n_max)
             spec = FamilySpec(FAMILY_FLAGS[args.family], args.R, args.S, args.k)
             out = resolve_out(args.out, "coeffs.%s" % args.format)
             _check_writable(out)
             return cmd_coeffs(spec, args.n_max, args.format, out)
         if args.command == "verify-identities":
-            if args.order < 50:
-                raise ValueError("order must be >= 50")
-            if args.order > N_CEILING:
-                raise ValueError("order above ceiling %d" % N_CEILING)
-            if args.decomp_order < 1:
-                raise ValueError("decomp-order must be >= 1")
-            if args.decomp_order > N_CEILING:
-                raise ValueError("decomp-order above ceiling %d" % N_CEILING)
+            _check_range("order", 50, N_CEILING, args.order)
+            _check_range("decomp-order", 1, N_CEILING, args.decomp_order)
             return cmd_verify_identities(args.order, args.decomp_order)
         if args.command == "scan":
             if not 1 <= args.n_lo <= args.n_hi:
                 raise ValueError("need 1 <= n-lo <= n-hi")
-            if args.n_hi > args.n_ceiling:
-                raise ValueError("n-hi above ceiling %d" % args.n_ceiling)
+            _check_range("n-hi", None, args.n_ceiling, args.n_hi)
             specs = [FamilySpec(FAMILY_FLAGS[args.family], args.R, args.S, k) for k in args.k]
             if args.out is not None and len(specs) > 1:
                 raise ValueError("--out takes a single --k")
@@ -324,20 +322,13 @@ def main(argv=None) -> int:
             codes = [cmd_scan(spec, args.n_lo, args.n_hi, args.format, args.out) for spec in specs]
             return EXIT_VIOLATION if EXIT_VIOLATION in codes else EXIT_OK
         if args.command == "compare":
-            if min(args.n_list) < 1:
-                raise ValueError("--n must be >= 1")
-            if max(args.n_list) > args.n_ceiling:
-                raise ValueError("--n above ceiling %d" % args.n_ceiling)
+            _check_range("--n", 1, args.n_ceiling, *args.n_list)
             spec = FamilySpec(FAMILY_FLAGS[args.family], args.R, args.S, args.k)
             _check_writable(args.out)
             return cmd_compare(spec, args.n_list, args.form, args.format, args.out)
         if args.command == "circle":
-            if args.N < 1:
-                raise ValueError("N must be >= 1")
-            if args.N > N_CEILING:
-                raise ValueError("N above ceiling %d" % N_CEILING)
-            if args.R > N_CEILING:
-                raise ValueError("R above ceiling %d" % N_CEILING)
+            _check_range("N", 1, N_CEILING, args.N)
+            _check_range("R", None, N_CEILING, args.R)
             if not 1 <= args.S < args.R:
                 raise ValueError("need 1 <= S < R")
             if gcd(args.R, args.S) != 1:

@@ -29,21 +29,26 @@ oracles.
 
 ``genfun_family``, ``genfun_B`` and ``genfun_Bprime`` divide once per
 (R, S), not per call.  By the Jacobi triple and quintuple products each of
-their series is a few shifted copies of one of three quotients per (R, S),
-1/pair, 1/triple and Q/pair (``_quotient``), each divided once and kept in
-a per-process cache of the last four (R, S): the terms of a finite range of
-theta_{R,S} or Q, or of a block G_{a,c,d}, are slice adds in C.  The reuse
-is within one process; a lone C or Cprime still costs one division, a lone
-D or Dprime two.
+their series is a few shifted copies of four quotients per (R, S)
+(``_quotient``): 1/pair, 1/triple and Q/pair, each divided once, and
+theta_{R,S}/pair = theta_{3R,R} = (q^R; q^R)_inf, which needs no division.
+They are kept in a per-process cache of the last four (R, S): the terms of
+a finite range of theta_{R,S} or Q, or of a block G_{a,c,d}, are slice
+adds in C.  The reuse is within one process; a lone C or Cprime still
+costs one division, a lone D or Dprime two.  ``PRODUCTS`` maps the names
+"pair" and "triple" to their products, and is the one place that says
+which product a series is over; ``family_quotient`` names a family's.
 
 Each series is stated once, as its shifts: (quotient, signed exponents)
 pairs, ``_family_shifts`` for a family and the theta terms of G_{a,c,d}
 over 1/pair or 1/triple for a block.  The shifts are read two ways: the
 whole truncated series by slice adds (``genfun_family``, ``genfun_B``,
-``genfun_Bprime``), or single coefficients, [q^N] = sum sign *
-quotient[N - e], as one dot product each (``family_coefficients``,
-``coefficient_B``, ``coefficient_Bprime``), which is what ``compare`` and
-``circle`` print.
+``genfun_Bprime``), or as point reads, single coefficients
+(``family_coefficients``, ``block_coefficient``), which is what
+``compare`` and ``circle`` print.  A point read [q^N] is one dot product,
+sum sign * quotient[N - e] over the terms with e <= N, on quotients built
+once to the largest N asked, so a few coefficients cost the terms of the
+shifts, not the whole series.
 """
 
 from __future__ import annotations
@@ -112,11 +117,21 @@ def triple_product_spec(R: int, S: int) -> ProductSpec:
     return ProductSpec([(S, R), (R - S, R), (R, R)])
 
 
+# The product each quotient name divides by: the one statement of which
+# product a series is over.
+PRODUCTS = {"pair": pair_product_spec, "triple": triple_product_spec}
+
+
+def family_quotient(spec: FamilySpec) -> str:
+    """The ``PRODUCTS`` name of the family's denominator: "triple" for
+    Cprime, "pair" for the rest."""
+    return "triple" if spec.family == "Cprime" else "pair"
+
+
 def family_denominator(spec: FamilySpec) -> ProductSpec:
     """The q-product under the family's numerator and all four of its
-    blocks: the triple product for Cprime, the pair product for the rest."""
-    product = triple_product_spec if spec.family == "Cprime" else pair_product_spec
-    return product(spec.R, spec.S)
+    blocks."""
+    return PRODUCTS[family_quotient(spec)](spec.R, spec.S)
 
 
 # ---------------------------------------------------------------------------
@@ -132,31 +147,36 @@ _QUOTIENT_RS = 4
 
 def _build_quotient(kind, R, S, order):
     """The quotient ``kind`` of (R, S), truncated below ``order``:
-      pair     1/pair = theta_{3R,R} / theta_{R,S}
-      triple   1/triple = 1 / theta_{R,S}
-      Q/pair   (q^R; q^R)_inf (q^(R-2S), q^(R+2S); q^(2R))_inf by the
-               quintuple product, that is theta_{3R,R} theta_{2R,R-2S}
-               over (q^(2R); q^(2R))_inf, the triple product at (6R, 2R),
-               whose theta series is sparser than theta_{R,S}.
+      pair        1/pair = theta_{3R,R} / theta_{R,S}
+      triple      1/triple = 1 / theta_{R,S}
+      theta/pair  theta_{R,S}/pair = theta_{3R,R} = (q^R; q^R)_inf, a theta
+                  series, with no division
+      Q/pair      (q^R; q^R)_inf (q^(R-2S), q^(R+2S); q^(2R))_inf by the
+                  quintuple product, that is theta_{3R,R} theta_{2R,R-2S}
+                  over (q^(2R); q^(2R))_inf, the triple product at (6R, 2R),
+                  whose theta series is sparser than theta_{R,S}.
+    Q/pair builds its theta_{3R,R} here, not through ``_quotient``, which
+    holds the (R, S) entry out of the cache while this runs.
     """
-    if kind == "Q/pair":
-        num = _theta_sum([(1, theta_rs_params(3 * R, R))], order, [(None, None)], True)
-        kernels.mul_sparse(num.coeffs, *theta_exponents(2 * R, R - 2 * S, order))
-        return ps_div_pochhammer(num, triple_product_spec(6 * R, 2 * R)).coeffs
-    product = pair_product_spec if kind == "pair" else triple_product_spec
-    return ps_div_pochhammer(PowerSeries.one(order), product(R, S)).coeffs
+    if kind in PRODUCTS:
+        return ps_div_pochhammer(PowerSeries.one(order), PRODUCTS[kind](R, S)).coeffs
+    theta = _theta_sum([(1, theta_rs_params(3 * R, R))], order, [(None, None)], True)
+    if kind == "theta/pair":
+        return theta.coeffs
+    kernels.mul_sparse(theta.coeffs, *theta_exponents(2 * R, R - 2 * S, order))
+    return ps_div_pochhammer(theta, triple_product_spec(6 * R, 2 * R)).coeffs
 
 
 def _quotient(kind, R, S, order):
-    """The truncated quotient ``kind`` ("pair": 1/pair, "triple": 1/triple,
-    "Q/pair") of (R, S), at least ``order`` long: read it, never change it.
+    """The truncated quotient ``kind`` of (R, S) (see ``_build_quotient``),
+    at least ``order`` long: read it, never change it.
 
     A truncated quotient is a prefix of every longer one, so each (R, S)
     keeps the longest built and serves shorter orders from it; a longer
     order rebuilds it.  The cache holds the last ``_QUOTIENT_RS`` (R, S)
-    used, with no knob.  For (3, 1) the three lists take 0.26 MB at order
-    2001, 1.7 MB at 10^4 and 32 MB at 10^5, where they take 14 s to build
-    (Intel Xeon).
+    used, with no knob.  For (3, 1) the four lists take 0.27 MB at order
+    2001, 1.7 MB at 10^4 and 32 MB at 10^5, where they take 12-15 s to
+    build (Intel Xeon, sizes by sys.getsizeof of each list and int).
     """
     if order < 1:
         raise ValueError("order must be positive")
@@ -180,40 +200,24 @@ def _add_shifted(out, terms, quotient):
 
 
 def _series(R, S, shifts, order):
-    """The series of ``shifts``, truncated below ``order``.
-
-    ``shifts`` is a list of (kind, terms) pairs standing for the sum of
-    sign * q^e * ``_quotient(kind, R, S, ...)`` over each (e, sign) of
-    terms, the quotient being the series 1 when kind is None.  Each term
-    is one slice add in C over its cached quotient.
-    """
-    plain = [t for kind, terms in shifts if kind is None for t in terms]
-    out = PowerSeries.from_terms(plain, order).coeffs
+    """The series of ``shifts``, truncated below ``order``: each term of
+    each (kind, terms) pair is one slice add in C of its cached quotient
+    ``_quotient(kind, R, S, order)``."""
+    out = [0] * order
     for kind, terms in shifts:
-        if kind is not None:
-            _add_shifted(out, terms, _quotient(kind, R, S, order))
+        _add_shifted(out, terms, _quotient(kind, R, S, order))
     return PowerSeries(out, order)
 
 
 def _coefficients(R, S, shifts, ns):
     """[q^N] of the series of ``shifts`` for each N of ``ns``, with every
-    term below max(ns) + 1 listed: one dot product
-    sum sign * quotient[N - e] over the terms with e <= N per N, on
-    quotients built (once) to that order."""
+    term below max(ns) + 1 listed, on quotients built (once) to that
+    order."""
     if min(ns) < 0:
         raise ValueError("N must be >= 0")
     order = max(ns) + 1
-    read = [(None if kind is None else _quotient(kind, R, S, order), terms) for kind, terms in shifts]
-    out = []
-    for N in ns:
-        total = 0
-        for q, terms in read:
-            if q is None:
-                total += sum(sign for e, sign in terms if e == N)
-            else:
-                total += sum(sign * q[N - e] for e, sign in terms if e <= N)
-        out.append(total)
-    return out
+    read = [(_quotient(kind, R, S, order), terms) for kind, terms in shifts]
+    return [sum(sign * q[N - e] for q, terms in read for e, sign in terms if e <= N) for N in ns]
 
 
 def genfun_B(p: ThetaParams, R: int, S: int, order: int) -> PowerSeries:
@@ -228,15 +232,10 @@ def genfun_Bprime(p: ThetaParams, R: int, S: int, order: int) -> PowerSeries:
     return _series(R, S, [("triple", theta_terms(p, order))], order)
 
 
-def coefficient_B(p: ThetaParams, R: int, S: int, N: int) -> int:
-    """[q^N] of ``genfun_B``, as one dot product over the cached 1/pair."""
-    return _coefficients(R, S, [("pair", theta_terms(p, N + 1))], [N])[0]
-
-
-def coefficient_Bprime(p: ThetaParams, R: int, S: int, N: int) -> int:
-    """[q^N] of ``genfun_Bprime``, as one dot product over the cached
-    1/triple."""
-    return _coefficients(R, S, [("triple", theta_terms(p, N + 1))], [N])[0]
+def block_coefficient(p: ThetaParams, R: int, S: int, N: int, quotient: str) -> int:
+    """[q^N] of G_{a,c,d} over the product ``PRODUCTS[quotient]``: of
+    ``genfun_B`` for "pair", of ``genfun_Bprime`` for "triple"."""
+    return _coefficients(R, S, [(quotient, theta_terms(p, N + 1))], [N])[0]
 
 
 def _quintuple_theta(R: int, S: int):
@@ -293,29 +292,27 @@ def _family_shifts(spec: FamilySpec, order: int):
 
     With P_k = theta_{R,S} over 1-k <= n <= k and Q_[lo, hi] = Q over
     lo <= n <= hi, the Jacobi triple product (theta_{R,S} is the triple
-    product, theta_{3R,R} = (q^R; q^R)_inf) and the quintuple product give
+    product) and the quintuple product give
 
       Cprime_k = (-1)^(k-1) P_k / triple           2k terms
-      C_k      = (-1)^k (theta_{3R,R} - P_k / pair)
-      D_k      = Q_[-k, k] / pair - Q/pair          4k + 2 terms
+      C_k      = (-1)^k (theta/pair - P_k / pair)
+      D_k      = Q_[-k, k] / pair - Q/pair         4k + 2 terms
       Dprime_k = Q_[-k, k-1] / pair - Q/pair
 
     from the numerator of ``_family_numerator``: the two tails n <= hi and
-    n >= lo of C, D and Dprime are the whole theta series minus its range
-    hi < n < lo, and over the pair the whole theta_{R,S} is theta_{3R,R}
-    and the whole Q is Q/pair.
+    n >= lo of C, D and Dprime are the whole theta series, with the sign of
+    the first block, minus its range hi < n < lo, and over the pair the
+    whole theta_{R,S} is theta/pair and the whole Q is Q/pair.
     """
     blocks, ranges, alternating = _family_numerator(spec)
+    quotient = family_quotient(spec)
     if spec.family == "Cprime":
-        return [("triple", _signed_terms(blocks, order, ranges, alternating))]
+        return [(quotient, _signed_terms(blocks, order, ranges, alternating))]
     (_, hi), (lo, _) = ranges
-    if spec.family == "C":
-        whole = [(blocks[0][0], theta_rs_params(3 * spec.R, spec.R))]
-        first = (None, _signed_terms(whole, order, [(None, None)], True))
-    else:
-        first = ("Q/pair", [(0, -1)])
+    whole = "theta/pair" if spec.family == "C" else "Q/pair"
     minus = [(-sign, p) for sign, p in blocks]
-    return [first, ("pair", _signed_terms(minus, order, [(hi + 1, lo - 1)], alternating))]
+    middle = _signed_terms(minus, order, [(hi + 1, lo - 1)], alternating)
+    return [(whole, [(0, blocks[0][0])]), (quotient, middle)]
 
 
 def genfun_family(spec: FamilySpec, order: int) -> PowerSeries:
@@ -323,7 +320,7 @@ def genfun_family(spec: FamilySpec, order: int) -> PowerSeries:
     ``family_denominator(spec)``, as the shifted copies of cached quotients
     that ``_family_shifts`` lists.
 
-    A spec costs its terms' slice adds once its (R, S) has the quotient
+    A spec costs its terms' slice adds once its (R, S) has the quotients
     (``_quotient``), and a truncated quotient is exact to its order, so the
     series equals the numerator-over-denominator route's bit for bit.
     """
@@ -332,8 +329,7 @@ def genfun_family(spec: FamilySpec, order: int) -> PowerSeries:
 
 def family_coefficients(spec: FamilySpec, ns):
     """[q^N] of ``genfun_family(spec, ...)`` for each N >= 0 of ``ns``, in
-    that order: one dot product over the cached quotients per N, so a few
-    coefficients cost the terms of ``_family_shifts``, not the series."""
+    that order."""
     return _coefficients(spec.R, spec.S, _family_shifts(spec, max(ns) + 1), ns)
 
 

@@ -459,7 +459,7 @@ class TestCircle:
         monkeypatch.setattr(
             cli.analytic, "wright_coefficient", lambda *a, **k: 12345.25
         )
-        monkeypatch.setattr(cli.families, "coefficient_B", lambda p, R, S, N: 2**60)
+        monkeypatch.setattr(cli.families, "block_coefficient", lambda p, R, S, N, quotient: 2**60)
         argv = "circle --a 6 --c 7 --d 2 --R 3 --S 1 --N 20".split()
         assert run(argv) == 4
         lines = capsys.readouterr().out.splitlines()

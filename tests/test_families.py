@@ -11,8 +11,7 @@ from theta_trunc.families import (
     FAMILIES,
     GRID_RS,
     FamilySpec,
-    coefficient_B,
-    coefficient_Bprime,
+    block_coefficient,
     decompose_family,
     default_grid,
     family_coefficients,
@@ -35,8 +34,10 @@ from theta_trunc.series import (
     ps_div_pochhammer,
     ps_mul,
     theta_partial,
+    theta_rs_params,
     theta_terms,
 )
+from theta_trunc.asymptotics import VARIANTS
 from oracles import count_partitions, dense_truncated_pentagonal_rhs, family_by_division, paper_blocks
 from test_acceptance import QUAD_INSTANCES
 from test_asymptotics import family_specs
@@ -229,19 +230,20 @@ class TestPointReads:
     """Single coefficients as dot products over the cached quotients,
     against the whole series read from the same shifts."""
 
-    @pytest.mark.parametrize("read, genfun", [(coefficient_B, genfun_B), (coefficient_Bprime, genfun_Bprime)])
-    def test_block_reads_match_the_series(self, read, genfun):
+    @pytest.mark.parametrize("quotient", sorted(v.quotient for v in VARIANTS.values()))
+    def test_block_reads_match_the_series(self, quotient):
         # The criterion-5 instances, each N read on its own.
+        genfun = {"pair": genfun_B, "triple": genfun_Bprime}[quotient]
         for a, c, d, R, S in QUAD_INSTANCES:
             p = ThetaParams(a, c, d)
             for N in range(1, 401):
-                assert read(p, R, S, N) == genfun(p, R, S, N + 1)[N], (p, R, S, N)
+                assert block_coefficient(p, R, S, N, quotient) == genfun(p, R, S, N + 1)[N], (p, R, S, N)
 
     def test_block_below_its_first_exponent_reads_zero(self):
         p = ThetaParams(Fraction(6), Fraction(13), 7)  # G starts at q^7
         for N in range(7):
-            assert coefficient_B(p, 3, 1, N) == coefficient_Bprime(p, 3, 1, N) == 0
-        assert coefficient_B(p, 3, 1, 7) == coefficient_Bprime(p, 3, 1, 7) == 1
+            assert block_coefficient(p, 3, 1, N, "pair") == block_coefficient(p, 3, 1, N, "triple") == 0
+        assert block_coefficient(p, 3, 1, 7, "pair") == block_coefficient(p, 3, 1, 7, "triple") == 1
 
     def test_family_reads_match_the_series(self):
         extra = [FamilySpec(f, R, S, 10) for f in FAMILIES for R, S in ((3, 1), (7, 3))]
@@ -282,7 +284,19 @@ class TestCachedRoute:
             # every piece is as long as the longest order asked so far
             lengths = {len(c) for c in families._QUOTIENTS[5, 2].values()}
             assert lengths == {max(orders[:orders.index(order) + 1])}
-        assert sorted(families._QUOTIENTS[5, 2]) == ["Q/pair", "pair", "triple"]
+        assert sorted(families._QUOTIENTS[5, 2]) == ["Q/pair", "pair", "theta/pair", "triple"]
+
+    @pytest.mark.parametrize("R, S", GRID_RS + ((2, 1), (8, 3)))
+    def test_theta_over_pair_is_the_forward_product(self, R, S):
+        # theta_{R,S}/pair = theta_{3R,R} = (q^R; q^R)_inf, against the
+        # forward product and against theta_{R,S} divided by the pair.
+        families._QUOTIENTS.clear()
+        for order in (1, 301, 2001):
+            got = families._quotient("theta/pair", R, S, order)[:order]
+            assert got == pochhammer(ProductSpec([(R, R)]), order).coeffs, (R, S, order)
+            terms = theta_terms(theta_rs_params(R, S), order, None, None, True)
+            theta = PowerSeries.from_terms(terms, order)
+            assert got == ps_div_pochhammer(theta, pair_product_spec(R, S)).coeffs, (R, S, order)
 
     def test_holds_at_most_four_rs_least_recently_used_out(self):
         families._QUOTIENTS.clear()

@@ -2,7 +2,7 @@
 and not numpy, which only the circle grid loads, nor mpmath, which no run
 loads; no module defines an exception type of its own; ``analytic`` defines
 only what ``cli`` runs; every name the benchmark's tracer patches exists and
-is restored."""
+is restored, and every package name its scripts read exists."""
 
 import ast
 import importlib
@@ -156,3 +156,39 @@ def test_benchmark_tracer_patches_existing_names_and_restores_them():
         if old.get(attr) is not new.get(attr)
     ]
     assert moved == []
+
+
+def _package_reads(path):
+    """(module, name) for each ``families.<name>`` and ``tt.<module>.<name>``
+    in the script at ``path``, (module, None) for each ``tt.<module>``."""
+    reads = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(node, ast.Attribute):
+            continue
+        owner = node.value
+        if isinstance(owner, ast.Name):
+            if owner.id == "families":
+                reads.add(("families", node.attr))
+            elif owner.id == "tt":
+                reads.add((node.attr, None))
+        elif isinstance(owner, ast.Attribute) and isinstance(owner.value, ast.Name) and owner.value.id == "tt":
+            reads.add((owner.attr, node.attr))
+    return reads
+
+
+def test_benchmark_scripts_read_existing_names():
+    # perfbench/make_refs.py and perfbench/run.py read package names
+    # directly (``tt`` is the imported package, ``families`` its module):
+    # the reference builder calls genfun_B, genfun_Bprime and the
+    # decomposition route, the runner records kernels.BACKEND.  A deleted
+    # or renamed name fails here, not when the references are rebuilt.
+    root = Path(__file__).resolve().parents[1] / "perfbench"
+    reads = _package_reads(root / "make_refs.py") | _package_reads(root / "run.py")
+    assert {("families", "genfun_B"), ("series", "ThetaParams"), ("kernels", "BACKEND")} <= reads
+    missing = [
+        "%s.%s" % (module, name) if name else module
+        for module, name in sorted(reads, key=str)
+        if module not in LAYERS
+        or name is not None and not hasattr(importlib.import_module("theta_trunc." + module), name)
+    ]
+    assert missing == []
