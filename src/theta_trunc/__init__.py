@@ -7,8 +7,8 @@ Layers:
   series       exact truncated integer power series and q-products
   families     the C / Cprime / D / Dprime generating functions and the
                classical identities used as oracles
-  asymptotics  scaled Bessel functions and every closed-form main term,
-               evaluated in log space
+  asymptotics  scaled Bessel functions and each family's one-rung
+               closed-form main term, evaluated in log space
   analytic     circle-method quadrature of a block coefficient with its arc
                diagnostics
   cli          the ``theta-trunc`` command line front end

@@ -1,16 +1,17 @@
-"""Closed-form main terms: scaled Bessel functions and the rung ladders of
-the B / B' coefficient blocks and of the families.
+"""Closed-form main terms: scaled Bessel functions and the one Bessel rung of
+each family.
 
-A main term is a ladder: rungs (coeff, p), each standing for
-coeff * s^p * I_{-p}(x), all evaluated by ``ladder_value_scaled``.  Every
+A family's main term is one rung coeff * s^p * I_{-p}(x).  Every
 coefficient family grows like exp(2*pi*sqrt(N/(3R))) (or with 2R in place
 of 3R), so all values are carried either as exponentially scaled floats or
 as LogValue, a (sign, log of magnitude) pair.
 
-The B ladder has four rungs; with x = 2*pi*sqrt(N/(3R)), s = pi/sqrt(3RN),
+The rung is what survives of the paper's four-rung main terms of the
+family's B / B' blocks, which only the tests build (``tests/oracles.py``).
+With x = 2*pi*sqrt(N/(3R)), s = pi/sqrt(3RN),
 E = d - c^2/(4a) + R/12 - S/2 + S^2/(2R), h = c/(2a), sin0 = sin(S*pi/R)
-and the Bernoulli polynomials B1(h) = h - 1/2, B3(h) = h (h - 1/2) (h - 1),
-the only two the ladder uses, in closed form:
+and the Bernoulli polynomials B1(h) = h - 1/2 and
+B3(h) = h (h - 1/2) (h - 1), a B block's main term is
 
     sqrt(pi/a)/(4 sin0) * s^(1/2) I_{-1/2}(x)
   - B1(h)/(2 sin0)      * s       I_{-1}(x)
@@ -20,10 +21,10 @@ the only two the ladder uses, in closed form:
 The B' ladder replaces R/12 by R/8 in E, uses x = 2*pi*sqrt(N/(2R)),
 s = pi/sqrt(2RN), and shifts the ladder to orders -1 .. -5/2 with
 coefficients sqrt(R/2a) and sqrt(R/2pi) in place of sqrt(pi/a) and 1.
-These differences, with the circle and the quotient of each block, are
-the two entries of ``VARIANTS``.  A family takes the circle of
-``families.family_quotient``; its ladder is what survives of its blocks'
-exact rung rationals summed with their signs: the last rung.
+A family's blocks share a and E, and their signed sum cancels the first
+three rungs; ``family_rung`` derives the last from B3 alone, on the
+circle of ``families.family_quotient``.  What differs between the two
+circles, with the quotient of each, is the two entries of ``VARIANTS``.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .families import FamilySpec, decompose_family, family_quotient
-from .series import ThetaParams
 
 _LN2 = math.log(2)
 
@@ -149,28 +149,26 @@ def _bessel_asymptotic(v: float, x: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# main-term ladders
+# family main terms
 # ---------------------------------------------------------------------------
 
 THREE_R = "threeR"
 TWO_R = "twoR"
 
 
-# Everything that differs between the two circles, with the block that goes
+# Everything that differs between the two circles, with the blocks that go
 # with each: B blocks (pair product) take the 3R circle, B' blocks (triple
 # product) the 2R circle.  m gives the circle height y = 1/(2 sqrt(mRN)), the
 # Bessel argument x = 2 pi sqrt(N/(mR)) and the power base s = pi/sqrt(mRN);
-# E carries e_r * R; the block ladder starts at power ``first`` with
-# prefactor odd(R) on its odd rungs and sqrt(pi/a) * odd(R) on its even ones
-# (sqrt(pi/a) on threeR, sqrt(R/(2a)) on twoR);
-# quotient names, in ``families.PRODUCTS``, the q-product of the circle's
-# blocks and families.
-CircleVariant = namedtuple("CircleVariant", "m e_r first odd quotient")
+# power is that of a family's one rung, the last of its blocks' four, and
+# odd(R) its prefactor; quotient names, in ``families.PRODUCTS``, the
+# q-product of the circle's blocks and families.
+CircleVariant = namedtuple("CircleVariant", "m power odd quotient")
 
 VARIANTS = {
-    THREE_R: CircleVariant(3, Fraction(1, 12), Fraction(1, 2), lambda R: 1.0, "pair"),
+    THREE_R: CircleVariant(3, Fraction(2), lambda R: 1.0, "pair"),
     TWO_R: CircleVariant(
-        2, Fraction(1, 8), Fraction(1), lambda R: math.sqrt(R / (2 * math.pi)), "triple",
+        2, Fraction(5, 2), lambda R: math.sqrt(R / (2 * math.pi)), "triple",
     ),
 }
 
@@ -183,92 +181,30 @@ def power_scale(N: int, R: int, variant: str) -> float:
     return math.pi / math.sqrt(VARIANTS[variant].m * R * N)
 
 
-def ladder_value_scaled(ladder, N: int, R: int, variant: str):
-    """(value / e^x, x) of the ladder sum coeff * s^p * I_{-p}(x) over its
-    rungs (coeff, p), with x and s of the variant at N.
-
-    Summing in scaled space keeps the rungs, which all carry the factor
-    e^x, inside float range at any N.
-    """
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    s = power_scale(N, R, variant)
-    x = bessel_argument(N, R, variant)
-    acc = 0.0
-    for coeff, power in ladder:
-        acc += coeff * s ** float(power) * bessel_I_scaled(-power, x)
-    return acc, x
-
-
-def e_constant(p: ThetaParams, R: int, S: int, variant: str) -> Fraction:
-    """E = d - c^2/(4a) + R/12 - S/2 + S^2/(2R), with R/8 for the twoR form.
-
-    For every four-term decomposition all four blocks share one value of E,
-    which is what makes the leading Bessel orders cancel exactly.
-    """
-    base = Fraction(p.d) - p.c * p.c / (4 * p.a) - Fraction(S, 2) + Fraction(S * S, 2 * R)
-    return base + R * VARIANTS[variant].e_r
-
-
-def block_rationals(p: ThetaParams, R: int, S: int, variant: str):
-    """The exact rung rationals 1, -B1(h), -E, E B1(h) + a B3(h)/3, h = c/2a."""
-    h = p.c / (2 * p.a)
-    e = e_constant(p, R, S, variant)
-    b1 = h - Fraction(1, 2)
-    b3 = h * b1 * (h - 1)
-    return (Fraction(1), -b1, -e, e * b1 + p.a * b3 / 3)
-
-
-def scaled_ladder(rationals, a, R: int, S: int, variant: str):
-    """The (coefficient, power) rungs of rung rationals: rung i at power
-    first + i/2 of the variant, times sqrt(pi/a) odd(R)/(4 sin0) for even i
-    and odd(R)/(2 sin0) for odd i."""
-    v = VARIANTS[variant]
-    sin0 = math.sin(math.pi * S / R)
-    odd = v.odd(R)
-    scales = ((math.sqrt(math.pi / float(a)) * odd, 4 * sin0), (odd, 2 * sin0))
-    return tuple(
-        (float(r) * scales[i % 2][0] / scales[i % 2][1], v.first + Fraction(i, 2))
-        for i, r in enumerate(rationals)
-    )
-
-
-def block_ladder(p: ThetaParams, R: int, S: int, variant: str):
-    """The four (coefficient, power) rungs of a block's main term; the
-    main-arc expansion of L in ``tests/paper_lemmas.py`` reads them too."""
-    return scaled_ladder(block_rationals(p, R, S, variant), p.a, R, S, variant)
-
-
-def mainterm_block(p: ThetaParams, R: int, S: int, N: int, variant: str):
-    """Four-rung Bessel main term of a block on the variant's circle
-    (threeR for B, twoR for B'); returns (ladder, value)."""
-    ladder = block_ladder(p, R, S, variant)
-    return ladder, LogValue.from_scaled(*ladder_value_scaled(ladder, N, R, variant))
-
-
 @lru_cache(maxsize=256)
-def _family_term(spec: FamilySpec):
-    """(variant, ladder) of a family on the circle of its quotient: its blocks'
-    rung rationals summed with their signs, scaled, keeping the non-zero sums."""
-    R, S = spec.R, spec.S
+def family_rung(spec: FamilySpec):
+    """(variant, coeff, power) of a family's main term coeff s^p I_{-p}(x),
+    on the circle of its quotient.
+
+    coeff is odd(R)/(2 sin0) times the signed sum of the blocks' last rung
+    rationals E B1(h) + a B3(h)/3.  The blocks of ``decompose_family`` share
+    a and E, with sum sign = 0 and sum sign B1(h) = 0, so that sum is
+    (a/3) sum sign B3(h), h = c/(2a): w S, with w = k, k, 2k+1, -4k for C,
+    Cprime, D, Dprime.
+    """
     (variant,) = [name for name, v in VARIANTS.items() if v.quotient == family_quotient(spec)]
+    v = VARIANTS[variant]
     blocks = decompose_family(spec)  # (sign, ThetaParams) pairs
-    rows = [[sign * r for r in block_rationals(p, R, S, variant)] for sign, p in blocks]
-    sums = [sum(column) for column in zip(*rows)]
-    ladder = scaled_ladder(sums, blocks[0][1].a, R, S, variant)
-    return variant, tuple(rung for rung, r in zip(ladder, sums) if r)
-
-
-def family_ladder(spec: FamilySpec):
-    """The rungs (coeff, power) that survive the four-block cancellation: the
-    last one, at weight w S (w = k, k, 2k+1, -4k for C, Cprime, D, Dprime)."""
-    return _family_term(spec)[1]
+    a = blocks[0][1].a
+    hs = [(sign, p.c / (2 * a)) for sign, p in blocks]
+    r = a / 3 * sum(sign * h * (h - Fraction(1, 2)) * (h - 1) for sign, h in hs)
+    return variant, float(r) * v.odd(spec.R) / (2 * math.sin(math.pi * spec.S / spec.R)), v.power
 
 
 def mainterm_family(spec: FamilySpec, N: int, form: str) -> LogValue:
     """Closed-form main term of the family coefficient at N.
 
-    ``form='bessel'`` evaluates the surviving Bessel term coeff s^p I_{-p}(x);
+    ``form='bessel'`` evaluates the family's rung coeff s^p I_{-p}(x);
     ``'elementary'`` replaces e^(-x) I_{-p}(x) by its leading term
     1/sqrt(2 pi x), which gives
 
@@ -281,14 +217,14 @@ def mainterm_family(spec: FamilySpec, N: int, form: str) -> LogValue:
         raise ValueError("N must be >= 1")
     if form not in ("bessel", "elementary"):
         raise ValueError("form must be 'bessel' or 'elementary'")
-    variant, ladder = _family_term(spec)
-    if form == "bessel":
-        return LogValue.from_scaled(*ladder_value_scaled(ladder, N, spec.R, variant))
-    ((coeff, power),) = ladder
+    variant, coeff, power = family_rung(spec)
+    s = power_scale(N, spec.R, variant)
     x = bessel_argument(N, spec.R, variant)
+    if form == "bessel":
+        return LogValue.from_scaled(coeff * s ** float(power) * bessel_I_scaled(-power, x), x)
     ln = (
         math.log(abs(coeff))
-        + float(power) * math.log(power_scale(N, spec.R, variant))
+        + float(power) * math.log(s)
         - 0.5 * math.log(2 * math.pi * x)
         + x
     )

@@ -101,11 +101,17 @@ def _check_writable(path):
 
 def write_table(path, fmt, header, lines):
     """Write formatted table lines, each ending in a newline, after the
-    header line in CSV (JSON lines carry the header as their keys)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        if fmt == "csv":
-            fh.write(",".join(header) + "\n")
-        fh.writelines(lines)
+    header line in CSV (JSON lines carry the header as their keys).  A
+    failed write or close names no file, so its OSError is given ``path``."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            if fmt == "csv":
+                fh.write(",".join(header) + "\n")
+            fh.writelines(lines)
+    except OSError as exc:
+        if exc.filename is None:
+            exc.filename = path
+        raise
 
 
 # ---------------------------------------------------------------------------

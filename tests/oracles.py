@@ -299,6 +299,35 @@ def paper_block_rationals(p, R, S, variant):
     return (Fraction(1), -b1, -e, e * b1 + a * b3 / 3)
 
 
+# Per circle, the power of a block's first rung and the odd-rung factor
+# odd(R): 3R circle powers 1/2 .. 2 with odd = 1, 2R circle 1 .. 5/2 with
+# odd = sqrt(R/(2 pi)).
+PAPER_CIRCLES = {
+    "threeR": (Fraction(1, 2), lambda R: 1.0),
+    "twoR": (Fraction(1), lambda R: math.sqrt(R / (2 * math.pi))),
+}
+
+
+def paper_scaled_ladder(rationals, a, R, S, variant):
+    """The (coefficient, power) rungs of rung rationals: rung i at power
+    first + i/2 of the circle, times sqrt(pi/a) odd(R)/(4 sin0) for even i
+    and odd(R)/(2 sin0) for odd i."""
+    first, odd = PAPER_CIRCLES[variant]
+    sin0 = math.sin(math.pi * S / R)
+    scales = ((math.sqrt(math.pi / float(a)) * odd(R), 4 * sin0), (odd(R), 2 * sin0))
+    return tuple(
+        (float(r) * scales[i % 2][0] / scales[i % 2][1], first + Fraction(i, 2))
+        for i, r in enumerate(rationals)
+    )
+
+
+def paper_block_ladder(p, R, S, variant):
+    """The four (coefficient, power) rungs of a block's main term on the
+    circle, each rung standing for coeff s^p I_{-p}(x); the main-arc
+    expansion of L in ``tests/paper_lemmas.py`` reads them too."""
+    return paper_scaled_ladder(paper_block_rationals(p, R, S, variant), p.a, R, S, variant)
+
+
 # The paper's family main terms: each family's is the last rung of its
 # blocks, w S odd(R)/(2 sin0) s^p I_{-p}(x), on its circle, at weight w.
 PAPER_RUNGS = {

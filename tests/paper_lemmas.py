@@ -27,8 +27,8 @@ the rule the circle grid uses.
   precision the caller sets.
 * ``mainarc_L_expansion`` is ``exp(pi i/(6 R tau)) sum_k coeff_k w^(p_k - 1)``,
   ``w = -2 pi i tau``, over the four threeR rungs ``(coeff_k, p_k)`` of
-  ``asymptotics.block_ladder``, the same ladder ``mainterm_block`` evaluates
-  as Bessel terms, so a rung added to the ladder reaches both.  It stays
+  ``oracles.paper_block_ladder``, the same ladder the tests evaluate as the
+  block's Bessel main term, so a rung added to the ladder reaches both.  It stays
   within 1e-13 of the bracket written out with its own ``E`` and Bernoulli
   values (``oracles.mainarc_bracket``).
 """
@@ -42,10 +42,10 @@ from math import gcd
 import mpmath as mp
 
 from theta_trunc.analytic import _tail_orders
-from theta_trunc.asymptotics import THREE_R, block_ladder
+from theta_trunc.asymptotics import THREE_R
 from theta_trunc.series import ProductSpec, ThetaParams, theta_terms
 
-from oracles import bernoulli_poly
+from oracles import bernoulli_poly, paper_block_ladder
 
 
 @dataclass(frozen=True)
@@ -205,8 +205,8 @@ def mainarc_L_expansion(p: ThetaParams, R: int, S: int, tau: TauPoint) -> comple
     """Main-arc expansion of L_{a,c,d} with the higher-order tail dropped.
 
     exp(pi i/(6 R tau)) sum_k coeff_k w^(power_k - 1), w = -2 pi i tau, over
-    the four threeR rungs (coeff_k, power_k) of ``asymptotics.block_ladder``,
-    the same rungs the Bessel main term ``mainterm_block`` is built from:
+    the four threeR rungs (coeff_k, power_k) of ``oracles.paper_block_ladder``,
+    the same rungs the block's Bessel main term is built from:
 
         [ sqrt(pi/a) w^(-1/2) / 2 - B1(c/2a) - (E/2) sqrt(pi/a) w^(1/2)
           + (E B1(c/2a) + a B3(c/2a)/3) w ] / (2 sin(S pi/R))
@@ -221,7 +221,7 @@ def mainarc_L_expansion(p: ThetaParams, R: int, S: int, tau: TauPoint) -> comple
         raise ValueError("|x| must not exceed y on the main arc")
     t = tau.tau
     w = -2j * math.pi * t
-    ladder = block_ladder(p, R, S, THREE_R)
+    ladder = paper_block_ladder(p, R, S, THREE_R)
     rungs = sum(coeff * w ** float(power - 1) for coeff, power in ladder)
     return cmath.exp(1j * math.pi / (6.0 * R * t)) * rungs
 

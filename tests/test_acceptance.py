@@ -36,7 +36,6 @@ from theta_trunc.analytic import (
 from theta_trunc.asymptotics import (
     LogValue,
     bessel_I_scaled,
-    block_rationals,
     logvalue_ratio,
     mainterm_family,
 )
@@ -56,7 +55,7 @@ from theta_trunc.families import (
 )
 from theta_trunc.series import ProductSpec, ThetaParams
 
-from oracles import PAPER_RUNGS
+from oracles import PAPER_RUNGS, paper_block_rationals
 from paper_lemmas import (
     TauPoint,
     eval_product_inv,
@@ -114,13 +113,13 @@ def test_c2_conjecture_scans():
 # -- criterion 3: collapse identity -------------------------------------------
 
 def test_c3_collapse_identity():
-    # exact: the blocks' rung rationals summed with their signs leave only
-    # the last rung, at w S
+    # exact: the blocks' rung rationals as the paper writes them, summed
+    # with their signs, leave only the last rung, at w S
     bad = []
     for spec in default_grid():
         variant, weight = PAPER_RUNGS[spec.family]
         rows = [
-            [sign * r for r in block_rationals(p, spec.R, spec.S, variant)]
+            [sign * r for r in paper_block_rationals(p, spec.R, spec.S, variant)]
             for sign, p in decompose_family(spec)
         ]
         if tuple(map(sum, zip(*rows))) != (0, 0, 0, weight(spec.k) * spec.S):

@@ -1,5 +1,5 @@
-"""asymptotics: scaled Bessel, LogValue, main-term ladders, and the rung
-rationals against the Bernoulli reference of tests/oracles.py."""
+"""asymptotics: scaled Bessel, LogValue, the family main terms, and the
+family rung against the paper's block ladders built in tests/oracles.py."""
 
 import math
 import random
@@ -13,29 +13,32 @@ from hypothesis import given, settings, strategies as st
 from theta_trunc.asymptotics import (
     THREE_R,
     TWO_R,
-    VARIANTS,
     LogValue,
     bessel_I_scaled,
     bessel_argument,
-    block_rationals,
-    e_constant,
-    family_ladder,
-    ladder_value_scaled,
+    family_rung,
     logvalue_ratio,
-    mainterm_block,
     mainterm_family,
+    power_scale,
 )
 from theta_trunc.families import FAMILIES, FamilySpec, decompose_family, default_grid
 from theta_trunc.series import ThetaParams
 
-from oracles import PAPER_RUNGS, bernoulli_poly, mp_family_mainterm, paper_block_rationals
+from oracles import (
+    PAPER_RUNGS,
+    bernoulli_poly,
+    mp_family_mainterm,
+    paper_block_ladder,
+    paper_block_rationals,
+    paper_scaled_ladder,
+)
 
 HALF = Fraction(1, 2)
 
 
 class TestBernoulli:
-    """The general recurrence of tests/oracles.py, the reference the rung
-    rationals are checked against, against printed values and mpmath."""
+    """The general recurrence of tests/oracles.py, which the paper's rung
+    rationals are built from, against printed values and mpmath."""
 
     def test_printed_values(self):
         assert bernoulli_poly(1, Fraction(0)) == Fraction(-1, 2)
@@ -58,33 +61,6 @@ class TestBernoulli:
 
     def test_float_input(self):
         assert bernoulli_poly(1, 0.25) == Fraction(-1, 4)
-
-
-@st.composite
-def theta_params(draw):
-    """Valid ThetaParams: a = A/2 > 0 and c = C/2 with A + C even and >= 0."""
-    A = draw(st.integers(1, 60))
-    C = 2 * draw(st.integers(0, 80)) - A
-    return ThetaParams(Fraction(A, 2), Fraction(C, 2), draw(st.integers(0, 200)))
-
-
-class TestBlockRationals:
-    """block_rationals, with B1 and B3 in closed form, against the paper's
-    rationals built from the general recurrence of tests/oracles.py."""
-
-    def test_every_default_grid_block(self):
-        for spec in default_grid():
-            for variant in VARIANTS:
-                for _, p in decompose_family(spec):
-                    got = block_rationals(p, spec.R, spec.S, variant)
-                    assert all(type(r) is Fraction for r in got)
-                    assert got == paper_block_rationals(p, spec.R, spec.S, variant), (spec, variant, p)
-
-    @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(theta_params(), st.integers(2, 60), st.data(), st.sampled_from(sorted(VARIANTS)))
-    def test_drawn_blocks(self, p, R, data, variant):
-        S = data.draw(st.integers(1, R - 1))
-        assert block_rationals(p, R, S, variant) == paper_block_rationals(p, R, S, variant)
 
 
 class TestBesselScaled:
@@ -155,6 +131,20 @@ class TestLogValue:
         assert logvalue_ratio(LogValue.zero(), b) == "sign-mismatch"
 
 
+def scaled_value(ladder, N, R, variant):
+    """(value / e^x, x) of the ladder sum coeff s^p I_{-p}(x) over its rungs
+    (coeff, p), with x and s of the circle at N."""
+    s = power_scale(N, R, variant)
+    x = bessel_argument(N, R, variant)
+    return sum(coeff * s ** float(power) * bessel_I_scaled(-power, x) for coeff, power in ladder), x
+
+
+def paper_block_mainterm(p, R, S, N, variant):
+    """(ladder, value) of the paper's four-rung Bessel main term of a block."""
+    ladder = paper_block_ladder(p, R, S, variant)
+    return ladder, LogValue.from_scaled(*scaled_value(ladder, N, R, variant))
+
+
 def mp_mainterm_B(a, c, d, R, S, N, variant):
     """Independent high-precision evaluation of the four-term expansion."""
     with mp.workdps(50):
@@ -207,14 +197,14 @@ class TestMainTerms:
     P = ThetaParams(Fraction(6), Fraction(7), 2)
 
     def test_leading_coefficient_B(self):
-        ladder, _ = mainterm_block(self.P, 3, 1, 100, THREE_R)
+        ladder, _ = paper_block_mainterm(self.P, 3, 1, 100, THREE_R)
         coeff, power = ladder[0]
         want = math.sqrt(math.pi / 6) / (4 * math.sin(math.pi / 3))
         assert coeff == pytest.approx(want)
         assert power == Fraction(1, 2)
 
     def test_leading_coefficient_Bprime(self):
-        ladder, _ = mainterm_block(self.P, 3, 1, 100, TWO_R)
+        ladder, _ = paper_block_mainterm(self.P, 3, 1, 100, TWO_R)
         coeff, power = ladder[0]
         want = math.sqrt(3 / 12) / (4 * math.sin(math.pi / 3))
         assert coeff == pytest.approx(want)
@@ -223,19 +213,19 @@ class TestMainTerms:
     def test_bernoulli_zero_kills_terms(self):
         # c/(2a) = 1/2 makes B1 and B3 vanish
         p = ThetaParams(Fraction(2), Fraction(2), 0)
-        ladder, _ = mainterm_block(p, 3, 1, 50, THREE_R)
+        ladder, _ = paper_block_mainterm(p, 3, 1, 50, THREE_R)
         assert ladder[1][0] == 0.0 and ladder[3][0] == 0.0
-        ladder2, _ = mainterm_block(p, 3, 1, 50, TWO_R)
+        ladder2, _ = paper_block_mainterm(p, 3, 1, 50, TWO_R)
         assert ladder2[1][0] == 0.0 and ladder2[3][0] == 0.0
 
     def test_B_against_independent_evaluation(self):
-        _, lv = mainterm_block(self.P, 3, 1, 400, THREE_R)
+        _, lv = paper_block_mainterm(self.P, 3, 1, 400, THREE_R)
         ref = mp_mainterm_B(6, 7, 2, 3, 1, 400, THREE_R)
         assert lv.sign == mp.sign(ref)
         assert lv.lnmag == pytest.approx(float(mp.log(abs(ref))), rel=1e-12)
 
     def test_Bprime_against_independent_evaluation(self):
-        _, lv = mainterm_block(self.P, 3, 1, 400, TWO_R)
+        _, lv = paper_block_mainterm(self.P, 3, 1, 400, TWO_R)
         ref = mp_mainterm_B(6, 7, 2, 3, 1, 400, TWO_R)
         assert lv.sign == mp.sign(ref)
         assert lv.lnmag == pytest.approx(float(mp.log(abs(ref))), rel=1e-12)
@@ -321,11 +311,18 @@ class TestMainTerms:
                 assert abs(r - 1) <= 5.0 / arg
 
 
-def paper_ladder(spec):
-    variant, weight = PAPER_RUNGS[spec.family]
-    v = VARIANTS[variant]
-    sin0 = math.sin(math.pi * spec.S / spec.R)
-    return ((weight(spec.k) * spec.S * v.odd(spec.R) / (2 * sin0), v.first + Fraction(3, 2)),)
+def paper_family_rung(spec):
+    """(variant, sums, rung): the paper's rung rationals of the blocks of
+    ``decompose_family`` summed with their signs on the family's circle, and
+    the last (coefficient, power) rung of those sums, scaled."""
+    variant, _ = PAPER_RUNGS[spec.family]
+    blocks = decompose_family(spec)
+    assert len({p.a for _, p in blocks}) == 1
+    sums = [Fraction(0)] * 4
+    for sign, p in blocks:
+        for i, r in enumerate(paper_block_rationals(p, spec.R, spec.S, variant)):
+            sums[i] += sign * r
+    return variant, sums, paper_scaled_ladder(sums, blocks[0][1].a, spec.R, spec.S, variant)[3]
 
 
 @st.composite
@@ -342,10 +339,11 @@ def family_specs(draw, max_R, max_k):
 
 class TestCollapse:
     def test_e_constant_shared(self):
+        # the third rung rational is -E
         for spec in default_grid():
-            variant = TWO_R if spec.family == "Cprime" else THREE_R
+            variant, _ = PAPER_RUNGS[spec.family]
             es = {
-                e_constant(p, spec.R, spec.S, variant)
+                paper_block_rationals(p, spec.R, spec.S, variant)[2]
                 for _, p in decompose_family(spec)
             }
             assert len(es) == 1
@@ -355,27 +353,24 @@ class TestCollapse:
         # sqrt(pi/a) odd/(4 sin0) (rungs 1, 3) or odd/(2 sin0) (rungs 2, 4).  The
         # blocks of a family share a, R and S, so the collapse onto the last
         # rung is the exact identity sum sign * rationals = (0, 0, 0, w S)
-        # with the paper's weight w, and family_ladder derives that rung.
+        # with the paper's weight w, and family_rung is that rung, scaled.
         for spec in default_grid():
-            variant, weight = PAPER_RUNGS[spec.family]
-            terms = decompose_family(spec)
-            assert len({p.a for _, p in terms}) == 1
-            sums = [Fraction(0)] * 4
-            for sign, p in terms:
-                for i, rung in enumerate(paper_block_rationals(p, spec.R, spec.S, variant)):
-                    sums[i] += sign * rung
-            assert sums == [0, 0, 0, weight(spec.k) * spec.S], spec
-            assert family_ladder(spec) == paper_ladder(spec), spec
+            variant, sums, rung = paper_family_rung(spec)
+            assert sums == [0, 0, 0, PAPER_RUNGS[spec.family][1](spec.k) * spec.S], spec
+            assert family_rung(spec) == (variant, *rung), spec
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(family_specs(60, 30))
     def test_one_rung_survives(self, spec):
         # sum sign = 0 and shared a, E cancel rungs 1 and 3, sum sign c = 0
         # rung 2; the last rung is left at weight w S
-        assert family_ladder(spec) == paper_ladder(spec)
+        variant, sums, rung = paper_family_rung(spec)
+        assert sums == [0, 0, 0, PAPER_RUNGS[spec.family][1](spec.k) * spec.S]
+        assert family_rung(spec) == (variant, *rung)
 
     def test_expansion_scaled_value_consistency(self):
         spec = FamilySpec("C", 3, 1, 2)
-        v, x = ladder_value_scaled(family_ladder(spec), 500, spec.R, THREE_R)
+        _, _, rung = paper_family_rung(spec)
+        v, x = scaled_value([rung], 500, spec.R, THREE_R)
         lv = mainterm_family(spec, 500, "bessel")
         assert lv.lnmag == pytest.approx(math.log(v) + x)

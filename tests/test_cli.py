@@ -534,6 +534,20 @@ class TestClosedStdout:
         assert proc.returncode == -signal.SIGPIPE
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+class TestFailedWrite:
+    """A write to --out that fails after the open names the --out path."""
+
+    @pytest.mark.parametrize("command", [
+        "coeffs --family C --R 3 --S 1 --k 1 --n-max 5",
+        "scan --family C --R 3 --S 1 --k 1 --n-hi 5",
+        "compare --family C --R 3 --S 1 --k 1 --n 5",
+    ], ids=lambda c: c.split()[0])
+    def test_full_device_exits_2(self, command, capsys):
+        assert run(command.split() + ["--out", "/dev/full"]) == 2
+        assert capsys.readouterr().err == "error: cannot write /dev/full: No space left on device\n"
+
+
 class TestParser:
     """``build_parser`` is built once per process and keeps no state."""
 

@@ -1,8 +1,9 @@
 """layering: each module imports on its own, loading only the layers below it
 and not numpy, which only the circle grid loads, nor mpmath, which no run
-loads; no module defines an exception type of its own; ``analytic`` defines
-only what ``cli`` runs; every name the benchmark's tracer patches exists and
-is restored, and every package name its scripts read exists."""
+loads; no module defines an exception type of its own; each module defines
+only what a higher layer, the module itself or the benchmark uses; every
+name the benchmark's tracer patches exists and is restored, and every
+package name its scripts read exists."""
 
 import ast
 import importlib
@@ -97,35 +98,52 @@ def _names_used(node):
     }
 
 
-def test_analytic_defines_only_what_cli_runs():
-    # Each module-level name of analytic is used by cli or by another
-    # module-level statement of analytic: the point evaluators of the
-    # paper's lemmas live with the tests (tests/paper_lemmas.py).
+def test_every_module_defines_only_what_runs():
+    # Each module-level name of a layer is used by a higher layer, by
+    # another module-level statement of its module, or by the benchmark:
+    # read by its scripts, or patched by its tracer under this or another
+    # module's name (families imports series.qbinomial for it).  The paper's
+    # block ladder and point evaluators live with the tests
+    # (tests/oracles.py, tests/paper_lemmas.py).
+    modules = {m: importlib.import_module("theta_trunc." + m) for m in LAYERS}
+
     def tree(module):
-        with open(importlib.import_module("theta_trunc." + module).__file__) as f:
+        with open(modules[module].__file__) as f:
             return ast.parse(f.read())
 
-    body = tree("analytic").body
-    used = _names_used(tree("cli"))
-    defined = {}
-    for i, node in enumerate(body):
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            defined[node.name] = i
-        elif isinstance(node, ast.Assign):
-            defined.update((t.id, i) for t in node.targets if isinstance(t, ast.Name))
-    unused = [
-        name
-        for name, i in defined.items()
-        if name not in used
-        and not any(name in _names_used(node) for j, node in enumerate(body) if j != i)
+    root = Path(__file__).resolve().parents[1] / "perfbench"
+    reads = _package_reads(root / "make_refs.py") | _package_reads(root / "run.py")
+    patched, _ = _tracer_patches()
+    wrapped = [
+        vars(importlib.import_module(owner))[attr]
+        for owner, attr in patched
+        if owner.startswith("theta_trunc.")  # not PowerSeries's methods
     ]
+    unused = []
+    for at, module in enumerate(LAYERS):
+        body = tree(module).body
+        used = set().union(*(_names_used(tree(higher)) for higher in LAYERS[at + 1 :]))
+        defined = {}
+        for i, node in enumerate(body):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined[node.name] = i
+            elif isinstance(node, ast.Assign):
+                defined.update((t.id, i) for t in node.targets if isinstance(t, ast.Name))
+        unused += [
+            "%s.%s" % (module, name)
+            for name, i in defined.items()
+            if name not in used
+            and (module, name) not in reads
+            and not any(vars(modules[module])[name] is fn for fn in wrapped)
+            and not any(name in _names_used(node) for j, node in enumerate(body) if j != i)
+        ]
     assert unused == []
 
 
-def test_benchmark_tracer_patches_existing_names_and_restores_them():
-    # perfbench/layers.py wraps package functions by name for the traced
-    # benchmark passes; a deleted or renamed name fails here.  The file is
-    # compiled from its source, so nothing is written next to it.
+def _tracer_patches():
+    """(patched, moved): the (owner, attribute) pairs that perfbench/layers.py's
+    ``Tracer.install`` replaces, and those that differ after its ``uninstall``.
+    The file is compiled from its source, so nothing is written next to it."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
     layers = types.ModuleType("perfbench_layers")
     exec(compile(path.read_text(), str(path), "exec"), vars(layers))
@@ -147,7 +165,6 @@ def test_benchmark_tracer_patches_existing_names_and_restores_them():
     finally:
         tracer.uninstall()
 
-    assert patched
     after = [dict(vars(owner)) for owner in owners]
     moved = [
         (owner.__name__, attr)
@@ -155,6 +172,14 @@ def test_benchmark_tracer_patches_existing_names_and_restores_them():
         for attr in old.keys() | new.keys()
         if old.get(attr) is not new.get(attr)
     ]
+    return patched, moved
+
+
+def test_benchmark_tracer_patches_existing_names_and_restores_them():
+    # perfbench/layers.py wraps package functions by name for the traced
+    # benchmark passes; a deleted or renamed name fails here.
+    patched, moved = _tracer_patches()
+    assert patched
     assert moved == []
 
 
