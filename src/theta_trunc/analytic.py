@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .asymptotics import THREE_R, VARIANTS
@@ -45,25 +45,25 @@ def _is_pow2(n: int) -> bool:
     return n > 0 and (n & (n - 1)) == 0
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
+class QuadratureSpec(namedtuple("QuadratureSpec", "N samples radius_variant")):
     """Circle quadrature parameters.
 
     ``radius_variant`` picks the circle and the integrand: threeR is L on
     y = 1/(2 sqrt(3RN)), twoR is L' on y = 1/(2 sqrt(2RN)).
     """
 
-    N: int
-    samples: int
-    radius_variant: str = THREE_R
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.N < 1:
+    def __new__(cls, N, samples, radius_variant=THREE_R):
+        if not isinstance(N, int) or not isinstance(samples, int):
+            raise ValueError("N and samples must be integers")
+        if N < 1:
             raise ValueError("N must be >= 1")
-        if not _is_pow2(self.samples):
+        if not _is_pow2(samples):
             raise ValueError("samples must be a positive power of two")
-        if self.radius_variant not in VARIANTS:
+        if radius_variant not in VARIANTS:
             raise ValueError("radius_variant must be threeR or twoR")
+        return super().__new__(cls, N, samples, radius_variant)
 
 
 def circle_y(N: int, R: int, variant: str = THREE_R) -> float:
@@ -212,15 +212,10 @@ def wright_coefficient(p: ThetaParams, R: int, S: int, quad: QuadratureSpec) -> 
     return (_pairwise_reduce(_real_lower_half(vals)) + vals[-1].real) / quad.samples
 
 
-@dataclass(frozen=True)
-class ArcSplit:
-    """Quadrature split into the main arc |x| <= y and its complement.
-
-    Both arcs are symmetric about x = 0, so each integral is real."""
-
-    I_main: float
-    I_error: float
-    ratio: float
+# Quadrature split into the main arc |x| <= y and its complement, with
+# ratio |I_error|/|I_main|.  Both arcs are symmetric about x = 0, so each
+# integral is real.
+ArcSplit = namedtuple("ArcSplit", "I_main I_error ratio")
 
 
 def arc_split_diagnostic(

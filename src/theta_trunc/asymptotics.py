@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -44,16 +43,15 @@ _LN2 = math.log(2)
 # LogValue
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LogValue:
+class LogValue(namedtuple("LogValue", "sign lnmag")):
     """Signed magnitude stored as (sign, ln|value|); zero is (0, -inf)."""
 
-    sign: int
-    lnmag: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.sign not in (-1, 0, 1):
+    def __new__(cls, sign, lnmag):
+        if sign not in (-1, 0, 1):
             raise ValueError("sign must be -1, 0 or +1")
+        return super().__new__(cls, sign, lnmag)
 
     @classmethod
     def zero(cls) -> "LogValue":

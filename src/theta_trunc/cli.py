@@ -18,7 +18,6 @@ THETA_TRUNC_OUT overrides the default output directory.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import signal
 import sys
@@ -71,6 +70,8 @@ def _line(fmt, header, row) -> str:
     """One table row: CSV cells, or a JSON object keyed by the header."""
     if fmt == "csv":
         return ",".join(map(_fmt_cell, row))
+    import json
+
     return json.dumps({k: _json_cell(v) for k, v in zip(header, row)}, sort_keys=True)
 
 

@@ -53,7 +53,7 @@ shifts, not the whole series.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd
 from operator import add, sub
@@ -77,34 +77,33 @@ from .series import (
 FAMILIES = ("C", "Cprime", "D", "Dprime")
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(namedtuple("FamilySpec", "family R S k")):
     """One family instance: tag in {C, Cprime, D, Dprime} plus (R, S, k)."""
 
-    family: str
-    R: int
-    S: int
-    k: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError("unknown family %r" % (self.family,))
-        if self.R < 1 or self.S < 1:
+    def __new__(cls, family, R, S, k):
+        if family not in FAMILIES:
+            raise ValueError("unknown family %r" % (family,))
+        if not all(isinstance(v, int) for v in (R, S, k)):
+            raise ValueError("R, S and k must be integers")
+        if R < 1 or S < 1:
             raise ValueError("R and S must be positive")
-        if gcd(self.R, self.S) != 1:
+        if gcd(R, S) != 1:
             raise ValueError("R and S must be coprime")
-        if self.family in ("C", "Cprime"):
-            if not self.S < self.R:
+        if family in ("C", "Cprime"):
+            if not S < R:
                 raise ValueError("need 1 <= S < R")
-            if self.k < 1:
-                raise ValueError("need k >= 1 for %s" % self.family)
+            if k < 1:
+                raise ValueError("need k >= 1 for %s" % family)
         else:
-            if not 2 * self.S < self.R:
+            if not 2 * S < R:
                 raise ValueError("need 1 <= S < R/2")
-            if self.family == "Dprime" and self.k < 1:
+            if family == "Dprime" and k < 1:
                 raise ValueError("need k >= 1 for Dprime")
-            if self.k < 0:
+            if k < 0:
                 raise ValueError("need k >= 0")
+        return super().__new__(cls, family, R, S, k)
 
 
 def pair_product_spec(R: int, S: int) -> ProductSpec:
@@ -364,7 +363,7 @@ def decompose_family(spec: FamilySpec):
       H4' = R k(3k+1)/2 + S(3k+1)        c = (6k+1)R/2 + 3S   sign +
     """
     if spec.family == "Cprime":
-        spec = replace(spec, family="C")
+        spec = spec._replace(family="C")
     blocks, ranges, alternating = _family_numerator(spec)
     t = 2 if alternating else 1
     out = []

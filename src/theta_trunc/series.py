@@ -19,7 +19,7 @@ Conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 
 from . import kernels
@@ -101,28 +101,25 @@ class PowerSeries:
         return "PowerSeries([%s%s], order=%d)" % (head, tail, self.order)
 
 
-@dataclass(frozen=True)
-class ThetaParams:
+class ThetaParams(namedtuple("ThetaParams", "a c d")):
     """Parameters (a, c, d) of the theta partial sum sum_j q^(a j^2 + c j + d).
 
     a and c are rationals with denominator 1 or 2; all exponents must be
     non-negative integers, which holds for every j once it holds for
     j = 1 and j = 2 (a + c and 4a + 2c integral and non-negative).
-    A = 2a and C = 2c, the integers exponents are worked out on, are fields.
+    A = 2a and C = 2c, the integers exponents are worked out on, are
+    properties, outside the fields, the repr and the equality.
     """
 
-    a: Fraction
-    c: Fraction
-    d: int
-    A: int = field(init=False, repr=False, compare=False)
-    C: int = field(init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, a, c, d):
         # Fraction(x) costs about 2 us even when x already is one.
-        a = self.a if type(self.a) is Fraction else Fraction(self.a)
-        c = self.c if type(self.c) is Fraction else Fraction(self.c)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "c", c)
+        try:
+            a = a if type(a) is Fraction else Fraction(a)
+            c = c if type(c) is Fraction else Fraction(c)
+        except TypeError:
+            raise ValueError("a and c must be rationals") from None
         if a.numerator <= 0:
             raise ValueError("a must be positive")
         # a + c is (A + C)/2, and 4a + 2c = 2A + C is integral once C is.
@@ -130,32 +127,40 @@ class ThetaParams:
         C, rc = divmod(2 * c.numerator, c.denominator)
         if ra or rc:
             raise ValueError("a and c must have denominator 1 or 2")
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "C", C)
         if (A + C) % 2:
             raise ValueError("a*j^2 + c*j must be integral for all j")
         if A + C < 0:
             raise ValueError("a*j^2 + c*j must be non-negative for all j")
-        if self.d < 0 or not isinstance(self.d, int):
+        if not isinstance(d, int) or d < 0:
             raise ValueError("d must be a non-negative integer")
+        return super().__new__(cls, a, c, d)
+
+    @property
+    def A(self) -> int:
+        return 2 * self.a.numerator // self.a.denominator
+
+    @property
+    def C(self) -> int:
+        return 2 * self.c.numerator // self.c.denominator
 
 
-@dataclass(frozen=True)
-class ProductSpec:
+class ProductSpec(namedtuple("ProductSpec", "residues")):
     """A product of factors 1/(q^A; q^B)_inf, one per (A, B) residue pair.
 
     Each pair contributes the parts A, A+B, A+2B, ...; we require
     1 <= A <= B (A == B is needed for plain (q^R; q^R)_inf factors).
     """
 
-    residues: tuple
+    __slots__ = ()
 
-    def __init__(self, residues):
-        pairs = tuple((int(a), int(b)) for a, b in residues)
+    def __new__(cls, residues):
+        pairs = tuple((a, b) for a, b in residues)
         for a, b in pairs:
+            if not isinstance(a, int) or not isinstance(b, int):
+                raise ValueError("residues must be integer pairs, got %r" % ((a, b),))
             if a < 1 or b < a:
                 raise ValueError("need 1 <= A <= B, got (%d, %d)" % (a, b))
-        object.__setattr__(self, "residues", pairs)
+        return super().__new__(cls, pairs)
 
     def parts(self, order: int):
         """All part sizes A + j*B below ``order``, per residue pair."""

@@ -1,9 +1,10 @@
 """layering: each module imports on its own, loading only the layers below it
 and not numpy, which only the circle grid loads, nor mpmath, which no run
-loads; no module defines an exception type of its own; each module defines
-only what a higher layer, the module itself or the benchmark uses; every
-name the benchmark's tracer patches exists and is restored, and every
-package name its scripts read exists."""
+loads, nor dataclasses, inspect or json, which no start-up needs; no module
+defines an exception type of its own; each module defines only what a
+higher layer, the module itself or the benchmark uses; every name the
+benchmark's tracer patches exists and is restored, and every package name
+its scripts read exists."""
 
 import ast
 import importlib
@@ -21,6 +22,11 @@ import theta_trunc.cli
 # Lowest layer first; each module may import only those before it, and
 # none imports numpy or mpmath.
 LAYERS = ("kernels", "series", "families", "asymptotics", "analytic", "cli")
+
+# Standard modules that importing a layer must not add: dataclasses brings
+# inspect, ast, dis and tokenize, more than the package's own import costs,
+# and json is needed only for a JSON row (cli._line).
+COLD_START_FREE = ("dataclasses", "inspect", "json")
 
 
 def fresh_python(code, cwd=None):
@@ -40,15 +46,21 @@ def fresh_python(code, cwd=None):
 
 @pytest.mark.parametrize("module", LAYERS)
 def test_module_loads_only_lower_layers(module):
+    # Only what the import adds counts, so an interpreter whose start-up
+    # already loads one of COLD_START_FREE still passes.
     code = (
-        "import sys, theta_trunc.%s\n"
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import theta_trunc.%s\n"
         "print(sorted(m for m in sys.modules if m.startswith('theta_trunc.')))\n"
-        "print('numpy' in sys.modules, 'mpmath' in sys.modules)\n" % module
+        "print('numpy' in sys.modules, 'mpmath' in sys.modules)\n"
+        "print(sorted(set(%r) & (set(sys.modules) - before)))\n" % (module, COLD_START_FREE)
     )
-    loaded, numpy_mpmath = fresh_python(code).splitlines()
+    loaded, numpy_mpmath, added = fresh_python(code).splitlines()
     below = LAYERS[: LAYERS.index(module) + 1]
     assert loaded == str(sorted("theta_trunc." + m for m in below))
     assert numpy_mpmath == "False False"
+    assert added == "[]"
 
 
 def test_no_module_defines_an_exception_type():
@@ -66,7 +78,8 @@ def test_no_module_defines_an_exception_type():
 
 
 # Each CLI run but circle's works on exact series and Bessel terms only;
-# numpy loads with the first circle grid.  No run loads mpmath.
+# numpy loads with the first circle grid.  No run loads mpmath, and these
+# runs, all CSV, do not load json.
 EXACT_RUNS = (
     "coeffs --family C --R 3 --S 1 --k 1 --n-max 20 --out coeffs.csv",
     "scan --family Dp --R 3 --S 1 --k 1 --n-hi 50",
@@ -79,16 +92,18 @@ EXACT_RUNS = (
 def test_cli_loads_numpy_only_for_circle(tmp_path):
     code = (
         "import contextlib, io, sys\n"
+        "before = set(sys.modules)\n"
         "from theta_trunc import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    codes = [cli.main(argv.split()) for argv in %r]\n"
-        "print(codes, 'numpy' in sys.modules, 'mpmath' in sys.modules)\n"
+        "print(codes, 'numpy' in sys.modules, 'mpmath' in sys.modules,\n"
+        "      'json' in set(sys.modules) - before)\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    code = cli.main('circle --a 6 --c 7 --d 2 --R 3 --S 1 --N 50'.split())\n"
         "print(code, 'numpy' in sys.modules, 'mpmath' in sys.modules)\n" % (EXACT_RUNS,)
     )
     exact, circle = fresh_python(code, cwd=tmp_path).splitlines()
-    assert exact == "%s False False" % ([0] * len(EXACT_RUNS))
+    assert exact == "%s False False False" % ([0] * len(EXACT_RUNS))
     assert circle == "0 True False"
 
 
