@@ -41,14 +41,17 @@ which product a series is over; ``family_quotient`` names a family's.
 
 Each series is stated once, as its shifts: (quotient, signed exponents)
 pairs, ``_family_shifts`` for a family and the theta terms of G_{a,c,d}
-over 1/pair or 1/triple for a block.  The shifts are read two ways: the
+over 1/pair or 1/triple for a block.  The shifts are read three ways: the
 whole truncated series by slice adds (``genfun_family``, ``genfun_B``,
-``genfun_Bprime``), or as point reads, single coefficients
+``genfun_Bprime``); as point reads, single coefficients
 (``family_coefficients``, ``block_coefficient``), which is what
-``compare`` and ``circle`` print.  A point read [q^N] is one dot product,
-sum sign * quotient[N - e] over the terms with e <= N, on quotients built
-once to the largest N asked, so a few coefficients cost the terms of the
-shifts, not the whole series.
+``compare`` and ``circle`` print; and as the sign test of a window that
+``scan_signs`` runs (``_signs_hold``).  A point read [q^N] is one dot
+product, sum sign * quotient[N - e] over the terms with e <= N, on
+quotients built once to the largest N asked, so a few coefficients cost
+the terms of the shifts, not the whole series.  The sign test packs each
+cached quotient into one integer once, adds one shifted copy per term,
+and tells by one AND whether the whole window has its sign.
 """
 
 from __future__ import annotations
@@ -139,7 +142,8 @@ def family_denominator(spec: FamilySpec) -> ProductSpec:
 
 # The per-(R, S) quotients of ``_quotient``, least recently used first:
 # (R, S) -> {kind: coefficient list}, each list as long as the longest
-# order asked of it.  Lists here are never handed out.
+# order asked of it, and ("packed", kind) -> [bits, W, P] for
+# ``_signs_hold``, dropped when its list grows.  Lists are never handed out.
 _QUOTIENTS = {}
 _QUOTIENT_RS = 4
 
@@ -183,6 +187,7 @@ def _quotient(kind, R, S, order):
     coeffs = entry.get(kind)
     if coeffs is None or len(coeffs) < order:
         coeffs = entry[kind] = _build_quotient(kind, R, S, order)
+        entry.pop(("packed", kind), None)
     _QUOTIENTS[R, S] = entry
     if len(_QUOTIENTS) > _QUOTIENT_RS:
         del _QUOTIENTS[next(iter(_QUOTIENTS))]
@@ -217,6 +222,52 @@ def _coefficients(R, S, shifts, ns):
     order = max(ns) + 1
     read = [(_quotient(kind, R, S, order), terms) for kind, terms in shifts]
     return [sum(sign * q[N - e] for q, terms in read for e, sign in terms if e <= N) for N in ns]
+
+
+def _tops(fields, size):
+    """sum h 2^(i W) over i < fields, W = 8 size and h = 2^(W-1): the top
+    bit of each of ``fields`` fields of ``size`` bytes."""
+    return int.from_bytes((bytes(size - 1) + b"\x80") * fields, "little")
+
+
+def _pack(coeffs, width):
+    """sum coeffs[i] 2^(i width), each |coeffs[i]| below 2^(width-1): the
+    fields biased to bytes, one int.from_bytes, the packed bias taken off."""
+    size, h = width // 8, 1 << (width - 1)
+    raw = b"".join([(c + h).to_bytes(size, "little") for c in coeffs])
+    return int.from_bytes(raw, "little") - _tops(len(coeffs), size)
+
+
+def _signs_hold(R, S, shifts, n_lo, n_hi, sign):
+    """Whether sign * [q^N] of the series of ``shifts`` is >= 0 for every N
+    in [n_lo, n_hi]: with P = sum q[i] 2^(i W) each cached quotient packed,
+    x = sum sign * (P << e W) over the terms, and the window holds iff
+    x + bias, h = 2^(W-1) added to each field below n_hi + 1, has the top
+    bit of every window field set.
+
+    W is bits + max(8, T.bit_length()) + 1 rounded up to whole bytes, or
+    wider if a quotient is packed wider already, with bits the largest
+    |coefficient| bit length of the quotients read and T the term count,
+    so every |field| is below h.  Carries only move upward, so the fields
+    below n_hi + 1 are exact though the shifted copies run past them, and
+    a quotient packed at a longer order serves a shorter one."""
+    order, count, read = n_hi + 1, sum(len(terms) for _, terms in shifts), []
+    for kind, terms in shifts:
+        coeffs, entry = _quotient(kind, R, S, order), _QUOTIENTS[R, S]
+        if ("packed", kind) not in entry:
+            entry["packed", kind] = [max(map(abs, coeffs)).bit_length(), 0, 0]
+        read.append((coeffs, entry["packed", kind], terms))
+    need = max(record[0] for _, record, _ in read) + max(8, count.bit_length()) + 1
+    width = max([-(-need // 8) * 8] + [record[1] for _, record, _ in read])
+    x = 0
+    for coeffs, record, terms in read:
+        if record[1] < width:
+            record[1:] = width, _pack(coeffs, width)
+        for e, s in terms:
+            x = (add if s * sign > 0 else sub)(x, record[2] << e * width)
+    bias = _tops(order, width // 8)
+    top = bias >> n_lo * width << n_lo * width
+    return (x + bias) & top == top
 
 
 def genfun_B(p: ThetaParams, R: int, S: int, order: int) -> PowerSeries:
@@ -490,15 +541,13 @@ def scan_signs(spec: FamilySpec, n_lo: int, n_hi: int):
     """Check the conjectured sign pattern of the coefficients.
 
     C, Cprime and D must be >= 0, Dprime must be <= 0, for every N in
-    [n_lo, n_hi].  Returns the list of (N, coefficient) violations.  A
-    window's min (max for Dprime), taken in C, clears it in one step;
-    only a window that fails it is walked for the violations.
+    [n_lo, n_hi].  Returns the list of (N, coefficient) violations.  The
+    window is tested first by one AND over the cached quotients packed into
+    integers (``_signs_hold``), which builds no series; only a window that
+    fails it is built by ``genfun_family`` and walked for the violations.
     """
-    window = genfun_family(spec, n_hi + 1).coeffs[n_lo:n_hi + 1]
-    if spec.family == "Dprime":
-        if max(window, default=0) <= 0:
-            return []
-        return [(n, v) for n, v in enumerate(window, n_lo) if v > 0]
-    if min(window, default=0) >= 0:
+    sign = -1 if spec.family == "Dprime" else 1
+    if _signs_hold(spec.R, spec.S, _family_shifts(spec, n_hi + 1), n_lo, n_hi, sign):
         return []
-    return [(n, v) for n, v in enumerate(window, n_lo) if v < 0]
+    window = genfun_family(spec, n_hi + 1).coeffs[n_lo:n_hi + 1]
+    return [(n, v) for n, v in enumerate(window, n_lo) if sign * v < 0]

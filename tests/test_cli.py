@@ -18,6 +18,7 @@ from theta_trunc.analytic import min_samples
 from theta_trunc.asymptotics import LogValue, logvalue_ratio, mainterm_family
 from theta_trunc.families import FamilySpec, default_grid, genfun_family
 from theta_trunc.series import PowerSeries, ThetaParams
+from test_families import plant_series
 
 
 def run(argv):
@@ -197,8 +198,8 @@ class TestScan:
         assert "clean" in capsys.readouterr().out
 
     def test_violation_exits_3(self, monkeypatch, tmp_path, capsys):
-        fake = PowerSeries([0, 1, -5, 2], 4)
-        monkeypatch.setattr(cli.families, "genfun_family", lambda spec, order: fake)
+        fake = [0, 1, -5, 2]
+        plant_series(monkeypatch, lambda spec: fake)
         out = tmp_path / "viol.csv"
         code = run(
             "scan --family C --R 3 --S 1 --k 1 --n-hi 3 --out".split() + [str(out)]
@@ -238,8 +239,8 @@ class TestScan:
             assert capsys.readouterr().out == "".join(singles[k] for k in order)
 
     def test_multi_k_exits_3_when_any_k_violates(self, monkeypatch, capsys):
-        clean, bad = PowerSeries([0, 1, 5, 2], 4), PowerSeries([0, 1, -5, 2], 4)
-        monkeypatch.setattr(cli.families, "genfun_family", lambda spec, order: bad if spec.k == 2 else clean)
+        clean, bad = [0, 1, 5, 2], [0, 1, -5, 2]
+        plant_series(monkeypatch, lambda spec: bad if spec.k == 2 else clean)
         assert run("scan --family C --R 3 --S 1 --k 1 --k 2 --k 3 --n-hi 3".split()) == 3
         assert capsys.readouterr().out == "".join(
             "scan C R=3 S=1 k=%d N in [1, 3]: %s\n" % (k, status)

@@ -375,6 +375,23 @@ class TestTruncatedPentagonal:
         assert lhs == rhs
 
 
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_cprime_3_1_is_the_truncated_pentagonal_theorem(self, k):
+        """Cprime 3 1 k is (-1)^(k-1) times the left side, and the right
+        side, whose sum is built from nonnegative seeds by divisions by
+        1 - q^m and adds, is 1 plus (-1)^(k-1) times a nonnegative series.
+        So Cprime 3 1 k >= 0 for 1 <= N <= 2000 is the truncated pentagonal
+        number theorem (Andrews and Merca, 2012), a check of scan's clean
+        verdicts independent of the packed sign test."""
+        sign = (-1) ** (k - 1)
+        lhs, rhs = truncated_pentagonal_sides(k, 2001)
+        spec = FamilySpec("Cprime", 3, 1, k)
+        assert genfun_family(spec, 2001).coeffs == [sign * c for c in lhs.coeffs]
+        assert lhs == rhs
+        assert min(sign * (c - (n == 0)) for n, c in enumerate(rhs.coeffs)) >= 0
+        assert scan_signs(spec, 1, 2000) == []
+
+
 class TestQuintuple:
     def test_exact_31_52(self):
         for R, S in ((3, 1), (5, 2)):
@@ -391,6 +408,17 @@ class TestQuintuple:
             quintuple_product_sides(4, 2, 50)
 
 
+def plant_series(monkeypatch, series_of):
+    """Make the series of each family spec ``series_of(spec)``, truncated to
+    the order asked, for both of its reads, the packed sign test and the
+    slice adds: each spec's shifts are one term, q^0 over a quotient named
+    by the spec itself, which ``_build_quotient`` builds as that series in
+    a fresh quotient cache."""
+    monkeypatch.setattr(families, "_QUOTIENTS", {})
+    monkeypatch.setattr(families, "_family_shifts", lambda spec, order: [(spec, [(0, 1)])])
+    monkeypatch.setattr(families, "_build_quotient", lambda spec, R, S, order: list(series_of(spec)[:order]))
+
+
 class TestScans:
     def test_C_312_clean(self):
         assert scan_signs(FamilySpec("C", 3, 1, 2), 1, 400) == []
@@ -405,8 +433,8 @@ class TestScans:
         assert scan_signs(FamilySpec("D", 3, 1, 0), 1, 50) == []
 
     def test_violations_in_order_over_the_closed_range(self, monkeypatch):
-        fake = PowerSeries([9, -1, -5, 2, -3, -7], 6)
-        monkeypatch.setattr(families, "genfun_family", lambda spec, order: fake)
+        fake = [9, -1, -5, 2, -3, -7]
+        plant_series(monkeypatch, lambda spec: fake)
         assert scan_signs(FamilySpec("C", 3, 1, 1), 2, 5) == [(2, -5), (4, -3), (5, -7)]
         assert scan_signs(FamilySpec("Dprime", 3, 1, 1), 2, 5) == [(3, 2)]
 
@@ -420,7 +448,7 @@ class TestScans:
             c = [-bad * (i % 2) for i in range(9)]
             for i in at:
                 c[i] = bad
-            monkeypatch.setattr(families, "genfun_family", lambda spec, order: PowerSeries(c, 9))
+            plant_series(monkeypatch, lambda spec: c)
 
         planted()
         assert scan_signs(spec, 3, 6) == []
@@ -432,7 +460,85 @@ class TestScans:
         assert scan_signs(spec, 3, 6) == [(6, bad)]
         planted(2, 3, 6, 7)
         assert scan_signs(spec, 3, 6) == [(3, bad), (6, bad)]
-        monkeypatch.setattr(families, "genfun_family", lambda spec, order: PowerSeries.zero(9))
+        plant_series(monkeypatch, lambda spec: [0] * 9)
         assert scan_signs(spec, 3, 6) == []
         planted(*range(9))
         assert scan_signs(spec, 6, 3) == []
+
+
+def flipped(shifts):
+    """The shifts of the negated series."""
+    return [(kind, [(e, -sign) for e, sign in terms]) for kind, terms in shifts]
+
+
+@st.composite
+def sign_windows(draw):
+    """(spec, n_lo, n_hi, sign, negate): coprime R <= 12, every family the
+    pair admits, k <= 12, orders up to 1500, windows from 0, of one N or
+    any, and either sign of either the series or its negation."""
+    R = draw(st.integers(2, 12))
+    S = draw(st.sampled_from([s for s in range(1, R) if gcd(R, s) == 1]))
+    family = draw(st.sampled_from(FAMILIES if 2 * S < R else ("C", "Cprime")))
+    k = draw(st.integers(0 if family == "D" else 1, 12))
+    n_hi = draw(st.integers(0, 1499))
+    n_lo = draw(st.sampled_from([0, n_hi]) | st.integers(0, n_hi))
+    return FamilySpec(family, R, S, k), n_lo, n_hi, draw(st.sampled_from([1, -1])), draw(st.booleans())
+
+
+class TestPackedSigns:
+    """The sign test over the packed quotients, against the series the
+    slice adds build from the same shifts."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(sign_windows())
+    @example((FamilySpec("C", 3, 1, 1), 0, 0, 1, False))
+    @example((FamilySpec("Dprime", 7, 3, 12), 1, 1499, -1, True))
+    def test_packed_verdict_is_the_list_verdict(self, case):
+        spec, n_lo, n_hi, sign, negate = case
+        shifts = families._family_shifts(spec, n_hi + 1)
+        if negate:
+            shifts = flipped(shifts)
+        window = families._series(spec.R, spec.S, shifts, n_hi + 1).coeffs[n_lo:n_hi + 1]
+        want = all(sign * c >= 0 for c in window)
+        assert families._signs_hold(spec.R, spec.S, shifts, n_lo, n_hi, sign) == want
+
+    @pytest.mark.parametrize("R, S", [(3, 1), (7, 3)])
+    def test_packed_fields_give_back_the_lists(self, R, S):
+        families._QUOTIENTS.clear()
+        for spec in default_grid():
+            if (spec.R, spec.S) == (R, S):
+                scan_signs(spec, 1, 600)
+        entry = families._QUOTIENTS[R, S]
+        assert sorted(k for k in entry if isinstance(k, str)) == ["Q/pair", "pair", "theta/pair", "triple"]
+        for kind in ("Q/pair", "pair", "theta/pair", "triple"):
+            coeffs, (bits, width, packed) = entry[kind], entry["packed", kind]
+            size, h = width // 8, 1 << (width - 1)
+            raw = (packed + families._tops(len(coeffs), size)).to_bytes(len(coeffs) * size, "little")
+            fields = [int.from_bytes(raw[i:i + size], "little") - h for i in range(0, len(raw), size)]
+            assert fields == coeffs, kind
+            assert bits == max(map(abs, coeffs)).bit_length()
+        assert min(entry["theta/pair"]) < 0 and min(entry["Q/pair"]) < 0
+
+    @pytest.mark.parametrize("count, width", [(255, 24), (257, 32)])
+    def test_width_takes_the_term_count(self, count, width, monkeypatch):
+        """15-bit coefficients and T terms at q^0: a field is T times one,
+        which in 24 bits (15 + 8 + 1) reads with the wrong sign for T = 257."""
+        for c in (2**15 - 1, -(2**15 - 1)):
+            plant_series(monkeypatch, lambda spec: [c] * 8)
+            shifts = [("pair", [(0, 1)] * count)]
+            assert families._signs_hold(3, 1, shifts, 0, 7, 1) == (c > 0)
+            assert families._QUOTIENTS[3, 1]["packed", "pair"][1] == width
+        narrow = [(count * c + 2**23) % 2**24 >= 2**23 for c in (2**15 - 1, -(2**15 - 1))]
+        assert narrow == ([True, False] if count < 256 else [False, True])
+
+    def test_longer_packed_quotient_serves_a_shorter_order(self):
+        families._QUOTIENTS.clear()
+        spec = FamilySpec("D", 5, 2, 2)
+        shifts = families._family_shifts(spec, 801)
+        assert families._signs_hold(5, 2, flipped(shifts), 1, 800, 1) is False
+        packed = families._QUOTIENTS[5, 2]["packed", "pair"]
+        for n_hi in (800, 300, 1):
+            want = families._series(5, 2, shifts, n_hi + 1).coeffs[1:]
+            assert families._signs_hold(5, 2, shifts, 1, n_hi, 1) == (min(want) >= 0)
+        assert families._QUOTIENTS[5, 2]["packed", "pair"] is packed
+        assert len(families._QUOTIENTS[5, 2]["pair"]) == 801
