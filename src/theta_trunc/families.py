@@ -50,8 +50,9 @@ whole truncated series by slice adds (``genfun_family``, ``genfun_B``,
 product, sum sign * quotient[N - e] over the terms with e <= N, on
 quotients built once to the largest N asked, so a few coefficients cost
 the terms of the shifts, not the whole series.  The sign test packs each
-cached quotient into one integer once, adds one shifted copy per term,
-and tells by one AND whether the whole window has its sign.
+cached quotient into one integer once, which its one cache record keeps
+with its list, adds one shifted copy per term, and tells by one AND
+whether the whole window has its sign.
 """
 
 from __future__ import annotations
@@ -141,9 +142,9 @@ def family_denominator(spec: FamilySpec) -> ProductSpec:
 # ---------------------------------------------------------------------------
 
 # The per-(R, S) quotients of ``_quotient``, least recently used first:
-# (R, S) -> {kind: coefficient list}, each list as long as the longest
-# order asked of it, and ("packed", kind) -> [bits, W, P] for
-# ``_signs_hold``, dropped when its list grows.  Lists are never handed out.
+# (R, S) -> {kind: [coeffs, bits, width, packed]}, coeffs as long as the
+# longest order asked, bits their largest |coefficient| bit length, and
+# width and packed the packing of ``_signs_hold``, width 0 until it packs.
 _QUOTIENTS = {}
 _QUOTIENT_RS = 4
 
@@ -158,8 +159,6 @@ def _build_quotient(kind, R, S, order):
                   quintuple product, that is theta_{3R,R} theta_{2R,R-2S}
                   over (q^(2R); q^(2R))_inf, the triple product at (6R, 2R),
                   whose theta series is sparser than theta_{R,S}.
-    Q/pair builds its theta_{3R,R} here, not through ``_quotient``, which
-    holds the (R, S) entry out of the cache while this runs.
     """
     if kind in PRODUCTS:
         return ps_div_pochhammer(PowerSeries.one(order), PRODUCTS[kind](R, S)).coeffs
@@ -171,27 +170,27 @@ def _build_quotient(kind, R, S, order):
 
 
 def _quotient(kind, R, S, order):
-    """The truncated quotient ``kind`` of (R, S) (see ``_build_quotient``),
-    at least ``order`` long: read it, never change it.
+    """The record (see ``_QUOTIENTS``) of the truncated quotient ``kind``
+    of (R, S) (see ``_build_quotient``), its coeffs at least ``order`` long.
 
     A truncated quotient is a prefix of every longer one, so each (R, S)
     keeps the longest built and serves shorter orders from it; a longer
-    order rebuilds it.  The cache holds the last ``_QUOTIENT_RS`` (R, S)
-    used, with no knob.  For (3, 1) the four lists take 0.27 MB at order
-    2001, 1.7 MB at 10^4 and 32 MB at 10^5, where they take 12-15 s to
-    build (Intel Xeon, sizes by sys.getsizeof of each list and int).
+    order replaces the whole record.  The cache holds the last
+    ``_QUOTIENT_RS`` (R, S) used, with no knob.  For (3, 1) the four lists
+    take 0.27 MB at order 2001, 1.7 MB at 10^4 and 32 MB at 10^5, where
+    they take 12-15 s to build (Intel Xeon, sizes by sys.getsizeof of each
+    list and int).  Callers read coeffs and never change them.
     """
     if order < 1:
         raise ValueError("order must be positive")
-    entry = _QUOTIENTS.pop((R, S), {})
-    coeffs = entry.get(kind)
-    if coeffs is None or len(coeffs) < order:
-        coeffs = entry[kind] = _build_quotient(kind, R, S, order)
-        entry.pop(("packed", kind), None)
-    _QUOTIENTS[R, S] = entry
+    entry = _QUOTIENTS[R, S] = _QUOTIENTS.pop((R, S), {})
     if len(_QUOTIENTS) > _QUOTIENT_RS:
         del _QUOTIENTS[next(iter(_QUOTIENTS))]
-    return coeffs
+    record = entry.get(kind)
+    if record is None or len(record[0]) < order:
+        coeffs = _build_quotient(kind, R, S, order)
+        record = entry[kind] = [coeffs, max(map(abs, coeffs)).bit_length(), 0, 0]
+    return record
 
 
 def _add_shifted(out, terms, quotient):
@@ -209,18 +208,20 @@ def _series(R, S, shifts, order):
     ``_quotient(kind, R, S, order)``."""
     out = [0] * order
     for kind, terms in shifts:
-        _add_shifted(out, terms, _quotient(kind, R, S, order))
+        _add_shifted(out, terms, _quotient(kind, R, S, order)[0])
     return PowerSeries(out, order)
 
 
-def _coefficients(R, S, shifts, ns):
-    """[q^N] of the series of ``shifts`` for each N of ``ns``, with every
-    term below max(ns) + 1 listed, on quotients built (once) to that
-    order."""
+def _coefficients(R, S, shifts_to, ns):
+    """[q^N] for each N of ``ns`` of the series whose shifts, every term
+    below order = max(ns) + 1, ``shifts_to(order)`` lists, on quotients
+    built (once) to that order."""
+    if not ns:
+        raise ValueError("ns must list at least one N")
     if min(ns) < 0:
         raise ValueError("N must be >= 0")
     order = max(ns) + 1
-    read = [(_quotient(kind, R, S, order), terms) for kind, terms in shifts]
+    read = [(_quotient(kind, R, S, order)[0], terms) for kind, terms in shifts_to(order)]
     return [sum(sign * q[N - e] for q, terms in read for e, sign in terms if e <= N) for N in ns]
 
 
@@ -251,20 +252,16 @@ def _signs_hold(R, S, shifts, n_lo, n_hi, sign):
     so every |field| is below h.  Carries only move upward, so the fields
     below n_hi + 1 are exact though the shifted copies run past them, and
     a quotient packed at a longer order serves a shorter one."""
-    order, count, read = n_hi + 1, sum(len(terms) for _, terms in shifts), []
-    for kind, terms in shifts:
-        coeffs, entry = _quotient(kind, R, S, order), _QUOTIENTS[R, S]
-        if ("packed", kind) not in entry:
-            entry["packed", kind] = [max(map(abs, coeffs)).bit_length(), 0, 0]
-        read.append((coeffs, entry["packed", kind], terms))
-    need = max(record[0] for _, record, _ in read) + max(8, count.bit_length()) + 1
-    width = max([-(-need // 8) * 8] + [record[1] for _, record, _ in read])
+    order, count = n_hi + 1, sum(len(terms) for _, terms in shifts)
+    read = [(_quotient(kind, R, S, order), terms) for kind, terms in shifts]
+    need = max(record[1] for record, _ in read) + max(8, count.bit_length()) + 1
+    width = max([-(-need // 8) * 8] + [record[2] for record, _ in read])
     x = 0
-    for coeffs, record, terms in read:
-        if record[1] < width:
-            record[1:] = width, _pack(coeffs, width)
+    for record, terms in read:
+        if record[2] < width:
+            record[2:] = width, _pack(record[0], width)
         for e, s in terms:
-            x = (add if s * sign > 0 else sub)(x, record[2] << e * width)
+            x = (add if s * sign > 0 else sub)(x, record[3] << e * width)
     bias = _tops(order, width // 8)
     top = bias >> n_lo * width << n_lo * width
     return (x + bias) & top == top
@@ -285,7 +282,7 @@ def genfun_Bprime(p: ThetaParams, R: int, S: int, order: int) -> PowerSeries:
 def block_coefficient(p: ThetaParams, R: int, S: int, N: int, quotient: str) -> int:
     """[q^N] of G_{a,c,d} over the product ``PRODUCTS[quotient]``: of
     ``genfun_B`` for "pair", of ``genfun_Bprime`` for "triple"."""
-    return _coefficients(R, S, [(quotient, theta_terms(p, N + 1))], [N])[0]
+    return _coefficients(R, S, lambda order: [(quotient, theta_terms(p, order))], [N])[0]
 
 
 def _quintuple_theta(R: int, S: int):
@@ -380,7 +377,7 @@ def genfun_family(spec: FamilySpec, order: int) -> PowerSeries:
 def family_coefficients(spec: FamilySpec, ns):
     """[q^N] of ``genfun_family(spec, ...)`` for each N >= 0 of ``ns``, in
     that order."""
-    return _coefficients(spec.R, spec.S, _family_shifts(spec, max(ns) + 1), ns)
+    return _coefficients(spec.R, spec.S, lambda order: _family_shifts(spec, order), ns)
 
 
 def decompose_family(spec: FamilySpec):
@@ -538,16 +535,18 @@ def default_grid(families=FAMILIES):
 
 
 def scan_signs(spec: FamilySpec, n_lo: int, n_hi: int):
-    """Check the conjectured sign pattern of the coefficients.
-
+    """The (N, coefficient) violations of the conjectured sign pattern:
     C, Cprime and D must be >= 0, Dprime must be <= 0, for every N in
-    [n_lo, n_hi].  Returns the list of (N, coefficient) violations.  The
-    window is tested first by one AND over the cached quotients packed into
-    integers (``_signs_hold``), which builds no series; only a window that
-    fails it is built by ``genfun_family`` and walked for the violations.
+    [n_lo, n_hi], n_lo >= 0.  The window is tested first by one AND over
+    the cached quotients packed into integers (``_signs_hold``), which
+    builds no series; only a window that fails it is built from the same
+    shifts by ``_series`` and walked for the violations.
     """
+    if n_lo < 0:
+        raise ValueError("n_lo must be >= 0")
     sign = -1 if spec.family == "Dprime" else 1
-    if _signs_hold(spec.R, spec.S, _family_shifts(spec, n_hi + 1), n_lo, n_hi, sign):
+    shifts = _family_shifts(spec, n_hi + 1)
+    if _signs_hold(spec.R, spec.S, shifts, n_lo, n_hi, sign):
         return []
-    window = genfun_family(spec, n_hi + 1).coeffs[n_lo:n_hi + 1]
+    window = _series(spec.R, spec.S, shifts, n_hi + 1).coeffs[n_lo:n_hi + 1]
     return [(n, v) for n, v in enumerate(window, n_lo) if sign * v < 0]

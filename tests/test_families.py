@@ -256,6 +256,10 @@ class TestPointReads:
         with pytest.raises(ValueError, match="N must be >= 0"):
             family_coefficients(FamilySpec("C", 3, 1, 1), [5, -1])
 
+    def test_empty_ns_is_a_value_error(self):
+        with pytest.raises(ValueError, match="ns must list at least one N"):
+            family_coefficients(FamilySpec("C", 3, 1, 1), [])
+
 
 class TestCachedRoute:
     """``genfun_family`` and the blocks as shifted sums of the cached
@@ -282,7 +286,7 @@ class TestCachedRoute:
             for spec in specs:
                 assert genfun_family(spec, order) == family_by_division(spec, order), (spec, order)
             # every piece is as long as the longest order asked so far
-            lengths = {len(c) for c in families._QUOTIENTS[5, 2].values()}
+            lengths = {len(record[0]) for record in families._QUOTIENTS[5, 2].values()}
             assert lengths == {max(orders[:orders.index(order) + 1])}
         assert sorted(families._QUOTIENTS[5, 2]) == ["Q/pair", "pair", "theta/pair", "triple"]
 
@@ -292,7 +296,7 @@ class TestCachedRoute:
         # forward product and against theta_{R,S} divided by the pair.
         families._QUOTIENTS.clear()
         for order in (1, 301, 2001):
-            got = families._quotient("theta/pair", R, S, order)[:order]
+            got = families._quotient("theta/pair", R, S, order)[0][:order]
             assert got == pochhammer(ProductSpec([(R, R)]), order).coeffs, (R, S, order)
             terms = theta_terms(theta_rs_params(R, S), order, None, None, True)
             theta = PowerSeries.from_terms(terms, order)
@@ -465,10 +469,22 @@ class TestScans:
         planted(*range(9))
         assert scan_signs(spec, 6, 3) == []
 
+    def test_negative_n_lo_is_a_value_error(self):
+        with pytest.raises(ValueError, match="n_lo must be >= 0"):
+            scan_signs(FamilySpec("C", 3, 1, 1), -3, 5)
+
 
 def flipped(shifts):
     """The shifts of the negated series."""
     return [(kind, [(e, -sign) for e, sign in terms]) for kind, terms in shifts]
+
+
+def unpack(packed, width, count):
+    """The ``count`` fields of ``width`` bits that ``families._pack`` packed
+    into ``packed``."""
+    size, h = width // 8, 1 << (width - 1)
+    raw = (packed + families._tops(count, size)).to_bytes(count * size, "little")
+    return [int.from_bytes(raw[i:i + size], "little") - h for i in range(0, len(raw), size)]
 
 
 @st.composite
@@ -509,15 +525,12 @@ class TestPackedSigns:
             if (spec.R, spec.S) == (R, S):
                 scan_signs(spec, 1, 600)
         entry = families._QUOTIENTS[R, S]
-        assert sorted(k for k in entry if isinstance(k, str)) == ["Q/pair", "pair", "theta/pair", "triple"]
+        assert sorted(entry) == ["Q/pair", "pair", "theta/pair", "triple"]
         for kind in ("Q/pair", "pair", "theta/pair", "triple"):
-            coeffs, (bits, width, packed) = entry[kind], entry["packed", kind]
-            size, h = width // 8, 1 << (width - 1)
-            raw = (packed + families._tops(len(coeffs), size)).to_bytes(len(coeffs) * size, "little")
-            fields = [int.from_bytes(raw[i:i + size], "little") - h for i in range(0, len(raw), size)]
-            assert fields == coeffs, kind
+            coeffs, bits, width, packed = entry[kind]
+            assert unpack(packed, width, len(coeffs)) == coeffs, kind
             assert bits == max(map(abs, coeffs)).bit_length()
-        assert min(entry["theta/pair"]) < 0 and min(entry["Q/pair"]) < 0
+        assert min(entry["theta/pair"][0]) < 0 and min(entry["Q/pair"][0]) < 0
 
     @pytest.mark.parametrize("count, width", [(255, 24), (257, 32)])
     def test_width_takes_the_term_count(self, count, width, monkeypatch):
@@ -527,7 +540,7 @@ class TestPackedSigns:
             plant_series(monkeypatch, lambda spec: [c] * 8)
             shifts = [("pair", [(0, 1)] * count)]
             assert families._signs_hold(3, 1, shifts, 0, 7, 1) == (c > 0)
-            assert families._QUOTIENTS[3, 1]["packed", "pair"][1] == width
+            assert families._QUOTIENTS[3, 1]["pair"][2] == width
         narrow = [(count * c + 2**23) % 2**24 >= 2**23 for c in (2**15 - 1, -(2**15 - 1))]
         assert narrow == ([True, False] if count < 256 else [False, True])
 
@@ -536,9 +549,27 @@ class TestPackedSigns:
         spec = FamilySpec("D", 5, 2, 2)
         shifts = families._family_shifts(spec, 801)
         assert families._signs_hold(5, 2, flipped(shifts), 1, 800, 1) is False
-        packed = families._QUOTIENTS[5, 2]["packed", "pair"]
+        record = families._QUOTIENTS[5, 2]["pair"]
         for n_hi in (800, 300, 1):
             want = families._series(5, 2, shifts, n_hi + 1).coeffs[1:]
             assert families._signs_hold(5, 2, shifts, 1, n_hi, 1) == (min(want) >= 0)
-        assert families._QUOTIENTS[5, 2]["packed", "pair"] is packed
-        assert len(families._QUOTIENTS[5, 2]["pair"]) == 801
+        assert families._QUOTIENTS[5, 2]["pair"] is record
+        assert len(record[0]) == 801
+
+    def test_longer_order_replaces_the_whole_record(self):
+        """Scans of (5, 2) at n-hi 800, 1500 and 300, each checked on the
+        series and its negation: the 1500 scan packs a new record, whose
+        packing decodes to its 1501-long list, and the 300 scan reads that
+        same record."""
+        families._QUOTIENTS.clear()
+        spec, records = FamilySpec("D", 5, 2, 2), []
+        for n_hi in (800, 1500, 300):
+            shifts = families._family_shifts(spec, n_hi + 1)
+            for negate, terms in enumerate((shifts, flipped(shifts))):
+                got = families._signs_hold(5, 2, terms, 1, n_hi, 1)
+                want = min(families._series(5, 2, terms, n_hi + 1).coeffs[1:]) >= 0
+                assert got == want != negate, (n_hi, negate)
+            records.append(families._QUOTIENTS[5, 2]["pair"])
+        assert records[0][2] > 0 and records[0] is not records[1] and records[1] is records[2]
+        coeffs, _, width, packed = records[1]
+        assert len(coeffs) == 1501 and unpack(packed, width, 1501) == coeffs
