@@ -129,10 +129,10 @@ def cmd_coeffs(spec: FamilySpec, n_max: int, fmt: str, out: str) -> int:
 def cmd_verify_identities(order: int, decomp_order: int) -> int:
     """Run the four exact identity suites; exit 1 on the first mismatch."""
     def report(name, lhs, rhs):
-        where = lhs.first_mismatch(rhs)
-        if where is None:
+        if lhs.coeffs == rhs.coeffs:
             print("PASS %s" % name)
             return True
+        where = next(i for i, (a, b) in enumerate(zip(lhs.coeffs, rhs.coeffs)) if a != b)
         print(
             "FAIL %s: first mismatch at exponent %d (%d != %d)"
             % (name, where, lhs[where], rhs[where])

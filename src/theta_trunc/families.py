@@ -161,7 +161,7 @@ def _build_quotient(kind, R, S, order):
                   whose theta series is sparser than theta_{R,S}.
     """
     if kind in PRODUCTS:
-        return ps_div_pochhammer(PowerSeries.one(order), PRODUCTS[kind](R, S)).coeffs
+        return ps_div_pochhammer(PowerSeries([1], order), PRODUCTS[kind](R, S)).coeffs
     theta = _theta_sum([(1, theta_rs_params(3 * R, R))], order, [(None, None)], True)
     if kind == "theta/pair":
         return theta.coeffs
@@ -215,7 +215,8 @@ def _series(R, S, shifts, order):
 def _coefficients(R, S, shifts_to, ns):
     """[q^N] for each N of ``ns`` of the series whose shifts, every term
     below order = max(ns) + 1, ``shifts_to(order)`` lists, on quotients
-    built (once) to that order."""
+    built (once) to that order.  ``ns`` may be any iterable."""
+    ns = list(ns)
     if not ns:
         raise ValueError("ns must list at least one N")
     if min(ns) < 0:
@@ -434,8 +435,7 @@ def genfun_family_via_decomposition(spec: FamilySpec, order: int) -> PowerSeries
     num = _theta_sum(decompose_family(spec), order, [(0, None)])
     total = ps_div_pochhammer(num, family_denominator(spec))
     if spec.family == "Cprime":
-        const = 1 if (spec.k - 1) % 2 == 0 else -1
-        total = total + PowerSeries.from_terms([(0, const)], order)
+        total.coeffs[0] += (-1) ** (spec.k - 1)
     return total
 
 
@@ -544,6 +544,8 @@ def scan_signs(spec: FamilySpec, n_lo: int, n_hi: int):
     """
     if n_lo < 0:
         raise ValueError("n_lo must be >= 0")
+    if n_lo > n_hi:
+        return []
     sign = -1 if spec.family == "Dprime" else 1
     shifts = _family_shifts(spec, n_hi + 1)
     if _signs_hold(spec.R, spec.S, shifts, n_lo, n_hi, sign):

@@ -5,6 +5,17 @@ excluding) a truncation order.  Everything in this module is exact integer
 arithmetic; these series are the ground truth against which all floating
 point asymptotics are compared.
 
+A PowerSeries keeps only what its readers use:
+  * ``PowerSeries(coeffs, order)``, which pads ``coeffs`` with zeros to
+    ``order``; ``.coeffs`` is read by ``families``, the CLI tables and
+    identity checks and the tests, ``.order`` by the operations below and
+    perfbench's tracer.
+  * ``from_terms``, for ``families._theta_sum``; perfbench's tracer wraps it.
+  * ``[n]``, for the FAIL line of ``verify-identities`` and
+    perfbench/make_refs.py.
+  * ``==``, for the tests and make_refs.py's ``!=`` cross-check.
+  * a repr, for test failure messages.
+
 Besides the series themselves the module lists theta exponents
 (``theta_terms``), builds forward q-products (``pochhammer``) over any
 ``ProductSpec``, and divides by exactly two q-products, the pair and the
@@ -13,8 +24,8 @@ theta series (``ps_div_pochhammer``).
 
 Conventions:
   * ``order`` is exclusive: coefficients are indexed 0 .. order-1.
-  * binary operations truncate to the smaller operand order.
-  * values are immutable after construction and safe to share.
+  * every function returns a new series, whose coeffs its caller may
+    change in place.
 """
 
 from __future__ import annotations
@@ -30,28 +41,13 @@ class PowerSeries:
 
     __slots__ = ("coeffs", "order")
 
-    def __init__(self, coeffs, order=None):
-        coeffs = list(coeffs)
-        if order is None:
-            order = len(coeffs)
+    def __init__(self, coeffs, order):
         if order <= 0:
             raise ValueError("order must be positive")
-        if len(coeffs) < order:
-            coeffs.extend([0] * (order - len(coeffs)))
-        elif len(coeffs) > order:
-            del coeffs[order:]
+        coeffs = list(coeffs)
+        coeffs.extend([0] * (order - len(coeffs)))
         self.coeffs = coeffs
         self.order = order
-
-    @classmethod
-    def zero(cls, order: int) -> "PowerSeries":
-        return cls([0] * order, order)
-
-    @classmethod
-    def one(cls, order: int) -> "PowerSeries":
-        c = [0] * order
-        c[0] = 1
-        return cls(c, order)
 
     @classmethod
     def from_terms(cls, terms, order: int) -> "PowerSeries":
@@ -67,33 +63,10 @@ class PowerSeries:
     def __getitem__(self, n: int) -> int:
         return self.coeffs[n]
 
-    def __len__(self) -> int:
-        return self.order
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, PowerSeries):
             return NotImplemented
         return self.order == other.order and self.coeffs == other.coeffs
-
-    def __add__(self, other: "PowerSeries") -> "PowerSeries":
-        n = min(self.order, other.order)
-        return PowerSeries(
-            [self.coeffs[i] + other.coeffs[i] for i in range(n)], n
-        )
-
-    def __sub__(self, other: "PowerSeries") -> "PowerSeries":
-        n = min(self.order, other.order)
-        return PowerSeries(
-            [self.coeffs[i] - other.coeffs[i] for i in range(n)], n
-        )
-
-    def first_mismatch(self, other: "PowerSeries"):
-        """Lowest exponent where the two series differ, or None."""
-        n = min(self.order, other.order)
-        for i in range(n):
-            if self.coeffs[i] != other.coeffs[i]:
-                return i
-        return None
 
     def __repr__(self):
         head = ", ".join(str(c) for c in self.coeffs[:8])
@@ -195,7 +168,7 @@ def qbinomial(L: int, K: int, order: int) -> PowerSeries:
     [L, K] = [L-1, K] + q^(L-K) [L-1, K-1]; zero when K < 0 or K > L.
     """
     if K < 0 or K > L:
-        return PowerSeries.zero(order)
+        return PowerSeries([], order)
     # row[k] holds [l, k] as a coefficient list while l runs 0..L
     row = [[0] * order for _ in range(K + 1)]
     row[0][0] = 1

@@ -4,7 +4,7 @@ loads, nor dataclasses, inspect or json, which no start-up needs; no module
 defines an exception type of its own; each module defines only what a
 higher layer, the module itself or the benchmark uses; every name the
 benchmark's tracer patches exists and is restored, and every package name
-its scripts read exists."""
+its scripts read exists, its series supporting the reads made of them."""
 
 import ast
 import importlib
@@ -232,3 +232,23 @@ def test_benchmark_scripts_read_existing_names():
         or name is not None and not hasattr(importlib.import_module("theta_trunc." + module), name)
     ]
     assert missing == []
+
+
+def test_series_the_reference_builder_reads_support_its_reads():
+    # perfbench/make_refs.py indexes genfun_family(spec, order)[n], compares
+    # it with the decomposition route by !=, and reads the .coeffs of
+    # genfun_B and genfun_Bprime; _package_reads sees only the names, so a
+    # deleted __getitem__ or __eq__ fails here, not when the references are
+    # rebuilt.
+    families = theta_trunc.families
+    order = 12
+    for family in families.FAMILIES:
+        spec = families.FamilySpec(family, 3, 1, 1)
+        direct = families.genfun_family(spec, order)
+        assert not direct != families.genfun_family_via_decomposition(spec, order), spec
+        assert direct != families.genfun_family(families.FamilySpec(family, 3, 1, 2), order), spec
+        assert [direct[n] for n in range(order)] == direct.coeffs, spec
+    p = theta_trunc.series.ThetaParams(6, 13, 7)
+    for genfun in (families.genfun_B, families.genfun_Bprime):
+        coeffs = genfun(p, 3, 1, order).coeffs
+        assert len(coeffs) == order and coeffs[7] == 1 and not any(coeffs[:7]), genfun
