@@ -37,8 +37,8 @@ EXIT_USAGE = 2
 EXIT_VIOLATION = 3
 EXIT_QUADRATURE = 4
 
-# Largest order or N of verify-identities and circle, and the default
-# --n-ceiling of coeffs, scan and compare.
+# The one ceiling of every size flag, read by _check_range when it runs.
+# The library has none.
 N_CEILING = 10_000
 
 FAMILY_FLAGS = {"C": "C", "Cp": "Cprime", "D": "D", "Dp": "Dprime"}
@@ -161,7 +161,7 @@ def cmd_verify_identities(order: int, decomp_order: int) -> int:
     return EXIT_OK if ok else EXIT_IDENTITY
 
 
-def cmd_scan(spec: FamilySpec, n_lo: int, n_hi: int, fmt, out=None) -> int:
+def cmd_scan(spec: FamilySpec, n_lo: int, n_hi: int, fmt, out) -> int:
     """Check the family sign pattern on [n_lo, n_hi]; exit 3 on violation.
 
     ``scan`` with several --k runs this once per k, in the order given;
@@ -178,7 +178,7 @@ def cmd_scan(spec: FamilySpec, n_lo: int, n_hi: int, fmt, out=None) -> int:
     return EXIT_OK if not violations else EXIT_VIOLATION
 
 
-def cmd_compare(spec: FamilySpec, n_list, form, fmt, out=None) -> int:
+def cmd_compare(spec: FamilySpec, n_list, form, fmt, out) -> int:
     """Rows (N, exact LogValue, main-term LogValue, ratio) for each N, the
     ratio a float or "sign-mismatch".  CSV cells carry the log magnitudes,
     JSON rows {sign, lnmag} objects.  Without ``out`` the rows go to stdout
@@ -264,7 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("coeffs", help="exact coefficient table")
     _add_family_flags(sp)
     sp.add_argument("--n-max", type=int, required=True)
-    sp.add_argument("--n-ceiling", type=int, default=N_CEILING)
     _add_io_flags(sp)
 
     sp = sub.add_parser("verify-identities", help="exact identity suites")
@@ -275,14 +274,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_family_flags(sp, repeat_k=True)
     sp.add_argument("--n-lo", type=int, default=1)
     sp.add_argument("--n-hi", type=int, required=True)
-    sp.add_argument("--n-ceiling", type=int, default=N_CEILING)
     _add_io_flags(sp)
 
     sp = sub.add_parser("compare", help="exact vs main-term magnitudes")
     _add_family_flags(sp)
     sp.add_argument("--n", type=int, action="append", required=True, dest="n_list")
     sp.add_argument("--form", choices=("elementary", "bessel"), default="elementary")
-    sp.add_argument("--n-ceiling", type=int, default=N_CEILING)
     _add_io_flags(sp)
 
     sp = sub.add_parser("circle", help="circle quadrature vs exact coefficient")
@@ -296,32 +293,32 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _check_range(name, low, high, *values):
+def _check_range(name, low, *values):
     """Raise ValueError unless every value is at least ``low`` (None: no
-    lower bound) and at most the ceiling ``high``, the lower bound first."""
+    lower bound) and at most ``N_CEILING``, the lower bound first."""
     if low is not None and min(values) < low:
         raise ValueError("%s must be >= %d" % (name, low))
-    if max(values) > high:
-        raise ValueError("%s above ceiling %d" % (name, high))
+    if max(values) > N_CEILING:
+        raise ValueError("%s above ceiling %d" % (name, N_CEILING))
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "coeffs":
-            _check_range("n-max", 0, args.n_ceiling, args.n_max)
+            _check_range("n-max", 0, args.n_max)
             spec = FamilySpec(FAMILY_FLAGS[args.family], args.R, args.S, args.k)
             out = resolve_out(args.out, "coeffs.%s" % args.format)
             _check_writable(out)
             return cmd_coeffs(spec, args.n_max, args.format, out)
         if args.command == "verify-identities":
-            _check_range("order", 50, N_CEILING, args.order)
-            _check_range("decomp-order", 1, N_CEILING, args.decomp_order)
+            _check_range("order", 50, args.order)
+            _check_range("decomp-order", 1, args.decomp_order)
             return cmd_verify_identities(args.order, args.decomp_order)
         if args.command == "scan":
             if not 1 <= args.n_lo <= args.n_hi:
                 raise ValueError("need 1 <= n-lo <= n-hi")
-            _check_range("n-hi", None, args.n_ceiling, args.n_hi)
+            _check_range("n-hi", None, args.n_hi)
             specs = [FamilySpec(FAMILY_FLAGS[args.family], args.R, args.S, k) for k in args.k]
             if args.out is not None and len(specs) > 1:
                 raise ValueError("--out takes a single --k")
@@ -329,13 +326,13 @@ def main(argv=None) -> int:
             codes = [cmd_scan(spec, args.n_lo, args.n_hi, args.format, args.out) for spec in specs]
             return EXIT_VIOLATION if EXIT_VIOLATION in codes else EXIT_OK
         if args.command == "compare":
-            _check_range("--n", 1, args.n_ceiling, *args.n_list)
+            _check_range("--n", 1, *args.n_list)
             spec = FamilySpec(FAMILY_FLAGS[args.family], args.R, args.S, args.k)
             _check_writable(args.out)
             return cmd_compare(spec, args.n_list, args.form, args.format, args.out)
         if args.command == "circle":
-            _check_range("N", 1, N_CEILING, args.N)
-            _check_range("R", None, N_CEILING, args.R)
+            _check_range("N", 1, args.N)
+            _check_range("R", None, args.R)
             if not 1 <= args.S < args.R:
                 raise ValueError("need 1 <= S < R")
             if gcd(args.R, args.S) != 1:

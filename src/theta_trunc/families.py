@@ -523,10 +523,10 @@ def quintuple_product_sides(R: int, S: int, order: int):
 GRID_RS = ((3, 1), (4, 1), (5, 2), (7, 3))
 
 
-def default_grid(families=FAMILIES):
+def default_grid():
     """The standard (R, S) x k test grid; D additionally gets k = 0."""
     specs = []
-    for family in families:
+    for family in FAMILIES:
         ks = (0, 1, 2, 3) if family == "D" else (1, 2, 3)
         for R, S in GRID_RS:
             for k in ks:

@@ -1,9 +1,11 @@
 """harness-cli: subcommands, exit codes, file formats, determinism."""
 
+import argparse
 import csv
 import hashlib
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -79,14 +81,6 @@ class TestCoeffs:
         argv = "coeffs --family C --R 3 --S 1 --k 1 --n-max 0 --out".split() + [str(out)]
         assert run(argv) == 0
         assert out.read_text().splitlines() == ["N,coefficient", "0,0"]
-
-    @pytest.mark.parametrize("command, size", [
-        ("coeffs", "--n-max"), ("scan", "--n-hi"), ("compare", "--n"),
-    ])
-    def test_n_ceiling_default_is_the_shared_ceiling(self, command, size):
-        argv = [command] + "--family C --R 3 --S 1 --k 1".split() + [size, "1"]
-        args = cli.build_parser().parse_args(argv)
-        assert args.n_ceiling == cli.N_CEILING == 10_000
 
     def test_env_output_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("THETA_TRUNC_OUT", str(tmp_path))
@@ -171,10 +165,31 @@ class TestVerifyIdentities:
         assert captured.out == ""
         assert captured.err == "error: %s\n" % message
 
-    def test_ceiling_is_inclusive(self, monkeypatch):
+    @pytest.mark.parametrize("argv, name", [
+        ("coeffs --family C --R 3 --S 1 --k 1 --n-max", "n-max"),
+        ("verify-identities --decomp-order 60 --order", "order"),
+        ("verify-identities --order 60 --decomp-order", "decomp-order"),
+        ("scan --family C --R 3 --S 1 --k 1 --n-hi", "n-hi"),
+        ("compare --family C --R 3 --S 1 --k 1 --n", "--n"),
+        ("circle --a 6 --c 7 --d 2 --R 3 --S 1 --N", "N"),
+        ("circle --a 6 --c 7 --d 2 --S 1 --N 20 --R", "R"),
+    ], ids=[
+        "coeffs --n-max", "verify-identities --order", "verify-identities --decomp-order",
+        "scan --n-hi", "compare --n", "circle --N", "circle --R",
+    ])
+    def test_ceiling_is_inclusive(self, argv, name, monkeypatch, tmp_path, capsys):
+        # Every size check reads cli.N_CEILING when main runs, not when the
+        # (cached) parser was built.
+        cli.build_parser()
         monkeypatch.setattr(cli, "N_CEILING", 60)
-        assert run("verify-identities --order 60 --decomp-order 60".split()) == 0
-        assert run("verify-identities --order 60 --decomp-order 61".split()) == 2
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("THETA_TRUNC_OUT", raising=False)
+        assert run(argv.split() + ["60"]) == 0
+        capsys.readouterr()
+        assert run(argv.split() + ["61"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: %s above ceiling 60\n" % name
 
     def test_mismatch_exits_1(self, monkeypatch, capsys):
         import theta_trunc.families as fam
@@ -579,6 +594,9 @@ class TestParser:
         ("scan --family C --R 3 --S 1 --k 1 --n-hi 2", "--stamp"),
         ("compare --family C --R 3 --S 1 --k 1 --n 2", "--stamp"),
         ("circle --a 6 --c 7 --d 2 --R 3 --S 1 --N 20", "--samples 1024"),
+        ("coeffs --family C --R 3 --S 1 --k 1 --n-max 2", "--n-ceiling 20000"),
+        ("scan --family C --R 3 --S 1 --k 1 --n-hi 2", "--n-ceiling 20000"),
+        ("compare --family C --R 3 --S 1 --k 1 --n 2", "--n-ceiling 20000"),
     ])
     def test_removed_options_exit_2(self, argv, flag, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -587,6 +605,23 @@ class TestParser:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "unrecognized arguments: %s" % flag in captured.err
+
+    def test_readme_names_every_option(self):
+        # Both ways: every option of every subcommand appears in the README,
+        # and every flag of its CLI section is an option of some subcommand.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        flag = re.compile(r"(?<![\w-])--[A-Za-z][\w-]*")
+        subparsers = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        options = {
+            (command, option)
+            for command, sp in subparsers.choices.items()
+            for action in sp._actions
+            for option in action.option_strings
+            if option not in ("-h", "--help")
+        }
+        assert sorted(o for o in options if o[1] not in flag.findall(readme)) == []
+        section = readme.partition("\n## CLI\n")[2].partition("\n## ")[0]
+        assert set(flag.findall(section)) - {option for _, option in options} == set()
 
 
 class TestDeterminism:
