@@ -181,7 +181,7 @@ def cmd_scan(spec: FamilySpec, n_lo: int, n_hi: int, fmt, out) -> int:
 def cmd_compare(spec: FamilySpec, n_list, form, fmt, out) -> int:
     """Rows (N, exact LogValue, main-term LogValue, ratio) for each N, the
     ratio a float or "sign-mismatch".  CSV cells carry the log magnitudes,
-    JSON rows {sign, lnmag} objects.  Without ``out`` the rows go to stdout
+    JSON rows {sign, lnmag} objects.  With ``out`` None the rows go to stdout
     in the same format: CSV without the header, JSON lines as in the file.
     """
     n_list = sorted(n_list)

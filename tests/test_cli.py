@@ -609,7 +609,7 @@ class TestParser:
     def test_readme_names_every_option(self):
         # Both ways: every option of every subcommand appears in the README,
         # and every flag of its CLI section is an option of some subcommand.
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        readme = TestReadmeExamples.README.read_text()
         flag = re.compile(r"(?<![\w-])--[A-Za-z][\w-]*")
         subparsers = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
         options = {
@@ -619,8 +619,9 @@ class TestParser:
             for option in action.option_strings
             if option not in ("-h", "--help")
         }
-        assert sorted(o for o in options if o[1] not in flag.findall(readme)) == []
-        section = readme.partition("\n## CLI\n")[2].partition("\n## ")[0]
+        named = set(flag.findall(readme))
+        assert sorted(o for o in options if o[1] not in named) == []
+        section = readme.split("\n## CLI\n")[1].partition("\n## ")[0]
         assert set(flag.findall(section)) - {option for _, option in options} == set()
 
 
