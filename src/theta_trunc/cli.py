@@ -161,17 +161,17 @@ def cmd_verify_identities(order: int, decomp_order: int) -> int:
     return EXIT_OK if ok else EXIT_IDENTITY
 
 
-def cmd_scan(spec: FamilySpec, n_lo: int, n_hi: int, fmt, out) -> int:
-    """Check the family sign pattern on [n_lo, n_hi]; exit 3 on violation.
+def cmd_scan(spec: FamilySpec, n_hi: int, fmt, out) -> int:
+    """Check the family sign pattern on [1, n_hi]; exit 3 on violation.
 
     ``scan`` with several --k runs this once per k, in the order given;
     the k of one (R, S) share the family's cached quotient.
     """
-    violations = families.scan_signs(spec, n_lo, n_hi)
+    violations = families.scan_signs(spec, n_hi)
     status = "violated" if violations else "clean"
     print(
-        "scan %s R=%d S=%d k=%d N in [%d, %d]: %s (%d violations)"
-        % (spec.family, spec.R, spec.S, spec.k, n_lo, n_hi, status, len(violations))
+        "scan %s R=%d S=%d k=%d N in [1, %d]: %s (%d violations)"
+        % (spec.family, spec.R, spec.S, spec.k, n_hi, status, len(violations))
     )
     if out is not None:
         write_table(out, fmt, COEFF_HEADER, map(COEFF_ROW[fmt].__mod__, violations))
@@ -207,8 +207,9 @@ def cmd_circle(p: ThetaParams, R: int, S: int, N: int, variant: str) -> int:
 
     The quadrature samples at ``analytic.min_samples(N, R, variant)``.
     Besides the value, its rounding and the exact coefficient, prints the
-    arc split, the integer margin |v - round v| and the float headroom
-    53 - bit length of the exact coefficient (negative past float64).
+    arc split (n/a when the main arc is 0), the integer margin
+    |v - round v| and the float headroom 53 - bit length of the exact
+    coefficient (negative past float64).
     """
     samples = analytic.min_samples(N, R, variant)
     quad = QuadratureSpec(N, samples, variant)
@@ -219,7 +220,7 @@ def cmd_circle(p: ThetaParams, R: int, S: int, N: int, variant: str) -> int:
     print("quadrature value : %s" % _fmt_real(value))
     print("rounded          : %d" % rounded)
     print("exact            : %d" % exact)
-    print("|I''|/|I'|       : %s" % _fmt_real(split.ratio))
+    print("|I''|/|I'|       : %s" % (_fmt_real(split.ratio) if split.I_main else "n/a"))
     print("integer margin   : %s" % _fmt_real(abs(value - rounded)))
     print("float headroom   : %d" % (53 - exact.bit_length()))
     return EXIT_OK if rounded == exact else EXIT_QUADRATURE
@@ -272,7 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("scan", help="sign scan over an N range")
     _add_family_flags(sp, repeat_k=True)
-    sp.add_argument("--n-lo", type=int, default=1)
     sp.add_argument("--n-hi", type=int, required=True)
     _add_io_flags(sp)
 
@@ -316,17 +316,15 @@ def main(argv=None) -> int:
             _check_range("decomp-order", 1, args.decomp_order)
             return cmd_verify_identities(args.order, args.decomp_order)
         if args.command == "scan":
-            if not 1 <= args.n_lo <= args.n_hi:
-                raise ValueError("need 1 <= n-lo <= n-hi")
-            _check_range("n-hi", None, args.n_hi)
+            _check_range("n-hi", 1, args.n_hi)
             specs = [FamilySpec(FAMILY_FLAGS[args.family], args.R, args.S, k) for k in args.k]
             if args.out is not None and len(specs) > 1:
                 raise ValueError("--out takes a single --k")
             _check_writable(args.out)
-            codes = [cmd_scan(spec, args.n_lo, args.n_hi, args.format, args.out) for spec in specs]
+            codes = [cmd_scan(spec, args.n_hi, args.format, args.out) for spec in specs]
             return EXIT_VIOLATION if EXIT_VIOLATION in codes else EXIT_OK
         if args.command == "compare":
-            _check_range("--n", 1, *args.n_list)
+            _check_range("n", 1, *args.n_list)
             spec = FamilySpec(FAMILY_FLAGS[args.family], args.R, args.S, args.k)
             _check_writable(args.out)
             return cmd_compare(spec, args.n_list, args.form, args.format, args.out)

@@ -240,12 +240,12 @@ def _pack(coeffs, width):
     return int.from_bytes(raw, "little") - _tops(len(coeffs), size)
 
 
-def _signs_hold(R, S, shifts, n_lo, n_hi, sign):
+def _signs_hold(R, S, shifts, n_hi, sign):
     """Whether sign * [q^N] of the series of ``shifts`` is >= 0 for every N
-    in [n_lo, n_hi]: with P = sum q[i] 2^(i W) each cached quotient packed,
+    in [1, n_hi]: with P = sum q[i] 2^(i W) each cached quotient packed,
     x = sum sign * (P << e W) over the terms, and the window holds iff
     x + bias, h = 2^(W-1) added to each field below n_hi + 1, has the top
-    bit of every window field set.
+    bit of every field but field 0 set.
 
     W is bits + max(8, T.bit_length()) + 1 rounded up to whole bytes, or
     wider if a quotient is packed wider already, with bits the largest
@@ -264,7 +264,7 @@ def _signs_hold(R, S, shifts, n_lo, n_hi, sign):
         for e, s in terms:
             x = (add if s * sign > 0 else sub)(x, record[3] << e * width)
     bias = _tops(order, width // 8)
-    top = bias >> n_lo * width << n_lo * width
+    top = bias >> width << width
     return (x + bias) & top == top
 
 
@@ -453,8 +453,8 @@ def truncated_pentagonal_sides(k: int, order: int):
     """Both sides of the truncated pentagonal number theorem.
 
     LHS: (1/(q;q)_inf) sum_{j=0..k-1} (-1)^j q^(j(3j+1)/2) (1 - q^(2j+1)),
-         whose numerator is theta_{3,1} over -(k-1) <= n <= k, divided by
-         (q;q)_inf as the triple product (q, q^2, q^3; q^3)_inf.
+         whose numerator is theta_{3,1} over -(k-1) <= n <= k, over
+         (q;q)_inf as the triple product: (-1)^(k-1) Cprime 3 1 k.
     RHS: 1 + (-1)^(k-1) sum_{n>=1} q^((k+1)n + k(k-1)/2) / (q;q)_n
                                   * [n-1 choose k-1]_q.
 
@@ -466,13 +466,13 @@ def truncated_pentagonal_sides(k: int, order: int):
     so 1/(q;q)_{n-k} is kept as a running series (one division by
     1 - q^(n-k) per step), each term divides its shifted slice by 1 - q^n,
     and the sum is divided by (q;q)_{k-1} once.  It uses neither
-    theta_{3,1} nor the left side, so equality of the two sides stays an
-    independent check of the theta division.
+    theta_{3,1} nor the left side, so equality of the two sides checks
+    the route of ``coeffs`` and ``scan`` (``genfun_family``: the cached
+    1/triple, slice adds).  ``FamilySpec`` rejects k < 1.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    num = _theta_sum([(1, theta_rs_params(3, 1))], order, [(1 - k, k)], True)
-    lhs = ps_div_pochhammer(num, triple_product_spec(3, 1))
+    lhs = genfun_family(FamilySpec("Cprime", 3, 1, k), order)
+    if k % 2 == 0:
+        lhs.coeffs = [-c for c in lhs.coeffs]
 
     total = [0] * order
     inv_pochh = [1] + [0] * (order - 1)  # 1/(q;q)_{n-k}, starting at n = k
@@ -534,21 +534,19 @@ def default_grid():
     return specs
 
 
-def scan_signs(spec: FamilySpec, n_lo: int, n_hi: int):
+def scan_signs(spec: FamilySpec, n_hi: int):
     """The (N, coefficient) violations of the conjectured sign pattern:
     C, Cprime and D must be >= 0, Dprime must be <= 0, for every N in
-    [n_lo, n_hi], n_lo >= 0.  The window is tested first by one AND over
-    the cached quotients packed into integers (``_signs_hold``), which
-    builds no series; only a window that fails it is built from the same
-    shifts by ``_series`` and walked for the violations.
+    [1, n_hi], not N = 0 (Cprime 3 1 k is -1 there for even k).  One AND
+    over the cached quotients packed into integers (``_signs_hold``) tests
+    the window first and builds no series; only a failing window is built
+    from the same shifts by ``_series`` and walked for the violations.
     """
-    if n_lo < 0:
-        raise ValueError("n_lo must be >= 0")
-    if n_lo > n_hi:
+    if n_hi < 1:
         return []
     sign = -1 if spec.family == "Dprime" else 1
     shifts = _family_shifts(spec, n_hi + 1)
-    if _signs_hold(spec.R, spec.S, shifts, n_lo, n_hi, sign):
+    if _signs_hold(spec.R, spec.S, shifts, n_hi, sign):
         return []
-    window = _series(spec.R, spec.S, shifts, n_hi + 1).coeffs[n_lo:n_hi + 1]
-    return [(n, v) for n, v in enumerate(window, n_lo) if sign * v < 0]
+    window = _series(spec.R, spec.S, shifts, n_hi + 1).coeffs[1:]
+    return [(n, v) for n, v in enumerate(window, 1) if sign * v < 0]

@@ -99,7 +99,7 @@ def test_c2_conjecture_scans():
     t0 = time.monotonic()
     violations = []
     for spec in default_grid():
-        bad = scan_signs(spec, 1, 2000)
+        bad = scan_signs(spec, 2000)
         if bad:
             violations.append((spec, bad[:3]))
     dt = time.monotonic() - t0

@@ -170,7 +170,7 @@ class TestVerifyIdentities:
         ("verify-identities --decomp-order 60 --order", "order"),
         ("verify-identities --order 60 --decomp-order", "decomp-order"),
         ("scan --family C --R 3 --S 1 --k 1 --n-hi", "n-hi"),
-        ("compare --family C --R 3 --S 1 --k 1 --n", "--n"),
+        ("compare --family C --R 3 --S 1 --k 1 --n", "n"),
         ("circle --a 6 --c 7 --d 2 --R 3 --S 1 --N", "N"),
         ("circle --a 6 --c 7 --d 2 --S 1 --N 20 --R", "R"),
     ], ids=[
@@ -232,13 +232,19 @@ class TestScan:
 
     def test_bad_range(self, capsys):
         for flags, message in (
-            ("--n-lo 5 --n-hi 2", "need 1 <= n-lo <= n-hi"),
+            ("--n-hi 0", "n-hi must be >= 1"),
             ("--n-hi 10001", "n-hi above ceiling 10000"),
         ):
             assert run(("scan --family C --R 3 --S 1 --k 1 " + flags).split()) == 2
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err == "error: %s\n" % message
+
+    def test_window_starts_at_one(self, capsys):
+        # Cprime 3 1 2 is -1 at N = 0, which the window [1, n-hi] leaves out.
+        assert genfun_family(FamilySpec("Cprime", 3, 1, 2), 1)[0] == -1
+        assert run("scan --family Cp --R 3 --S 1 --k 2 --n-hi 50".split()) == 0
+        assert capsys.readouterr().out == "scan Cprime R=3 S=1 k=2 N in [1, 50]: clean (0 violations)\n"
 
     @pytest.mark.parametrize("family, ks", [
         ("C", (1, 2, 3)), ("Cp", (1, 2, 3)), ("D", (0, 1, 2, 3)), ("Dp", (1, 2, 3)),
@@ -353,14 +359,14 @@ class TestCompare:
         assert run("compare --family C --R 3 --S 1 --k 1 --n 50 --n 10001".split()) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: --n above ceiling 10000\n"
+        assert captured.err == "error: n above ceiling 10000\n"
 
     @pytest.mark.parametrize("n", ["-3", "0"])
     def test_n_below_one(self, capsys, n):
         assert run(["compare"] + "--family C --R 3 --S 1 --k 1 --n 50 --n".split() + [n]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: --n must be >= 1\n"
+        assert captured.err == "error: n must be >= 1\n"
 
     @pytest.mark.parametrize("flag, reason", [
         ("--k", "integer division result too large for a float"),
@@ -446,12 +452,13 @@ class TestCircle:
     @pytest.mark.parametrize("variant", ["threeR", "twoR"])
     def test_all_zero_integrand_exits_0(self, variant, capsys):
         # No theta exponent 400 + 6 j^2 + 7 j lies below the grid's cutoff,
-        # so both arcs are 0 and so is the coefficient.
+        # so both arcs are 0 and so is the coefficient; their ratio has no
+        # value and prints n/a.
         argv = "circle --a 6 --c 7 --d 400 --R 3 --S 1 --N 50 --variant".split() + [variant]
         assert run(argv) == 0
         lines = capsys.readouterr().out.splitlines()
         assert "exact            : 0" in lines
-        assert "|I''|/|I'|       : nan" in lines
+        assert "|I''|/|I'|       : n/a" in lines
 
     def test_mismatch_exits_4(self, monkeypatch):
         monkeypatch.setattr(
@@ -597,6 +604,7 @@ class TestParser:
         ("coeffs --family C --R 3 --S 1 --k 1 --n-max 2", "--n-ceiling 20000"),
         ("scan --family C --R 3 --S 1 --k 1 --n-hi 2", "--n-ceiling 20000"),
         ("compare --family C --R 3 --S 1 --k 1 --n 2", "--n-ceiling 20000"),
+        ("scan --family C --R 3 --S 1 --k 1 --n-hi 2", "--n-lo 2"),
     ])
     def test_removed_options_exit_2(self, argv, flag, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -397,7 +397,7 @@ class TestTruncatedPentagonal:
         assert genfun_family(spec, 2001).coeffs == [sign * c for c in lhs.coeffs]
         assert lhs == rhs
         assert min(sign * (c - (n == 0)) for n, c in enumerate(rhs.coeffs)) >= 0
-        assert scan_signs(spec, 1, 2000) == []
+        assert scan_signs(spec, 2000) == []
 
 
 class TestQuintuple:
@@ -429,27 +429,29 @@ def plant_series(monkeypatch, series_of):
 
 class TestScans:
     def test_C_312_clean(self):
-        assert scan_signs(FamilySpec("C", 3, 1, 2), 1, 400) == []
+        assert scan_signs(FamilySpec("C", 3, 1, 2), 400) == []
 
     def test_C_R_equals_3S_clean(self):
-        assert scan_signs(FamilySpec("C", 3, 1, 3), 1, 300) == []
+        assert scan_signs(FamilySpec("C", 3, 1, 3), 300) == []
 
     def test_Dprime_311_all_nonpositive(self):
-        assert scan_signs(FamilySpec("Dprime", 3, 1, 1), 1, 400) == []
+        assert scan_signs(FamilySpec("Dprime", 3, 1, 1), 400) == []
 
     def test_D_with_k0(self):
-        assert scan_signs(FamilySpec("D", 3, 1, 0), 1, 50) == []
+        assert scan_signs(FamilySpec("D", 3, 1, 0), 50) == []
 
     def test_violations_in_order_over_the_closed_range(self, monkeypatch):
-        fake = [9, -1, -5, 2, -3, -7]
+        # N = 0 (9, a violation for Dprime) and N = 6 (-2) lie outside [1, 5].
+        fake = [9, -1, -5, 2, -3, -7, -2]
         plant_series(monkeypatch, lambda spec: fake)
-        assert scan_signs(FamilySpec("C", 3, 1, 1), 2, 5) == [(2, -5), (4, -3), (5, -7)]
-        assert scan_signs(FamilySpec("Dprime", 3, 1, 1), 2, 5) == [(3, 2)]
+        assert scan_signs(FamilySpec("C", 3, 1, 1), 5) == [(1, -1), (2, -5), (4, -3), (5, -7)]
+        assert scan_signs(FamilySpec("Dprime", 3, 1, 1), 5) == [(3, 2)]
 
     @pytest.mark.parametrize("family, bad", [("C", -1), ("Cprime", -1), ("D", -1), ("Dprime", 1)])
     def test_screen_edges(self, family, bad, monkeypatch):
-        """Window [3, 6] of a planted series of zeros and good signs: a
-        violation at either end is reported, one just outside is not."""
+        """Window [1, 6] of a planted series of zeros and good signs: a
+        violation at either end is reported, one just outside (N = 0 or
+        N = 7) is not."""
         spec = FamilySpec(family, 3, 1, 1)
 
         def planted(*at):
@@ -459,28 +461,24 @@ class TestScans:
             plant_series(monkeypatch, lambda spec: c)
 
         planted()
-        assert scan_signs(spec, 3, 6) == []
-        planted(2, 7)
-        assert scan_signs(spec, 3, 6) == []
-        planted(3)
-        assert scan_signs(spec, 3, 6) == [(3, bad)]
+        assert scan_signs(spec, 6) == []
+        planted(0, 7)
+        assert scan_signs(spec, 6) == []
+        planted(1)
+        assert scan_signs(spec, 6) == [(1, bad)]
         planted(6)
-        assert scan_signs(spec, 3, 6) == [(6, bad)]
-        planted(2, 3, 6, 7)
-        assert scan_signs(spec, 3, 6) == [(3, bad), (6, bad)]
+        assert scan_signs(spec, 6) == [(6, bad)]
+        planted(0, 1, 6, 7)
+        assert scan_signs(spec, 6) == [(1, bad), (6, bad)]
         plant_series(monkeypatch, lambda spec: [0] * 9)
-        assert scan_signs(spec, 3, 6) == []
+        assert scan_signs(spec, 6) == []
         planted(*range(9))
-        assert scan_signs(spec, 6, 3) == []
+        assert scan_signs(spec, 0) == []
 
     def test_empty_window_is_clean_at_any_n_hi(self):
-        # (0, -1) would ask the shifts at order n_hi + 1 = 0
-        for n_lo, n_hi in ((0, -1), (1, 0), (5, 3)):
-            assert scan_signs(FamilySpec("C", 3, 1, 1), n_lo, n_hi) == []
-
-    def test_negative_n_lo_is_a_value_error(self):
-        with pytest.raises(ValueError, match="n_lo must be >= 0"):
-            scan_signs(FamilySpec("C", 3, 1, 1), -3, 5)
+        # n_hi = -1 would ask the shifts at order n_hi + 1 = 0
+        for n_hi in (-3, -1, 0):
+            assert scan_signs(FamilySpec("C", 3, 1, 1), n_hi) == []
 
 
 def flipped(shifts):
@@ -498,16 +496,15 @@ def unpack(packed, width, count):
 
 @st.composite
 def sign_windows(draw):
-    """(spec, n_lo, n_hi, sign, negate): coprime R <= 12, every family the
-    pair admits, k <= 12, orders up to 1500, windows from 0, of one N or
-    any, and either sign of either the series or its negation."""
+    """(spec, n_hi, sign, negate): coprime R <= 12, every family the pair
+    admits, k <= 12, orders up to 1500, windows [1, n_hi] empty, of one N
+    or any, and either sign of either the series or its negation."""
     R = draw(st.integers(2, 12))
     S = draw(st.sampled_from([s for s in range(1, R) if gcd(R, s) == 1]))
     family = draw(st.sampled_from(FAMILIES if 2 * S < R else ("C", "Cprime")))
     k = draw(st.integers(0 if family == "D" else 1, 12))
-    n_hi = draw(st.integers(0, 1499))
-    n_lo = draw(st.sampled_from([0, n_hi]) | st.integers(0, n_hi))
-    return FamilySpec(family, R, S, k), n_lo, n_hi, draw(st.sampled_from([1, -1])), draw(st.booleans())
+    n_hi = draw(st.sampled_from([0, 1]) | st.integers(0, 1499))
+    return FamilySpec(family, R, S, k), n_hi, draw(st.sampled_from([1, -1])), draw(st.booleans())
 
 
 class TestPackedSigns:
@@ -516,23 +513,24 @@ class TestPackedSigns:
 
     @settings(max_examples=120, deadline=None, derandomize=True)
     @given(sign_windows())
-    @example((FamilySpec("C", 3, 1, 1), 0, 0, 1, False))
-    @example((FamilySpec("Dprime", 7, 3, 12), 1, 1499, -1, True))
+    @example((FamilySpec("C", 3, 1, 1), 0, 1, False))
+    @example((FamilySpec("Cprime", 3, 1, 2), 1, 1, False))
+    @example((FamilySpec("Dprime", 7, 3, 12), 1499, -1, True))
     def test_packed_verdict_is_the_list_verdict(self, case):
-        spec, n_lo, n_hi, sign, negate = case
+        spec, n_hi, sign, negate = case
         shifts = families._family_shifts(spec, n_hi + 1)
         if negate:
             shifts = flipped(shifts)
-        window = families._series(spec.R, spec.S, shifts, n_hi + 1).coeffs[n_lo:n_hi + 1]
+        window = families._series(spec.R, spec.S, shifts, n_hi + 1).coeffs[1:]
         want = all(sign * c >= 0 for c in window)
-        assert families._signs_hold(spec.R, spec.S, shifts, n_lo, n_hi, sign) == want
+        assert families._signs_hold(spec.R, spec.S, shifts, n_hi, sign) == want
 
     @pytest.mark.parametrize("R, S", [(3, 1), (7, 3)])
     def test_packed_fields_give_back_the_lists(self, R, S):
         families._QUOTIENTS.clear()
         for spec in default_grid():
             if (spec.R, spec.S) == (R, S):
-                scan_signs(spec, 1, 600)
+                scan_signs(spec, 600)
         entry = families._QUOTIENTS[R, S]
         assert sorted(entry) == ["Q/pair", "pair", "theta/pair", "triple"]
         for kind in ("Q/pair", "pair", "theta/pair", "triple"):
@@ -548,7 +546,7 @@ class TestPackedSigns:
         for c in (2**15 - 1, -(2**15 - 1)):
             plant_series(monkeypatch, lambda spec: [c] * 8)
             shifts = [("pair", [(0, 1)] * count)]
-            assert families._signs_hold(3, 1, shifts, 0, 7, 1) == (c > 0)
+            assert families._signs_hold(3, 1, shifts, 7, 1) == (c > 0)
             assert families._QUOTIENTS[3, 1]["pair"][2] == width
         narrow = [(count * c + 2**23) % 2**24 >= 2**23 for c in (2**15 - 1, -(2**15 - 1))]
         assert narrow == ([True, False] if count < 256 else [False, True])
@@ -557,11 +555,11 @@ class TestPackedSigns:
         families._QUOTIENTS.clear()
         spec = FamilySpec("D", 5, 2, 2)
         shifts = families._family_shifts(spec, 801)
-        assert families._signs_hold(5, 2, flipped(shifts), 1, 800, 1) is False
+        assert families._signs_hold(5, 2, flipped(shifts), 800, 1) is False
         record = families._QUOTIENTS[5, 2]["pair"]
         for n_hi in (800, 300, 1):
             want = families._series(5, 2, shifts, n_hi + 1).coeffs[1:]
-            assert families._signs_hold(5, 2, shifts, 1, n_hi, 1) == (min(want) >= 0)
+            assert families._signs_hold(5, 2, shifts, n_hi, 1) == (min(want) >= 0)
         assert families._QUOTIENTS[5, 2]["pair"] is record
         assert len(record[0]) == 801
 
@@ -575,7 +573,7 @@ class TestPackedSigns:
         for n_hi in (800, 1500, 300):
             shifts = families._family_shifts(spec, n_hi + 1)
             for negate, terms in enumerate((shifts, flipped(shifts))):
-                got = families._signs_hold(5, 2, terms, 1, n_hi, 1)
+                got = families._signs_hold(5, 2, terms, n_hi, 1)
                 want = min(families._series(5, 2, terms, n_hi + 1).coeffs[1:]) >= 0
                 assert got == want != negate, (n_hi, negate)
             records.append(families._QUOTIENTS[5, 2]["pair"])

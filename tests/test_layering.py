@@ -114,17 +114,32 @@ def _names_used(node):
 
 
 def test_every_module_defines_only_what_runs():
-    # Each module-level name of a layer is used by a higher layer, by
-    # another module-level statement of its module, or by the benchmark:
-    # read by its scripts, or patched by its tracer under this or another
-    # module's name (families imports series.qbinomial for it).  The paper's
-    # block ladder and point evaluators live with the tests
-    # (tests/oracles.py, tests/paper_lemmas.py).
+    # Each module-level name of a layer is reachable from cli.main or
+    # cli.console_main, each definition reaching the names its body
+    # mentions (no name is defined in two layers, so a name is its
+    # definition), or the benchmark reads it or its tracer patches it under
+    # this or another module's name (families imports series.qbinomial for
+    # it).  A benchmark name is not a root, so a helper that only it uses
+    # fails.  The paper's block ladder and point evaluators live with the
+    # tests (tests/oracles.py, tests/paper_lemmas.py).
     modules = {m: importlib.import_module("theta_trunc." + m) for m in LAYERS}
-
-    def tree(module):
+    bodies = {}
+    for module in LAYERS:
         with open(modules[module].__file__) as f:
-            return ast.parse(f.read())
+            for node in ast.parse(f.read()).body:
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    bodies[module, node.name] = node
+                elif isinstance(node, ast.Assign):
+                    bodies.update(((module, t.id), node) for t in node.targets if isinstance(t, ast.Name))
+    assert len({name for _, name in bodies}) == len(bodies)
+    where = {name: (module, name) for module, name in bodies}
+
+    reached, todo = set(), [("cli", "main"), ("cli", "console_main")]
+    while todo:
+        key = todo.pop()
+        if key not in reached:
+            reached.add(key)
+            todo += [where[name] for name in _names_used(bodies[key]) if name in where]
 
     root = Path(__file__).resolve().parents[1] / "perfbench"
     reads = _package_reads(root / "make_refs.py") | _package_reads(root / "run.py")
@@ -134,24 +149,13 @@ def test_every_module_defines_only_what_runs():
         for owner, attr in patched
         if owner.startswith("theta_trunc.")  # not PowerSeries's methods
     ]
-    unused = []
-    for at, module in enumerate(LAYERS):
-        body = tree(module).body
-        used = set().union(*(_names_used(tree(higher)) for higher in LAYERS[at + 1 :]))
-        defined = {}
-        for i, node in enumerate(body):
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                defined[node.name] = i
-            elif isinstance(node, ast.Assign):
-                defined.update((t.id, i) for t in node.targets if isinstance(t, ast.Name))
-        unused += [
-            "%s.%s" % (module, name)
-            for name, i in defined.items()
-            if name not in used
-            and (module, name) not in reads
-            and not any(vars(modules[module])[name] is fn for fn in wrapped)
-            and not any(name in _names_used(node) for j, node in enumerate(body) if j != i)
-        ]
+    unused = [
+        "%s.%s" % (module, name)
+        for module, name in bodies
+        if (module, name) not in reached
+        and (module, name) not in reads
+        and not any(vars(modules[module])[name] is fn for fn in wrapped)
+    ]
     assert unused == []
 
 
