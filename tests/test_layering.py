@@ -1,8 +1,8 @@
 """layering: each module imports on its own, loading only the layers below it
 and not numpy, which only the circle grid loads, nor mpmath, which no run
 loads, nor dataclasses, inspect or json, which no start-up needs; no module
-defines an exception type of its own; each module defines only what a
-higher layer, the module itself or the benchmark uses; every name the
+defines an exception type of its own; each module defines only what the
+CLI reaches or the benchmark uses; every name the
 benchmark's tracer patches exists and is restored, and every package name
 its scripts read exists, its series supporting the reads made of them."""
 
@@ -123,23 +123,26 @@ def test_every_module_defines_only_what_runs():
     # fails.  The paper's block ladder and point evaluators live with the
     # tests (tests/oracles.py, tests/paper_lemmas.py).
     modules = {m: importlib.import_module("theta_trunc." + m) for m in LAYERS}
-    bodies = {}
+    module_of, bodies = {}, {}
     for module in LAYERS:
         with open(modules[module].__file__) as f:
             for node in ast.parse(f.read()).body:
                 if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                    bodies[module, node.name] = node
+                    names = [node.name]
                 elif isinstance(node, ast.Assign):
-                    bodies.update(((module, t.id), node) for t in node.targets if isinstance(t, ast.Name))
-    assert len({name for _, name in bodies}) == len(bodies)
-    where = {name: (module, name) for module, name in bodies}
+                    names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+                else:
+                    continue
+                for name in names:
+                    assert name not in module_of, name
+                    module_of[name], bodies[name] = module, node
 
-    reached, todo = set(), [("cli", "main"), ("cli", "console_main")]
+    reached, todo = set(), ["main", "console_main"]
     while todo:
-        key = todo.pop()
-        if key not in reached:
-            reached.add(key)
-            todo += [where[name] for name in _names_used(bodies[key]) if name in where]
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo += [used for used in _names_used(bodies[name]) if used in bodies]
 
     root = Path(__file__).resolve().parents[1] / "perfbench"
     reads = _package_reads(root / "make_refs.py") | _package_reads(root / "run.py")
@@ -150,11 +153,11 @@ def test_every_module_defines_only_what_runs():
         if owner.startswith("theta_trunc.")  # not PowerSeries's methods
     ]
     unused = [
-        "%s.%s" % (module, name)
-        for module, name in bodies
-        if (module, name) not in reached
-        and (module, name) not in reads
-        and not any(vars(modules[module])[name] is fn for fn in wrapped)
+        "%s.%s" % (module_of[name], name)
+        for name in bodies
+        if name not in reached
+        and (module_of[name], name) not in reads
+        and not any(vars(modules[module_of[name]])[name] is fn for fn in wrapped)
     ]
     assert unused == []
 
