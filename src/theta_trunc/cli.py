@@ -12,7 +12,6 @@ an unwritable --out, 3 conjecture violation found, 4 quadrature mismatch.
 
 Output is deterministic: no timestamps, fixed summation orders, big
 integers as decimal strings, reals at 17 significant digits.
-THETA_TRUNC_OUT overrides the default output directory.
 """
 
 from __future__ import annotations
@@ -82,14 +81,6 @@ COEFF_HEADER = ("N", "coefficient")
 COEFF_ROW = {"csv": "%d,%d\n", "json": '{"N": %d, "coefficient": "%d"}\n'}
 
 
-def resolve_out(path: str | None, default_name: str) -> str:
-    """Output path: --out wins; else default name in THETA_TRUNC_OUT or cwd."""
-    if path is not None:
-        return path
-    base = os.environ.get("THETA_TRUNC_OUT", ".")
-    return os.path.join(base, default_name)
-
-
 def _check_writable(path):
     """Raise the OSError that writing ``path`` (None: no file) would, before
     any work is done; a file this check creates is removed again."""
@@ -115,14 +106,25 @@ def write_table(path, fmt, header, lines):
         raise
 
 
+def _emit(out, fmt, header, lines):
+    """The one output rule of coeffs and compare: the table goes to the file
+    ``out`` (see ``write_table``), or with ``out`` None its lines go to
+    stdout as the file would hold them, without the CSV header line."""
+    if out is not None:
+        write_table(out, fmt, header, lines)
+    else:
+        for line in lines:
+            sys.stdout.write(line)
+
+
 # ---------------------------------------------------------------------------
 # subcommands (domain-level; argparse wrappers below)
 # ---------------------------------------------------------------------------
 
-def cmd_coeffs(spec: FamilySpec, n_max: int, fmt: str, out: str) -> int:
-    """Write the table N, coefficient (decimal string) for N = 0..n_max."""
+def cmd_coeffs(spec: FamilySpec, n_max: int, fmt: str, out) -> int:
+    """Emit the table N, coefficient (decimal string) for N = 0..n_max."""
     series = families.genfun_family(spec, n_max + 1)
-    write_table(out, fmt, COEFF_HEADER, map(COEFF_ROW[fmt].__mod__, enumerate(series.coeffs)))
+    _emit(out, fmt, COEFF_HEADER, map(COEFF_ROW[fmt].__mod__, enumerate(series.coeffs)))
     return EXIT_OK
 
 
@@ -181,8 +183,7 @@ def cmd_scan(spec: FamilySpec, n_hi: int, fmt, out) -> int:
 def cmd_compare(spec: FamilySpec, n_list, form, fmt, out) -> int:
     """Rows (N, exact LogValue, main-term LogValue, ratio) for each N, the
     ratio a float or "sign-mismatch".  CSV cells carry the log magnitudes,
-    JSON rows {sign, lnmag} objects.  With ``out`` None the rows go to stdout
-    in the same format: CSV without the header, JSON lines as in the file.
+    JSON rows {sign, lnmag} objects.
     """
     n_list = sorted(n_list)
     rows = []
@@ -194,11 +195,7 @@ def cmd_compare(spec: FamilySpec, n_list, form, fmt, out) -> int:
             raise ValueError("main term beyond float range: %s" % exc) from None
         rows.append((n, exact, main, logvalue_ratio(exact, main)))
     header = ("N", "ln_exact", "ln_mainterm", "ratio")
-    if out is not None:
-        write_table(out, fmt, header, (_line(fmt, header, row) + "\n" for row in rows))
-    else:
-        for row in rows:
-            print(_line(fmt, header, row))
+    _emit(out, fmt, header, (_line(fmt, header, row) + "\n" for row in rows))
     return EXIT_OK
 
 
@@ -294,9 +291,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_range(name, low, *values):
-    """Raise ValueError unless every value is at least ``low`` (None: no
-    lower bound) and at most ``N_CEILING``, the lower bound first."""
-    if low is not None and min(values) < low:
+    """Raise ValueError unless every value is at least ``low`` and at most
+    ``N_CEILING``, the lower bound first."""
+    if min(values) < low:
         raise ValueError("%s must be >= %d" % (name, low))
     if max(values) > N_CEILING:
         raise ValueError("%s above ceiling %d" % (name, N_CEILING))
@@ -308,9 +305,8 @@ def main(argv=None) -> int:
         if args.command == "coeffs":
             _check_range("n-max", 0, args.n_max)
             spec = FamilySpec(FAMILY_FLAGS[args.family], args.R, args.S, args.k)
-            out = resolve_out(args.out, "coeffs.%s" % args.format)
-            _check_writable(out)
-            return cmd_coeffs(spec, args.n_max, args.format, out)
+            _check_writable(args.out)
+            return cmd_coeffs(spec, args.n_max, args.format, args.out)
         if args.command == "verify-identities":
             _check_range("order", 50, args.order)
             _check_range("decomp-order", 1, args.decomp_order)
@@ -330,9 +326,9 @@ def main(argv=None) -> int:
             return cmd_compare(spec, args.n_list, args.form, args.format, args.out)
         if args.command == "circle":
             _check_range("N", 1, args.N)
-            _check_range("R", None, args.R)
             if not 1 <= args.S < args.R:
                 raise ValueError("need 1 <= S < R")
+            _check_range("R", 2, args.R)
             if gcd(args.R, args.S) != 1:
                 raise ValueError("R and S must be coprime")
             p = ThetaParams(args.a, args.c, args.d)

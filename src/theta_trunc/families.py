@@ -162,6 +162,8 @@ def _build_quotient(kind, R, S, order):
     """
     if kind in PRODUCTS:
         return ps_div_pochhammer(PowerSeries([1], order), PRODUCTS[kind](R, S)).coeffs
+    if kind not in ("theta/pair", "Q/pair"):
+        raise ValueError("unknown quotient %r" % (kind,))
     theta = _theta_sum([(1, theta_rs_params(3 * R, R))], order, [(None, None)], True)
     if kind == "theta/pair":
         return theta.coeffs

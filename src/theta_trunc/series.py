@@ -6,10 +6,10 @@ arithmetic; these series are the ground truth against which all floating
 point asymptotics are compared.
 
 A PowerSeries keeps only what its readers use:
-  * ``PowerSeries(coeffs, order)``, which pads ``coeffs`` with zeros to
-    ``order``; ``.coeffs`` is read by ``families``, the CLI tables and
-    identity checks and the tests, ``.order`` by the operations below and
-    perfbench's tracer.
+  * ``PowerSeries(coeffs, order)``, which cuts ``coeffs`` at ``order`` and
+    pads them with zeros to it; ``.coeffs`` is read by ``families``, the
+    CLI tables and identity checks and the tests, ``.order`` by the
+    operations below and perfbench's tracer.
   * ``from_terms``, for ``families._theta_sum``; perfbench's tracer wraps it.
   * ``[n]``, for the FAIL line of ``verify-identities`` and
     perfbench/make_refs.py.
@@ -45,6 +45,7 @@ class PowerSeries:
         if order <= 0:
             raise ValueError("order must be positive")
         coeffs = list(coeffs)
+        del coeffs[order:]
         coeffs.extend([0] * (order - len(coeffs)))
         self.coeffs = coeffs
         self.order = order
