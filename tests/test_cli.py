@@ -82,10 +82,24 @@ class TestCoeffs:
         assert run(argv) == 0
         assert out.read_text().splitlines() == ["N,coefficient", "0,0"]
 
-    def test_env_output_dir(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("THETA_TRUNC_OUT", str(tmp_path))
-        assert run("coeffs --family C --R 3 --S 1 --k 1 --n-max 3".split()) == 0
-        assert (tmp_path / "coeffs.csv").exists()
+    @pytest.mark.parametrize("fmt, header_lines", [("csv", 1), ("json", 0)], ids=["csv", "json"])
+    def test_without_out_prints_the_file_rows(self, fmt, header_lines, tmp_path, monkeypatch, capsys):
+        # No file is written without --out, and THETA_TRUNC_OUT is not read.
+        cwd, env_dir, files = tmp_path / "cwd", tmp_path / "env", tmp_path / "files"
+        for d in (cwd, env_dir, files):
+            d.mkdir()
+        monkeypatch.chdir(cwd)
+        monkeypatch.setenv("THETA_TRUNC_OUT", str(env_dir))
+        argv = ("coeffs --family D --R 3 --S 1 --k 1 --n-max 300 --format %s" % fmt).split()
+        assert run(argv) == 0
+        printed = capsys.readouterr().out
+        assert list(cwd.iterdir()) == list(env_dir.iterdir()) == []
+        out = files / ("c." + fmt)
+        assert run(argv + ["--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        lines = out.read_text().splitlines(keepends=True)
+        assert printed == "".join(lines[header_lines:])
+        assert printed.count("\n") == 301
 
     def test_json_big_ints_are_strings(self, tmp_path):
         out = tmp_path / "c.json"
@@ -183,7 +197,6 @@ class TestVerifyIdentities:
         cli.build_parser()
         monkeypatch.setattr(cli, "N_CEILING", 60)
         monkeypatch.chdir(tmp_path)
-        monkeypatch.delenv("THETA_TRUNC_OUT", raising=False)
         assert run(argv.split() + ["60"]) == 0
         capsys.readouterr()
         assert run(argv.split() + ["61"]) == 2
@@ -496,6 +509,8 @@ class TestCircle:
         ("--R 3 --S 1 --N 10001", "N above ceiling 10000"),
         # would allocate a grid of 2^28 complex samples
         ("--R 1000000000 --S 1 --N 10000", "R above ceiling 10000"),
+        # S is checked before the R ceiling
+        ("--R 10001 --S 10001 --N 20", "need 1 <= S < R"),
     ])
     def test_invalid_input_exits_2(self, flags, message, capsys):
         argv = ("circle --a 6 --c 7 --d 2 " + flags).split()

@@ -329,6 +329,14 @@ class TestCachedRoute:
                 got.coeffs[:] = [7] * order
                 assert call(order).coeffs == want
 
+    def test_unknown_quotient_is_a_value_error(self):
+        families._QUOTIENTS.clear()
+        p = ThetaParams(Fraction(6), Fraction(7), 2)
+        assert block_coefficient(p, 3, 1, 20, "pair") == 140
+        with pytest.raises(ValueError, match="unknown quotient 'bogus'"):
+            block_coefficient(p, 3, 1, 20, "bogus")
+        assert sorted(families._QUOTIENTS[3, 1]) == ["pair"]
+
     @pytest.mark.parametrize("order", [0, -3])
     def test_order_below_one_is_a_value_error(self, order):
         p = ThetaParams(Fraction(3), Fraction(2), 1)

@@ -37,6 +37,14 @@ def geometric(order):
     return PowerSeries([1] * order, order)
 
 
+class TestPowerSeries:
+    def test_coefficients_at_or_past_order_are_cut(self):
+        f = PowerSeries([1, 2, 3], 2)
+        assert f.coeffs == [1, 2]
+        assert f == PowerSeries([1, 2], 2)
+        assert PowerSeries([1, 2], 4).coeffs == [1, 2, 0, 0]
+
+
 class TestPsMul:
     def test_difference_of_squares(self):
         f = PowerSeries([1, 1], 4)
