@@ -57,10 +57,11 @@ whether the whole window has its sign.
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from fractions import Fraction
-from math import gcd
-from operator import add, sub
+from itertools import repeat
+from math import ceil, gcd, log, pi, sqrt
+from operator import add, lshift, sub
 
 from . import kernels
 from .series import (
@@ -159,11 +160,10 @@ def _build_quotient(kind, R, S, order):
                   quintuple product, that is theta_{3R,R} theta_{2R,R-2S}
                   over (q^(2R); q^(2R))_inf, the triple product at (6R, 2R),
                   whose theta series is sparser than theta_{R,S}.
+    ``_quotient`` has rejected any other kind.
     """
     if kind in PRODUCTS:
         return ps_div_pochhammer(PowerSeries([1], order), PRODUCTS[kind](R, S)).coeffs
-    if kind not in ("theta/pair", "Q/pair"):
-        raise ValueError("unknown quotient %r" % (kind,))
     theta = _theta_sum([(1, theta_rs_params(3 * R, R))], order, [(None, None)], True)
     if kind == "theta/pair":
         return theta.coeffs
@@ -181,8 +181,11 @@ def _quotient(kind, R, S, order):
     ``_QUOTIENT_RS`` (R, S) used, with no knob.  For (3, 1) the four lists
     take 0.27 MB at order 2001, 1.7 MB at 10^4 and 32 MB at 10^5, where
     they take 12-15 s to build (Intel Xeon, sizes by sys.getsizeof of each
-    list and int).  Callers read coeffs and never change them.
+    list and int).  Callers read coeffs and never change them.  An unknown
+    kind raises before the cache is touched.
     """
+    if kind not in PRODUCTS and kind not in ("theta/pair", "Q/pair"):
+        raise ValueError("unknown quotient %r" % (kind,))
     if order < 1:
         raise ValueError("order must be positive")
     entry = _QUOTIENTS[R, S] = _QUOTIENTS.pop((R, S), {})
@@ -439,6 +442,66 @@ def genfun_family_via_decomposition(spec: FamilySpec, order: int) -> PowerSeries
     if spec.family == "Cprime":
         total.coeffs[0] += (-1) ** (spec.k - 1)
     return total
+
+
+def _division_bits(count, den, order):
+    """A bit length that every |coefficient| below ``order`` of num/den
+    stays under, for a numerator of ``count`` terms of sign +-1:
+    bits(count) + ceil(pi sqrt(2 t (order - 1) / 3) / ln 2), t the largest
+    multiplicity of a part size of ``den``.
+
+    |[q^n] num/den| <= ||num||_1 max(m <= n) [q^m] 1/den, and
+    ||num||_1 <= count.  1/den is the product of 1/(1 - q^m) over its
+    parts, a series of nonnegative coefficients dominated by
+    1/(q; q)_inf^t, whose coefficients p_t(m) grow with m.  For 0 < x < 1,
+    p_t(n) x^n <= (q; q)_inf^-t at q = x, and log 1/(x; x)_inf <=
+    (pi^2/6) x/(1 - x), so with x = 1/(1 + u) (-log x < u)
+    log p_t(n) < t pi^2/(6u) + n u, which is pi sqrt(2tn/3) at
+    u = pi sqrt(t/(6n)).  t is 2 at R = 2, where S = R - S, and 1 at
+    every other (R, S).
+    """
+    t = max(Counter(den.parts(order)).values(), default=1)
+    return count.bit_length() + ceil(pi * sqrt(2 * t * (order - 1) / 3) / log(2))
+
+
+def decomposition_holds(specs, order):
+    """{spec: whether ``genfun_family`` equals
+    ``genfun_family_via_decomposition`` to ``order`` for every spec of
+    ``specs`` over the same ``family_denominator``}, one division per
+    denominator.
+
+    For the m specs of one denominator, route B packs the blocks' signed
+    terms (those ``_theta_sum`` adds) into one integer per coefficient,
+    sum_j num_j[n] 2^(jW), divides that once and adds each Cprime's
+    constant (-1)^(k-1) in its field at q^0; route A packs each
+    ``genfun_family(spec, order).coeffs`` the same way.  Division is exact
+    and linear, so the packed quotient is sum_j (num_j/den)[n] 2^(jW), and
+    two such sums with every field in (-2^(W-1), 2^(W-1)) are equal iff
+    their fields are.  W is 2 more than the larger of route A's largest
+    |coefficient| bit length and ``_division_bits`` of route B's longest
+    numerator; the 2 covers the constant and any float rounding of the
+    bound's ceiling.
+    """
+    groups = {}
+    for spec in specs:
+        groups.setdefault(family_denominator(spec), []).append(spec)
+    holds = {}
+    for den, group in groups.items():
+        routes = [genfun_family(spec, order).coeffs for spec in group]
+        nums = [_signed_terms(decompose_family(spec), order, [(0, None)], False) for spec in group]
+        bits = max(max(map(abs, coeffs)).bit_length() for coeffs in routes)
+        width = max(bits, _division_bits(max(map(len, nums)), den, order)) + 2
+        num = PowerSeries.from_terms(
+            [(e, v << j * width) for j, terms in enumerate(nums) for e, v in terms], order
+        )
+        divided = ps_div_pochhammer(num, den).coeffs
+        packed = [0] * order
+        for j, (spec, coeffs) in enumerate(zip(group, routes)):
+            if spec.family == "Cprime":
+                divided[0] += (-1) ** (spec.k - 1) << j * width
+            packed = list(map(add, packed, map(lshift, coeffs, repeat(j * width))))
+        holds.update(dict.fromkeys(group, divided == packed))
+    return holds
 
 
 # ---------------------------------------------------------------------------

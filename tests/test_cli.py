@@ -15,12 +15,12 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from theta_trunc import cli
+from theta_trunc import cli, families
 from theta_trunc.analytic import min_samples
 from theta_trunc.asymptotics import LogValue, logvalue_ratio, mainterm_family
 from theta_trunc.families import FamilySpec, default_grid, genfun_family
 from theta_trunc.series import PowerSeries, ThetaParams
-from test_families import plant_series
+from test_families import flip_lowest_block, plant_series
 
 
 def run(argv):
@@ -164,6 +164,23 @@ class TestVerifyIdentities:
         assert run(["verify-identities", "--order", "60", "--decomp-order", "80"]) == 0
         out = capsys.readouterr().out
         assert "FAIL" not in out
+
+    def test_failing_group_reports_each_spec(self, monkeypatch, capsys):
+        # A flipped block of D 5 2 2 fails its packed group, whose specs are
+        # then reported one by one: one FAIL line, with the per-spec route's
+        # first mismatch, and PASS for the other 51 specs.
+        bad = FamilySpec("D", 5, 2, 2)
+        flip_lowest_block(monkeypatch, [bad])
+        assert run(["verify-identities", "--order", "60", "--decomp-order", "300"]) == 1
+        lines = [l for l in capsys.readouterr().out.splitlines() if l.split()[1] == "decomposition"]
+        got, want = genfun_family(bad, 300).coeffs, families.genfun_family_via_decomposition(bad, 300).coeffs
+        where = next(i for i, (a, b) in enumerate(zip(got, want)) if a != b)
+        name = "decomposition %s R=%d S=%d k=%d order=300"
+        assert lines == [
+            ("FAIL " + name + ": first mismatch at exponent %d (%d != %d)")
+            % (s + (where, got[where], want[where])) if s == bad else "PASS " + name % s
+            for s in default_grid()
+        ]
 
     def test_order_floor(self):
         assert run(["verify-identities", "--order", "10"]) == 2

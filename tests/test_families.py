@@ -200,6 +200,87 @@ class TestGenfuns:
         assert next(i for i, (g, b) in enumerate(zip(good.coeffs, bad)) if g != b) == t0.d
 
 
+# The default grid and C/Cprime at (2, 1), where the denominator repeats
+# every odd part (t = 2 in ``families._division_bits``).
+HOLDS_SPECS = default_grid() + [FamilySpec(f, 2, 1, k) for f in ("C", "Cprime") for k in (1, 2, 3, 4)]
+
+
+def flip_lowest_block(monkeypatch, flipped):
+    """Make ``decompose_family`` negate the block of least offset d of each
+    spec of ``flipped``, for the packed and the per-spec route alike."""
+    decompose = families.decompose_family
+
+    def flipping(spec):
+        blocks = decompose(spec)
+        if spec in flipped:
+            i = min(range(len(blocks)), key=lambda i: blocks[i][1].d)
+            sign, p = blocks[i]
+            blocks[i] = (-sign, p)
+        return blocks
+
+    monkeypatch.setattr(families, "decompose_family", flipping)
+
+
+class TestDecompositionHolds:
+    """``decomposition_holds``, one packed division per denominator,
+    against the per-spec ``genfun_family == genfun_family_via_decomposition``."""
+
+    @staticmethod
+    def check(specs, order):
+        holds = families.decomposition_holds(specs, order)
+        per = {s: genfun_family(s, order) == genfun_family_via_decomposition(s, order) for s in specs}
+        for spec in specs:
+            group = [s for s in specs if family_denominator(s) == family_denominator(spec)]
+            assert holds[spec] == all(per[s] for s in group), (spec, order)
+        return holds, per
+
+    def test_groups_are_the_shared_denominators(self):
+        holds, _ = self.check(default_grid(), 1)
+        assert len(holds) == 52
+        assert len({family_denominator(s) for s in holds}) == 8
+
+    @pytest.mark.parametrize("order", [1, 2, 50, 300])
+    def test_agrees_with_the_per_spec_route(self, order):
+        holds, per = self.check(HOLDS_SPECS, order)
+        assert all(per.values()) and all(holds.values())
+
+    @pytest.mark.parametrize("flipped", [
+        [FamilySpec("D", 5, 2, 2)],        # a middle field of (5, 2)'s pair
+        [FamilySpec("C", 3, 1, 1)],        # field 0
+        [FamilySpec("Dprime", 7, 3, 3)],   # the top field of (7, 3)'s pair
+        [FamilySpec("Cprime", 2, 1, 4)],   # t = 2
+    ])
+    @pytest.mark.parametrize("order", [100, 300])
+    def test_a_flipped_block_fails_its_group_only(self, flipped, order, monkeypatch):
+        flip_lowest_block(monkeypatch, flipped)
+        holds, per = self.check(HOLDS_SPECS, order)
+        assert [s for s in HOLDS_SPECS if not per[s]] == flipped
+        bad = {family_denominator(s) for s in flipped}
+        assert [s for s in HOLDS_SPECS if not holds[s]] == [
+            s for s in HOLDS_SPECS if family_denominator(s) in bad]
+
+    def test_one_flipped_block_per_group_fails_every_group(self, monkeypatch):
+        firsts = list({family_denominator(s): s for s in reversed(HOLDS_SPECS)}.values())
+        flip_lowest_block(monkeypatch, firsts)
+        holds, _ = self.check(HOLDS_SPECS, 300)
+        assert not any(holds.values())
+
+    def test_division_bits_bound_every_quotient(self):
+        # The width bound on 1/den for the pair and the triple of every
+        # coprime (R, S) with R <= 12; S and R - S give the same products.
+        # A truncated quotient is a prefix of a longer one.
+        orders = (10, 100, 1000, 2000)
+        for R in range(2, 13):
+            for S in range(1, R // 2 + 1):
+                if gcd(R, S) != 1:
+                    continue
+                for den in (pair_product_spec(R, S), triple_product_spec(R, S)):
+                    coeffs = ps_div_pochhammer(PowerSeries([1], orders[-1]), den).coeffs
+                    for order in orders:
+                        bits = max(map(abs, coeffs[:order])).bit_length()
+                        assert bits <= families._division_bits(1, den, order), (den, order)
+
+
 @st.composite
 def cached_route_cases(draw):
     """(spec, order): coprime R <= 12 (R = 2S included), every family the
@@ -337,6 +418,23 @@ class TestCachedRoute:
             block_coefficient(p, 3, 1, 20, "bogus")
         assert sorted(families._QUOTIENTS[3, 1]) == ["pair"]
 
+    def test_unknown_quotient_leaves_the_cache_as_it_was(self):
+        # A rejected kind neither files a (R, S) entry nor moves or evicts one.
+        families._QUOTIENTS.clear()
+        for R, S in ((4, 1), (5, 2), (7, 3), (5, 1)):
+            genfun_family(FamilySpec("D", R, S, 1), 40)
+        before = [(rs, {kind: list(record) for kind, record in entry.items()})
+                  for rs, entry in families._QUOTIENTS.items()]
+        lists = [id(record[0]) for entry in families._QUOTIENTS.values() for record in entry.values()]
+        p = ThetaParams(Fraction(6), Fraction(7), 2)
+        for rs in ((3, 1), (4, 1)):
+            with pytest.raises(ValueError, match="unknown quotient 'bogus'"):
+                block_coefficient(p, *rs, 20, "bogus")
+        after = [(rs, {kind: list(record) for kind, record in entry.items()})
+                 for rs, entry in families._QUOTIENTS.items()]
+        assert after == before
+        assert [id(record[0]) for entry in families._QUOTIENTS.values() for record in entry.values()] == lists
+
     @pytest.mark.parametrize("order", [0, -3])
     def test_order_below_one_is_a_value_error(self, order):
         p = ThetaParams(Fraction(3), Fraction(2), 1)
@@ -428,11 +526,21 @@ def plant_series(monkeypatch, series_of):
     """Make the series of each family spec ``series_of(spec)``, truncated to
     the order asked, for both of its reads, the packed sign test and the
     slice adds: each spec's shifts are one term, q^0 over a quotient named
-    by the spec itself, which ``_build_quotient`` builds as that series in
-    a fresh quotient cache."""
+    by the spec itself.  ``_quotient`` admits only its own kinds, so a
+    stand-in files the record (see ``_QUOTIENTS``) of that series under
+    the spec in a fresh quotient cache."""
     monkeypatch.setattr(families, "_QUOTIENTS", {})
+
+    def quotient(spec, R, S, order):
+        entry = families._QUOTIENTS.setdefault((R, S), {})
+        record = entry.get(spec)
+        if record is None or len(record[0]) < order:
+            coeffs = list(series_of(spec)[:order])
+            record = entry[spec] = [coeffs, max(map(abs, coeffs)).bit_length(), 0, 0]
+        return record
+
     monkeypatch.setattr(families, "_family_shifts", lambda spec, order: [(spec, [(0, 1)])])
-    monkeypatch.setattr(families, "_build_quotient", lambda spec, R, S, order: list(series_of(spec)[:order]))
+    monkeypatch.setattr(families, "_quotient", quotient)
 
 
 class TestScans:
