@@ -23,7 +23,11 @@ G_{a,c,d}, which ``decompose_family`` derives from the same numerator as
 for the others.
 ``genfun_family_via_decomposition`` rebuilds the series from that
 decomposition by dividing its numerator once, and exact equality of the two
-routes is one of the identity suites.  The classical pentagonal, truncated
+routes is one of the identity suites.  The suite runs it through
+``decomposition_holds``, which checks all the specs over one denominator
+with one division: each route packs its specs into one integer per
+coefficient, one field per spec, wide enough that the packed lists are
+equal iff every spec's are.  The classical pentagonal, truncated
 pentagonal and quintuple product identities are provided as further exact
 oracles.
 
