@@ -21,15 +21,14 @@ G_{a,c,d}, which ``decompose_family`` derives from the same numerator as
 (sign, ThetaParams) pairs, over the family's one denominator
 ``family_denominator``: the triple product for Cprime, the pair product
 for the others.
-``genfun_family_via_decomposition`` rebuilds the series from that
-decomposition by dividing its numerator once, and exact equality of the two
-routes is one of the identity suites.  The suite runs it through
-``decomposition_holds``, which checks all the specs over one denominator
-with one division: each route packs its specs into one integer per
-coefficient, one field per spec, wide enough that the packed lists are
-equal iff every spec's are.  The classical pentagonal, truncated
-pentagonal and quintuple product identities are provided as further exact
-oracles.
+Exact equality of the series and its decomposition, divided once, is one
+of the identity suites: ``decomposition_sides`` divides all the specs over
+one denominator at once, packed into one integer per coefficient, one
+field per spec, and reads a failing group's sides back from the fields.
+``genfun_family_via_decomposition``, the same division per spec, is the
+reference of the tests and the benchmark, not a CLI route.  The classical
+pentagonal, truncated pentagonal and quintuple product identities are
+further exact oracles.
 
 ``genfun_family``, ``genfun_B`` and ``genfun_Bprime`` divide once per
 (R, S), not per call.  By the Jacobi triple and quintuple products each of
@@ -439,7 +438,8 @@ def decompose_family(spec: FamilySpec):
 def genfun_family_via_decomposition(spec: FamilySpec, order: int) -> PowerSeries:
     """The family series rebuilt from ``decompose_family``: the blocks'
     signed theta sums over n >= 0, divided once by the shared denominator,
-    plus the constant (-1)^(k-1) for Cprime.
+    plus the constant (-1)^(k-1) for Cprime.  The per-spec reference of
+    the tests and the benchmark; the CLI reads ``decomposition_sides``.
     """
     num = _theta_sum(decompose_family(spec), order, [(0, None)])
     total = ps_div_pochhammer(num, family_denominator(spec))
@@ -468,44 +468,51 @@ def _division_bits(count, den, order):
     return count.bit_length() + ceil(pi * sqrt(2 * t * (order - 1) / 3) / log(2))
 
 
-def decomposition_holds(specs, order):
-    """{spec: whether ``genfun_family`` equals
-    ``genfun_family_via_decomposition`` to ``order`` for every spec of
-    ``specs`` over the same ``family_denominator``}, one division per
-    denominator.
+def decomposition_sides(specs, order):
+    """{spec: (route A, route B)} for each spec of ``specs`` to ``order``:
+    A is ``genfun_family``, B the series of
+    ``genfun_family_via_decomposition``, one division per denominator.
 
-    For the m specs of one denominator, route B packs the blocks' signed
-    terms (those ``_theta_sum`` adds) into one integer per coefficient,
-    sum_j num_j[n] 2^(jW), divides that once and adds each Cprime's
-    constant (-1)^(k-1) in its field at q^0; route A packs each
-    ``genfun_family(spec, order).coeffs`` the same way.  Division is exact
-    and linear, so the packed quotient is sum_j (num_j/den)[n] 2^(jW), and
-    two such sums with every field in (-2^(W-1), 2^(W-1)) are equal iff
-    their fields are.  W is 2 more than the larger of route A's largest
-    |coefficient| bit length and ``_division_bits`` of route B's longest
-    numerator; the 2 covers the constant and any float rounding of the
-    bound's ceiling.
+    For the m specs of one ``family_denominator``, route B packs the
+    blocks' signed terms (those ``_theta_sum`` adds) into one integer per
+    coefficient, sum_j num_j[n] 2^(jW), divides that once and adds each
+    Cprime's constant (-1)^(k-1) in its field at q^0; route A packs the
+    same way.  Division is exact and linear, so the quotient's field j is
+    spec j's B.  W is 2 more than the larger of A's largest bit length and
+    ``_division_bits`` of B's longest numerator (2 for the constant and any
+    float rounding), so every field of either route lies in (-h, h),
+    h = 2^(W-1), whether or not the identity holds.  The packed lists are
+    then equal iff every spec's are, and B is A's own object; otherwise
+    B's field j of x is ((x + sum_i h 2^(iW)) >> jW & (2^W - 1)) - h.
     """
     groups = {}
     for spec in specs:
         groups.setdefault(family_denominator(spec), []).append(spec)
-    holds = {}
+    sides = {}
     for den, group in groups.items():
-        routes = [genfun_family(spec, order).coeffs for spec in group]
+        routes = [genfun_family(spec, order) for spec in group]
         nums = [_signed_terms(decompose_family(spec), order, [(0, None)], False) for spec in group]
-        bits = max(max(map(abs, coeffs)).bit_length() for coeffs in routes)
+        bits = max(max(map(abs, route.coeffs)).bit_length() for route in routes)
         width = max(bits, _division_bits(max(map(len, nums)), den, order)) + 2
         num = PowerSeries.from_terms(
             [(e, v << j * width) for j, terms in enumerate(nums) for e, v in terms], order
         )
         divided = ps_div_pochhammer(num, den).coeffs
         packed = [0] * order
-        for j, (spec, coeffs) in enumerate(zip(group, routes)):
+        for j, (spec, route) in enumerate(zip(group, routes)):
             if spec.family == "Cprime":
                 divided[0] += (-1) ** (spec.k - 1) << j * width
-            packed = list(map(add, packed, map(lshift, coeffs, repeat(j * width))))
-        holds.update(dict.fromkeys(group, divided == packed))
-    return holds
+            packed = list(map(add, packed, map(lshift, route.coeffs, repeat(j * width))))
+        if divided == packed:
+            sides.update((spec, (route, route)) for spec, route in zip(group, routes))
+            continue
+        h = 1 << width - 1
+        bias = sum(h << j * width for j in range(len(group)))
+        biased = [x + bias for x in divided]
+        for j, (spec, route) in enumerate(zip(group, routes)):
+            fields = [(x >> j * width & 2 * h - 1) - h for x in biased]
+            sides[spec] = route, PowerSeries(fields, order)
+    return sides
 
 
 # ---------------------------------------------------------------------------

@@ -165,22 +165,57 @@ class TestVerifyIdentities:
         out = capsys.readouterr().out
         assert "FAIL" not in out
 
-    def test_failing_group_reports_each_spec(self, monkeypatch, capsys):
-        # A flipped block of D 5 2 2 fails its packed group, whose specs are
-        # then reported one by one: one FAIL line, with the per-spec route's
-        # first mismatch, and PASS for the other 51 specs.
-        bad = FamilySpec("D", 5, 2, 2)
-        flip_lowest_block(monkeypatch, [bad])
+    # The first spec of each of the 8 denominator groups of the grid.
+    FIRSTS = list({families.family_denominator(s): s for s in reversed(default_grid())}.values())
+
+    @staticmethod
+    def check_failing_report(bad, monkeypatch, capsys):
+        """A flipped block of each spec of ``bad`` fails its packed group,
+        whose specs are then reported one by one: a FAIL line for each spec
+        of ``bad``, with the per-spec route's first mismatch, and PASS for
+        the others."""
+        flip_lowest_block(monkeypatch, bad)
         assert run(["verify-identities", "--order", "60", "--decomp-order", "300"]) == 1
         lines = [l for l in capsys.readouterr().out.splitlines() if l.split()[1] == "decomposition"]
-        got, want = genfun_family(bad, 300).coeffs, families.genfun_family_via_decomposition(bad, 300).coeffs
-        where = next(i for i, (a, b) in enumerate(zip(got, want)) if a != b)
         name = "decomposition %s R=%d S=%d k=%d order=300"
-        assert lines == [
-            ("FAIL " + name + ": first mismatch at exponent %d (%d != %d)")
-            % (s + (where, got[where], want[where])) if s == bad else "PASS " + name % s
-            for s in default_grid()
-        ]
+        want = []
+        for s in default_grid():
+            got, div = genfun_family(s, 300).coeffs, families.genfun_family_via_decomposition(s, 300).coeffs
+            where = next((i for i, (a, b) in enumerate(zip(got, div)) if a != b), None)
+            assert (where is not None) == (s in bad), s
+            want.append(
+                ("FAIL " + name + ": first mismatch at exponent %d (%d != %d)")
+                % (s + (where, got[where], div[where])) if s in bad else "PASS " + name % s)
+        assert lines == want
+
+    def test_failing_group_reports_each_spec(self, monkeypatch, capsys):
+        self.check_failing_report([FamilySpec("D", 5, 2, 2)], monkeypatch, capsys)
+
+    @pytest.mark.parametrize("bad", [
+        FIRSTS,                             # every group fails
+        [FamilySpec("Cprime", 4, 1, 2)],    # fields carrying the constant at q^0
+    ], ids=["every-group", "Cprime-4-1-2"])
+    def test_failing_groups_report_each_spec(self, bad, monkeypatch, capsys):
+        self.check_failing_report(bad, monkeypatch, capsys)
+
+    def test_failing_suite_divides_once_per_group(self, monkeypatch, capsys):
+        # With every group failing and the family quotients cached, the
+        # decomposition suite divides once per denominator (8 times) and
+        # reads each spec's route B from its packed quotient: it never
+        # divides a spec again through genfun_family_via_decomposition.
+        for spec in default_grid():
+            genfun_family(spec, 300)
+        flip_lowest_block(monkeypatch, self.FIRSTS)
+        divide, calls = families.ps_div_pochhammer, []
+        monkeypatch.setattr(families, "ps_div_pochhammer", lambda *a: calls.append(a) or divide(*a))
+
+        def refuse(spec, order):
+            raise AssertionError("second division of %s" % (spec,))
+
+        monkeypatch.setattr(families, "genfun_family_via_decomposition", refuse)
+        assert run(["verify-identities", "--order", "60", "--decomp-order", "300"]) == 1
+        assert capsys.readouterr().out.count("FAIL decomposition") == 8
+        assert len(calls) == 8
 
     def test_order_floor(self):
         assert run(["verify-identities", "--order", "10"]) == 2

@@ -222,27 +222,34 @@ def flip_lowest_block(monkeypatch, flipped):
 
 
 class TestDecompositionHolds:
-    """``decomposition_holds``, one packed division per denominator,
-    against the per-spec ``genfun_family == genfun_family_via_decomposition``."""
+    """``decomposition_sides``, one packed division per denominator, spec by
+    spec against ``genfun_family`` and ``genfun_family_via_decomposition``."""
 
     @staticmethod
     def check(specs, order):
-        holds = families.decomposition_holds(specs, order)
-        per = {s: genfun_family(s, order) == genfun_family_via_decomposition(s, order) for s in specs}
+        """The sides of ``specs`` at ``order``, each route checked against
+        its per-spec build, and the specs whose route B is decoded: those of
+        every group in which some spec's routes differ."""
+        sides = families.decomposition_sides(specs, order)
+        assert sorted(sides) == sorted(specs)
+        failing = {family_denominator(s) for s in specs if sides[s][0] != sides[s][1]}
         for spec in specs:
-            group = [s for s in specs if family_denominator(s) == family_denominator(spec)]
-            assert holds[spec] == all(per[s] for s in group), (spec, order)
-        return holds, per
+            lhs, rhs = sides[spec]
+            assert lhs == genfun_family(spec, order), (spec, order)
+            assert rhs == genfun_family_via_decomposition(spec, order), (spec, order)
+            assert (rhs is lhs) == (family_denominator(spec) not in failing), (spec, order)
+        return sides, [s for s in specs if family_denominator(s) in failing]
 
     def test_groups_are_the_shared_denominators(self):
-        holds, _ = self.check(default_grid(), 1)
-        assert len(holds) == 52
-        assert len({family_denominator(s) for s in holds}) == 8
+        sides, _ = self.check(default_grid(), 1)
+        assert len(sides) == 52
+        assert len({family_denominator(s) for s in sides}) == 8
 
     @pytest.mark.parametrize("order", [1, 2, 50, 300])
     def test_agrees_with_the_per_spec_route(self, order):
-        holds, per = self.check(HOLDS_SPECS, order)
-        assert all(per.values()) and all(holds.values())
+        sides, decoded = self.check(HOLDS_SPECS, order)
+        assert decoded == []
+        assert all(lhs == rhs for lhs, rhs in sides.values())
 
     @pytest.mark.parametrize("flipped", [
         [FamilySpec("D", 5, 2, 2)],        # a middle field of (5, 2)'s pair
@@ -253,17 +260,17 @@ class TestDecompositionHolds:
     @pytest.mark.parametrize("order", [100, 300])
     def test_a_flipped_block_fails_its_group_only(self, flipped, order, monkeypatch):
         flip_lowest_block(monkeypatch, flipped)
-        holds, per = self.check(HOLDS_SPECS, order)
-        assert [s for s in HOLDS_SPECS if not per[s]] == flipped
+        sides, decoded = self.check(HOLDS_SPECS, order)
+        assert [s for s in HOLDS_SPECS if sides[s][0] != sides[s][1]] == flipped
         bad = {family_denominator(s) for s in flipped}
-        assert [s for s in HOLDS_SPECS if not holds[s]] == [
-            s for s in HOLDS_SPECS if family_denominator(s) in bad]
+        assert decoded == [s for s in HOLDS_SPECS if family_denominator(s) in bad]
 
     def test_one_flipped_block_per_group_fails_every_group(self, monkeypatch):
         firsts = list({family_denominator(s): s for s in reversed(HOLDS_SPECS)}.values())
         flip_lowest_block(monkeypatch, firsts)
-        holds, _ = self.check(HOLDS_SPECS, 300)
-        assert not any(holds.values())
+        sides, decoded = self.check(HOLDS_SPECS, 300)
+        assert {s for s in HOLDS_SPECS if sides[s][0] != sides[s][1]} == set(firsts)
+        assert decoded == HOLDS_SPECS
 
     def test_division_bits_bound_every_quotient(self):
         # The width bound on 1/den for the pair and the triple of every
