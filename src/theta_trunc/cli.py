@@ -153,8 +153,8 @@ def cmd_verify_identities(order: int, decomp_order: int) -> int:
             "quintuple R=%d S=%d order=%d" % (R, S, order),
             *families.quintuple_product_sides(R, S, order),
         )
-    # One packed division per shared denominator; a failing group's route B
-    # is decoded from its packed quotient, so no spec is divided again.
+    # One packed division per shared denominator; each spec's route B is
+    # decoded from its field of the packed quotient.
     grid = families.default_grid()
     sides = families.decomposition_sides(grid, decomp_order)
     for spec in grid:

@@ -24,7 +24,7 @@ for the others.
 Exact equality of the series and its decomposition, divided once, is one
 of the identity suites: ``decomposition_sides`` divides all the specs over
 one denominator at once, packed into one integer per coefficient, one
-field per spec, and reads a failing group's sides back from the fields.
+field per spec, and reads each spec's divided side back from its field.
 ``genfun_family_via_decomposition``, the same division per spec, is the
 reference of the tests and the benchmark, not a CLI route.  The classical
 pentagonal, truncated pentagonal and quintuple product identities are
@@ -60,11 +60,10 @@ whether the whole window has its sign.
 
 from __future__ import annotations
 
-from collections import Counter, namedtuple
+from collections import namedtuple
 from fractions import Fraction
-from itertools import repeat
-from math import ceil, gcd, log, pi, sqrt
-from operator import add, lshift, sub
+from math import gcd
+from operator import add, sub
 
 from . import kernels
 from .series import (
@@ -240,6 +239,15 @@ def _tops(fields, size):
     return int.from_bytes((bytes(size - 1) + b"\x80") * fields, "little")
 
 
+def _width(bits, terms):
+    """The field width W, in bits, of a packed sum of ``terms`` values each
+    below 2^bits in magnitude, plus or minus 1: bits +
+    max(8, terms.bit_length()) + 1 rounded up to whole bytes, so that every
+    field lies in (-h, h), h = 2^(W-1), since terms (2^bits - 1) + 1 <=
+    terms 2^bits < 2^(bits + terms.bit_length())."""
+    return -(-(bits + max(8, terms.bit_length()) + 1) // 8) * 8
+
+
 def _pack(coeffs, width):
     """sum coeffs[i] 2^(i width), each |coeffs[i]| below 2^(width-1): the
     fields biased to bytes, one int.from_bytes, the packed bias taken off."""
@@ -255,16 +263,15 @@ def _signs_hold(R, S, shifts, n_hi, sign):
     x + bias, h = 2^(W-1) added to each field below n_hi + 1, has the top
     bit of every field but field 0 set.
 
-    W is bits + max(8, T.bit_length()) + 1 rounded up to whole bytes, or
-    wider if a quotient is packed wider already, with bits the largest
-    |coefficient| bit length of the quotients read and T the term count,
-    so every |field| is below h.  Carries only move upward, so the fields
-    below n_hi + 1 are exact though the shifted copies run past them, and
-    a quotient packed at a longer order serves a shorter one."""
+    W is ``_width`` of the largest |coefficient| bit length of the
+    quotients read and the term count, or wider if a quotient is packed
+    wider already.  Carries only move upward, so the fields below n_hi + 1
+    are exact though the shifted copies run past them, and a quotient
+    packed at a longer order serves a shorter one."""
     order, count = n_hi + 1, sum(len(terms) for _, terms in shifts)
     read = [(_quotient(kind, R, S, order), terms) for kind, terms in shifts]
-    need = max(record[1] for record, _ in read) + max(8, count.bit_length()) + 1
-    width = max([-(-need // 8) * 8] + [record[2] for record, _ in read])
+    bits = max(record[1] for record, _ in read)
+    width = max([_width(bits, count)] + [record[2] for record, _ in read])
     x = 0
     for record, terms in read:
         if record[2] < width:
@@ -448,70 +455,40 @@ def genfun_family_via_decomposition(spec: FamilySpec, order: int) -> PowerSeries
     return total
 
 
-def _division_bits(count, den, order):
-    """A bit length that every |coefficient| below ``order`` of num/den
-    stays under, for a numerator of ``count`` terms of sign +-1:
-    bits(count) + ceil(pi sqrt(2 t (order - 1) / 3) / ln 2), t the largest
-    multiplicity of a part size of ``den``.
-
-    |[q^n] num/den| <= ||num||_1 max(m <= n) [q^m] 1/den, and
-    ||num||_1 <= count.  1/den is the product of 1/(1 - q^m) over its
-    parts, a series of nonnegative coefficients dominated by
-    1/(q; q)_inf^t, whose coefficients p_t(m) grow with m.  For 0 < x < 1,
-    p_t(n) x^n <= (q; q)_inf^-t at q = x, and log 1/(x; x)_inf <=
-    (pi^2/6) x/(1 - x), so with x = 1/(1 + u) (-log x < u)
-    log p_t(n) < t pi^2/(6u) + n u, which is pi sqrt(2tn/3) at
-    u = pi sqrt(t/(6n)).  t is 2 at R = 2, where S = R - S, and 1 at
-    every other (R, S).
-    """
-    t = max(Counter(den.parts(order)).values(), default=1)
-    return count.bit_length() + ceil(pi * sqrt(2 * t * (order - 1) / 3) / log(2))
-
-
 def decomposition_sides(specs, order):
     """{spec: (route A, route B)} for each spec of ``specs`` to ``order``:
     A is ``genfun_family``, B the series of
     ``genfun_family_via_decomposition``, one division per denominator.
 
-    For the m specs of one ``family_denominator``, route B packs the
-    blocks' signed terms (those ``_theta_sum`` adds) into one integer per
-    coefficient, sum_j num_j[n] 2^(jW), divides that once and adds each
-    Cprime's constant (-1)^(k-1) in its field at q^0; route A packs the
-    same way.  Division is exact and linear, so the quotient's field j is
-    spec j's B.  W is 2 more than the larger of A's largest bit length and
-    ``_division_bits`` of B's longest numerator (2 for the constant and any
-    float rounding), so every field of either route lies in (-h, h),
-    h = 2^(W-1), whether or not the identity holds.  The packed lists are
-    then equal iff every spec's are, and B is A's own object; otherwise
-    B's field j of x is ((x + sum_i h 2^(iW)) >> jW & (2^W - 1)) - h.
+    For the m specs of one ``family_denominator``, B packs the blocks'
+    signed terms (those ``_theta_sum`` adds) into one integer per
+    coefficient, sum_j num_j[n] 2^(jW), and divides that once.  Division is
+    exact and linear, so field j of the quotient is spec j's num_j/den, and
+    field j of x is ((x + sum_i h 2^(iW)) >> jW & (2^W - 1)) - h,
+    h = 2^(W-1); each Cprime then adds its constant (-1)^(k-1) at q^0.  W
+    is ``_width`` of the bits of the cached 1/den (``_quotient``), whose
+    coefficients are nonnegative and below 2^bits, and of the longest
+    numerator's term count T: each field is at most T of them, signed, so
+    it lies in (-h, h) whether or not the identity holds.
     """
     groups = {}
     for spec in specs:
         groups.setdefault(family_denominator(spec), []).append(spec)
     sides = {}
     for den, group in groups.items():
-        routes = [genfun_family(spec, order) for spec in group]
         nums = [_signed_terms(decompose_family(spec), order, [(0, None)], False) for spec in group]
-        bits = max(max(map(abs, route.coeffs)).bit_length() for route in routes)
-        width = max(bits, _division_bits(max(map(len, nums)), den, order)) + 2
+        R, S = group[0].R, group[0].S
+        width = _width(_quotient(family_quotient(group[0]), R, S, order)[1], max(map(len, nums)))
         num = PowerSeries.from_terms(
             [(e, v << j * width) for j, terms in enumerate(nums) for e, v in terms], order
         )
-        divided = ps_div_pochhammer(num, den).coeffs
-        packed = [0] * order
-        for j, (spec, route) in enumerate(zip(group, routes)):
+        bias, h, mask = _tops(len(group), width // 8), 1 << width - 1, (1 << width) - 1
+        biased = [x + bias for x in ps_div_pochhammer(num, den).coeffs]
+        for j, spec in enumerate(group):
+            fields = [(x >> j * width & mask) - h for x in biased]
             if spec.family == "Cprime":
-                divided[0] += (-1) ** (spec.k - 1) << j * width
-            packed = list(map(add, packed, map(lshift, route.coeffs, repeat(j * width))))
-        if divided == packed:
-            sides.update((spec, (route, route)) for spec, route in zip(group, routes))
-            continue
-        h = 1 << width - 1
-        bias = sum(h << j * width for j in range(len(group)))
-        biased = [x + bias for x in divided]
-        for j, (spec, route) in enumerate(zip(group, routes)):
-            fields = [(x >> j * width & 2 * h - 1) - h for x in biased]
-            sides[spec] = route, PowerSeries(fields, order)
+                fields[0] += (-1) ** (spec.k - 1)
+            sides[spec] = genfun_family(spec, order), PowerSeries(fields, order)
     return sides
 
 

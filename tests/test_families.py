@@ -200,8 +200,8 @@ class TestGenfuns:
         assert next(i for i, (g, b) in enumerate(zip(good.coeffs, bad)) if g != b) == t0.d
 
 
-# The default grid and C/Cprime at (2, 1), where the denominator repeats
-# every odd part (t = 2 in ``families._division_bits``).
+# The default grid and C/Cprime at (2, 1), where the pair repeats every odd
+# part, so that its 1/den has the largest coefficients of any (R, S).
 HOLDS_SPECS = default_grid() + [FamilySpec(f, 2, 1, k) for f in ("C", "Cprime") for k in (1, 2, 3, 4)]
 
 
@@ -228,63 +228,73 @@ class TestDecompositionHolds:
     @staticmethod
     def check(specs, order):
         """The sides of ``specs`` at ``order``, each route checked against
-        its per-spec build, and the specs whose route B is decoded: those of
-        every group in which some spec's routes differ."""
+        its per-spec build."""
         sides = families.decomposition_sides(specs, order)
         assert sorted(sides) == sorted(specs)
-        failing = {family_denominator(s) for s in specs if sides[s][0] != sides[s][1]}
         for spec in specs:
             lhs, rhs = sides[spec]
             assert lhs == genfun_family(spec, order), (spec, order)
             assert rhs == genfun_family_via_decomposition(spec, order), (spec, order)
-            assert (rhs is lhs) == (family_denominator(spec) not in failing), (spec, order)
-        return sides, [s for s in specs if family_denominator(s) in failing]
+        return sides
 
     def test_groups_are_the_shared_denominators(self):
-        sides, _ = self.check(default_grid(), 1)
+        sides = self.check(default_grid(), 1)
         assert len(sides) == 52
         assert len({family_denominator(s) for s in sides}) == 8
 
     @pytest.mark.parametrize("order", [1, 2, 50, 300])
     def test_agrees_with_the_per_spec_route(self, order):
-        _, decoded = self.check(HOLDS_SPECS, order)
-        assert decoded == []
+        sides = self.check(HOLDS_SPECS, order)
+        assert all(lhs == rhs for lhs, rhs in sides.values())
 
     @pytest.mark.parametrize("flipped", [
         [FamilySpec("D", 5, 2, 2)],        # a middle field of (5, 2)'s pair
         [FamilySpec("C", 3, 1, 1)],        # field 0
         [FamilySpec("Dprime", 7, 3, 3)],   # the top field of (7, 3)'s pair
-        [FamilySpec("Cprime", 2, 1, 4)],   # t = 2
+        [FamilySpec("Cprime", 2, 1, 4)],   # the pair of (2, 1) repeats its parts
     ])
     @pytest.mark.parametrize("order", [100, 300])
     def test_a_flipped_block_fails_its_group_only(self, flipped, order, monkeypatch):
         flip_lowest_block(monkeypatch, flipped)
-        sides, decoded = self.check(HOLDS_SPECS, order)
+        sides = self.check(HOLDS_SPECS, order)
         assert [s for s in HOLDS_SPECS if sides[s][0] != sides[s][1]] == flipped
-        bad = {family_denominator(s) for s in flipped}
-        assert decoded == [s for s in HOLDS_SPECS if family_denominator(s) in bad]
 
     def test_one_flipped_block_per_group_fails_every_group(self, monkeypatch):
         firsts = list({family_denominator(s): s for s in reversed(HOLDS_SPECS)}.values())
         flip_lowest_block(monkeypatch, firsts)
-        sides, decoded = self.check(HOLDS_SPECS, 300)
+        sides = self.check(HOLDS_SPECS, 300)
         assert {s for s in HOLDS_SPECS if sides[s][0] != sides[s][1]} == set(firsts)
-        assert decoded == HOLDS_SPECS
 
-    def test_division_bits_bound_every_quotient(self):
-        # The width bound on 1/den for the pair and the triple of every
-        # coprime (R, S) with R <= 12; S and R - S give the same products.
-        # A truncated quotient is a prefix of a longer one.
-        orders = (10, 100, 1000, 2000)
-        for R in range(2, 13):
-            for S in range(1, R // 2 + 1):
-                if gcd(R, S) != 1:
-                    continue
-                for den in (pair_product_spec(R, S), triple_product_spec(R, S)):
-                    coeffs = ps_div_pochhammer(PowerSeries([1], orders[-1]), den).coeffs
-                    for order in orders:
-                        bits = max(map(abs, coeffs[:order])).bit_length()
-                        assert bits <= families._division_bits(1, den, order), (den, order)
+    @pytest.mark.parametrize("flipped", [[], [FamilySpec("D", 5, 2, 2)]])
+    def test_a_longer_cached_record_sets_the_width(self, flipped, monkeypatch):
+        """(5, 2)'s 1/pair cached to 2001 first: its bits, larger than at
+        300, set that group's width, and every field still decodes."""
+        families._QUOTIENTS.clear()
+        genfun_family(FamilySpec("D", 5, 2, 2), 2001)
+        bits = families._QUOTIENTS[5, 2]["pair"][1]
+        assert bits > max(map(abs, families._QUOTIENTS[5, 2]["pair"][0][:300])).bit_length()
+        width, read = families._width, []
+        monkeypatch.setattr(families, "_width", lambda b, t: read.append(b) or width(b, t))
+        flip_lowest_block(monkeypatch, flipped)
+        sides = self.check(HOLDS_SPECS, 300)
+        assert [s for s in HOLDS_SPECS if sides[s][0] != sides[s][1]] == flipped
+        assert bits in read
+
+    @pytest.mark.parametrize("bits", [1, 8, 64])
+    @pytest.mark.parametrize("terms", [1, 255, 256, 257])
+    def test_width_holds_every_field(self, bits, terms):
+        """Fields of ``terms`` values of magnitude 2^bits - 1, of either
+        sign, plus or minus 1, packed as the sum of ``terms`` packed
+        integers: each lies in (-h, h) and decodes through the bias."""
+        width = families._width(bits, terms)
+        h, m = 1 << width - 1, 2**bits - 1
+        signs, ones = (1, 1, -1, -1), (1, -1, 1, -1)
+        fields = [s * terms * m + c for s, c in zip(signs, ones)]
+        assert width % 8 == 0 and all(-h < f < h for f in fields)
+        packed = sum(s * m << i * width for i, s in enumerate(signs))
+        x = sum(packed for _ in range(terms)) + sum(c << i * width for i, c in enumerate(ones))
+        biased = x + families._tops(len(fields), width // 8)
+        assert [(biased >> i * width & 2 * h - 1) - h for i in range(len(fields))] == fields
 
 
 @st.composite
