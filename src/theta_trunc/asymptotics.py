@@ -188,14 +188,14 @@ def family_rung(spec: FamilySpec):
     rationals E B1(h) + a B3(h)/3.  The blocks of ``decompose_family`` share
     a and E, with sum sign = 0 and sum sign B1(h) = 0, so that sum is
     (a/3) sum sign B3(h), h = c/(2a): w S, with w = k, k, 2k+1, -4k for C,
-    Cprime, D, Dprime.
+    Cprime, D, Dprime.  With A = 2a, C = 2c and A shared, it is one
+    integer sum over one division: sum sign C (C - A) (C - 2A) / (48 A^2).
     """
     (variant,) = [name for name, v in VARIANTS.items() if v.quotient == family_quotient(spec)]
     v = VARIANTS[variant]
     blocks = decompose_family(spec)  # (sign, ThetaParams) pairs
-    a = blocks[0][1].a
-    hs = [(sign, p.c / (2 * a)) for sign, p in blocks]
-    r = a / 3 * sum(sign * h * (h - Fraction(1, 2)) * (h - 1) for sign, h in hs)
+    A = blocks[0][1].A
+    r = Fraction(sum(sign * p.C * (p.C - A) * (p.C - 2 * A) for sign, p in blocks), 48 * A * A)
     return variant, float(r) * v.odd(spec.R) / (2 * math.sin(math.pi * spec.S / spec.R)), v.power
 
 
