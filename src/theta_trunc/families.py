@@ -53,9 +53,9 @@ whole truncated series by slice adds (``genfun_family``, ``genfun_B``,
 product, sum sign * quotient[N - e] over the terms with e <= N, on
 quotients built once to the largest N asked, so a few coefficients cost
 the terms of the shifts, not the whole series.  The sign test packs each
-cached quotient's first n_hi + 1 coefficients into one integer, which its
-one cache record keeps for that window, adds one shifted copy per term,
-and tells by one AND whether the whole window has its sign.
+cached quotient into one integer once, which its one cache record keeps
+with its list, adds one shifted copy per term, and tells by one AND
+whether the whole window has its sign.
 """
 
 from __future__ import annotations
@@ -145,9 +145,9 @@ def family_denominator(spec: FamilySpec) -> ProductSpec:
 # ---------------------------------------------------------------------------
 
 # The per-(R, S) quotients of ``_quotient``, least recently used first:
-# (R, S) -> {kind: [coeffs, window, bits, width, packed]}, coeffs as long as
-# the longest order asked, and coeffs[:window] as ``_signs_hold`` packs it:
-# its largest |coefficient| bit length, width and packing, window 0 at first.
+# (R, S) -> {kind: [coeffs, bits, width, packed]}, coeffs as long as the
+# longest order asked, bits their largest |coefficient| bit length, and
+# width and packed the packing of ``_signs_hold``, width 0 until it packs.
 _QUOTIENTS = {}
 _QUOTIENT_RS = 4
 
@@ -179,7 +179,7 @@ def _quotient(kind, R, S, order):
 
     A truncated quotient is a prefix of every longer one, so each (R, S)
     keeps the longest built and serves shorter orders from it; a longer
-    order replaces the whole record, unpacked.  The cache holds the last
+    order replaces the whole record.  The cache holds the last
     ``_QUOTIENT_RS`` (R, S) used, with no knob.  For (3, 1) the four lists
     take 0.27 MB at order 2001, 1.7 MB at 10^4 and 32 MB at 10^5, where
     they take 12-15 s to build (Intel Xeon, sizes by sys.getsizeof of each
@@ -195,7 +195,8 @@ def _quotient(kind, R, S, order):
         del _QUOTIENTS[next(iter(_QUOTIENTS))]
     record = entry.get(kind)
     if record is None or len(record[0]) < order:
-        record = entry[kind] = [_build_quotient(kind, R, S, order), 0, 0, 0, 0]
+        coeffs = _build_quotient(kind, R, S, order)
+        record = entry[kind] = [coeffs, max(map(abs, coeffs)).bit_length(), 0, 0]
     return record
 
 
@@ -257,29 +258,26 @@ def _pack(coeffs, width):
 
 def _signs_hold(R, S, shifts, n_hi, sign):
     """Whether sign * [q^N] of the series of ``shifts`` is >= 0 for every N
-    in [1, n_hi]: with P = sum q[i] 2^(i W) over i <= n_hi each cached
-    quotient packed, x = sum sign * (P << e W) over the terms, and the
-    window holds iff x + bias, h = 2^(W-1) added to each field below
-    n_hi + 1, has the top bit of every field but field 0 set.
+    in [1, n_hi]: with P = sum q[i] 2^(i W) each cached quotient packed,
+    x = sum sign * (P << e W) over the terms, and the window holds iff
+    x + bias, h = 2^(W-1) added to each field below n_hi + 1, has the top
+    bit of every field but field 0 set.
 
-    W is ``_width`` of the largest |coefficient| bit length below n_hi + 1
-    of the quotients read and the term count, or wider if a quotient is
-    packed wider already at this window; a record packed at another window
-    is measured and packed again.  Carries only move upward, so the fields
-    below n_hi + 1 are exact though the shifted copies run past them."""
+    W is ``_width`` of the largest |coefficient| bit length of the
+    quotients read and the term count, or wider if a quotient is packed
+    wider already.  Carries only move upward, so the fields below n_hi + 1
+    are exact though the shifted copies run past them, and a quotient
+    packed at a longer order serves a shorter one."""
     order, count = n_hi + 1, sum(len(terms) for _, terms in shifts)
     read = [(_quotient(kind, R, S, order), terms) for kind, terms in shifts]
-    for record, _ in read:
-        if record[1] != order:
-            record[1:] = order, max(map(abs, record[0][:order])).bit_length(), 0, 0
-    bits = max(record[2] for record, _ in read)
-    width = max([_width(bits, count)] + [record[3] for record, _ in read])
+    bits = max(record[1] for record, _ in read)
+    width = max([_width(bits, count)] + [record[2] for record, _ in read])
     x = 0
     for record, terms in read:
-        if record[3] < width:
-            record[3:] = width, _pack(record[0][:order], width)
+        if record[2] < width:
+            record[2:] = width, _pack(record[0], width)
         for e, s in terms:
-            x = (add if s * sign > 0 else sub)(x, record[4] << e * width)
+            x = (add if s * sign > 0 else sub)(x, record[3] << e * width)
     bias = _tops(order, width // 8)
     top = bias >> width << width
     return (x + bias) & top == top

@@ -558,7 +558,7 @@ def plant_series(monkeypatch, series_of):
         record = entry.get(spec)
         if record is None or len(record[0]) < order:
             coeffs = list(series_of(spec)[:order])
-            record = entry[spec] = [coeffs, 0, 0, 0, 0]
+            record = entry[spec] = [coeffs, max(map(abs, coeffs)).bit_length(), 0, 0]
         return record
 
     monkeypatch.setattr(families, "_family_shifts", lambda spec, order: [(spec, [(0, 1)])])
@@ -672,9 +672,8 @@ class TestPackedSigns:
         entry = families._QUOTIENTS[R, S]
         assert sorted(entry) == ["Q/pair", "pair", "theta/pair", "triple"]
         for kind in ("Q/pair", "pair", "theta/pair", "triple"):
-            coeffs, window, bits, width, packed = entry[kind]
-            assert window == len(coeffs) == 601, kind
-            assert unpack(packed, width, window) == coeffs, kind
+            coeffs, bits, width, packed = entry[kind]
+            assert unpack(packed, width, len(coeffs)) == coeffs, kind
             assert bits == max(map(abs, coeffs)).bit_length()
         assert min(entry["theta/pair"][0]) < 0 and min(entry["Q/pair"][0]) < 0
 
@@ -686,7 +685,7 @@ class TestPackedSigns:
             plant_series(monkeypatch, lambda spec: [c] * 8)
             shifts = [("pair", [(0, 1)] * count)]
             assert families._signs_hold(3, 1, shifts, 7, 1) == (c > 0)
-            assert families._QUOTIENTS[3, 1]["pair"][3] == width
+            assert families._QUOTIENTS[3, 1]["pair"][2] == width
         narrow = [(count * c + 2**23) % 2**24 >= 2**23 for c in (2**15 - 1, -(2**15 - 1))]
         assert narrow == ([True, False] if count < 256 else [False, True])
 
@@ -705,10 +704,10 @@ class TestPackedSigns:
     def test_longer_order_replaces_the_whole_record(self):
         """Scans of (5, 2) at n-hi 800, 1500 and 300, each checked on the
         series and its negation: the 1500 scan packs a new record, whose
-        packing decodes to its 1501-long list, and the 300 scan repacks its
-        window from that same list in that same record."""
+        packing decodes to its 1501-long list, and the 300 scan reads that
+        same record."""
         families._QUOTIENTS.clear()
-        spec, records, packings = FamilySpec("D", 5, 2, 2), [], []
+        spec, records = FamilySpec("D", 5, 2, 2), []
         for n_hi in (800, 1500, 300):
             shifts = families._family_shifts(spec, n_hi + 1)
             for negate, terms in enumerate((shifts, flipped(shifts))):
@@ -716,26 +715,6 @@ class TestPackedSigns:
                 want = min(families._series(5, 2, terms, n_hi + 1).coeffs[1:]) >= 0
                 assert got == want != negate, (n_hi, negate)
             records.append(families._QUOTIENTS[5, 2]["pair"])
-            packings.append(records[-1][1:])
-        assert records[0] is not records[1] and records[1] is records[2]
-        assert len(records[0][0]) == 801 and len(records[1][0]) == 1501
-        for n_hi, record, (window, bits, width, packed) in zip((800, 1500, 300), records, packings):
-            coeffs = record[0][:window]
-            assert width > 0 and window == n_hi + 1
-            assert bits == max(coeffs).bit_length() and unpack(packed, width, window) == coeffs
-
-    def test_a_short_window_after_a_long_one_shifts_only_its_window(self, monkeypatch):
-        """After a scan to 10^4, the check of n-hi 50 adds shifted copies of
-        its own 51 fields, not of the 10001 that the cached lists hold."""
-        spec, n_hi = FamilySpec("C", 3, 1, 1), 50
-        assert scan_signs(spec, 10000) == []
-        shifts = families._family_shifts(spec, n_hi + 1)
-        operands = []
-        for name in ("add", "sub"):
-            op = getattr(families, name)
-            monkeypatch.setattr(families, name, lambda x, y, op=op: operands.append(y) or op(x, y))
-        assert families._signs_hold(3, 1, shifts, n_hi, 1)
-        monkeypatch.undo()
-        (width,) = {families._QUOTIENTS[3, 1][kind][3] for kind, _ in shifts}
-        fields = n_hi + 1 + max(e for _, terms in shifts for e, _ in terms)
-        assert operands and all(abs(y).bit_length() <= fields * width for y in operands)
+        assert records[0][2] > 0 and records[0] is not records[1] and records[1] is records[2]
+        coeffs, _, width, packed = records[1]
+        assert len(coeffs) == 1501 and unpack(packed, width, 1501) == coeffs
