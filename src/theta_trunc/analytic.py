@@ -167,7 +167,8 @@ def _integrand_grid(p, R, S, N, samples, variant):
     y = circle_y(N, R, variant)
     ln_r = -2 * math.pi * y
     theta_order, product_order, log_order = _tail_orders(y, TAIL_TOL)
-    exps = np.array([e - N for e, _ in theta_terms(p, theta_order)], dtype=np.int64)
+    # an exponent e <= N adds the integer p(N - e), however small |q|^e is
+    exps = np.array([e - N for e, _ in theta_terms(p, max(theta_order, N + 1))], dtype=np.int64)
     g = _poly_on_grid(exps, np.ones(exps.size), ln_r, samples)
     log_den = _poly_on_grid(*_log_denominator(spec, product_order, log_order), ln_r, samples)
     vals = g / np.exp(log_den)

@@ -8,16 +8,18 @@ module, so a tracer can replace them here.
 Sparse factors 1 + sum_plus q^e - sum_minus q^e (theta series, by the
 Jacobi triple product) are applied with ``mul_sparse`` and ``div_sparse``,
 exact inverses of each other that use adds only.  ``div_sparse`` builds the
-quotient by appending, so each earlier quotient term it needs sits at a
-fixed negative index: one ``operator.itemgetter`` per stretch of fixed
-exponents gathers a coefficient's terms and ``sum`` adds them, both in C,
-with no bytecode per term.  On the ``div_sparse`` calls of one grid-scan
-pass it takes 0.79-0.88x the time of the per-element loop it replaced, now
-``tests/oracles.py::scalar_div_sparse``, and 0.86x on those of a
-deep-series pass (median ratios of interleaved repeats, Intel Xeon).
+quotient by appending to a list that starts with a zero pair, so each
+earlier quotient term it needs sits at a fixed negative index: one
+``operator.itemgetter`` per stretch of fixed exponents gathers the pair
+and a coefficient's terms and ``sum`` adds them, both in C, with no
+bytecode per term.  That pays on the long divisions that build a cached
+quotient, at 0.79-0.89x the time of the per-element loop it replaced, now
+``tests/oracles.py::scalar_div_sparse`` (orders 2001-10001); on the 8
+packed order-300 divisions of a warm grid-scan pass the loop takes
+0.83-0.88x of its time (median ratios of interleaved repeats, Intel Xeon).
 """
 
-from operator import itemgetter, neg, sub
+from operator import itemgetter, sub
 
 # The only kernel implementation; benchmark results record it.
 BACKEND = "python"
@@ -110,28 +112,22 @@ def div_sparse(c, plus, minus):
 
     ``plus`` and ``minus`` are ascending exponents >= 1 (repeats count
     twice).  With g the quotient, g[i] = c[i] + sum_minus g[i-e]
-    - sum_plus g[i-e].  The quotient grows in ``h``, which holds g[j] at
-    h[2j] and -g[j] at h[2j+1]; while g[i] is computed, len(h) == 2i, so
-    g[i-e] is h[-2e] and -g[i-e] is h[1-2e] for every i.  The range of i
-    is cut where a new exponent becomes active; over each stretch one
-    ``itemgetter`` fetches every active term, sign included, for ``sum``.
+    - sum_plus g[i-e].  The quotient grows in ``h``, which starts with a
+    zero pair and then holds g[j] at h[2j+2] and -g[j] at h[2j+3]; while
+    g[i] is computed, len(h) == 2i + 2, so g[i-e] is h[-2e] and -g[i-e] is
+    h[1-2e] for every i.  The range of i is cut where a new exponent
+    becomes active; over each stretch one ``itemgetter`` fetches the zero
+    pair and every active term, sign included, for ``sum``.  The pair makes
+    every gather a tuple, and below the smallest exponent it is all there
+    is to gather.
     """
     n = len(c)
     cuts = sorted(set(e for e in plus + minus if e < n))
-    cuts.append(n)
-    # below the smallest exponent the quotient is c itself
-    h = [0] * (2 * cuts[0])
-    h[::2] = c[:cuts[0]]
-    h[1::2] = map(neg, c[:cuts[0]])
-    for start, stop in zip(cuts, cuts[1:]):
+    h = [0, 0]
+    for start, stop in zip([0] + cuts, cuts + [n]):
         terms = [-2 * e for e in minus if e < stop] + [1 - 2 * e for e in plus if e < stop]
-        gather = itemgetter(*terms)
-        if len(terms) == 1:  # itemgetter of one index returns the item itself
-            for i in range(start, stop):
-                v = c[i] + gather(h)
-                h += v, -v
-        else:
-            for i in range(start, stop):
-                v = sum(gather(h), c[i])
-                h += v, -v
-    c[:] = h[::2]
+        gather = itemgetter(0, 0, *terms)
+        for i in range(start, stop):
+            v = sum(gather(h), c[i])
+            h += v, -v
+    c[:] = h[2::2]

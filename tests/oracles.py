@@ -355,7 +355,8 @@ def mp_family_mainterm(spec, N):
 
 
 def _grid_cutoffs(R, N, variant, tail_tol):
-    """y and the theta-sum, product and log-product orders of the grid."""
+    """y and the theta-sum, product and log-product orders of the grid; the
+    theta sum keeps every exponent up to N, whatever the tail cutoff."""
     from theta_trunc.analytic import circle_y
 
     y = circle_y(N, R, variant)
@@ -363,7 +364,8 @@ def _grid_cutoffs(R, N, variant, tail_tol):
     g_cut = (math.log(1.0 / tail_tol) - math.log(1.0 - qa)) / (2 * math.pi * y)
     p_cut = math.log(1.0 / tail_tol) / (2 * math.pi * y)
     log_cut = math.log(1.0 / (np.finfo(float).eps * tail_tol)) / (2 * math.pi * y)
-    return y, math.floor(g_cut) + 1, max(2, math.ceil(p_cut) + 1), math.floor(log_cut) + 1
+    g_order = max(math.floor(g_cut) + 1, N + 1)
+    return y, g_order, max(2, math.ceil(p_cut) + 1), math.floor(log_cut) + 1
 
 
 def _denominator_spec(R, S, which):

@@ -4,6 +4,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import re
 import signal
@@ -524,6 +525,19 @@ class TestCircle:
         lines = capsys.readouterr().out.splitlines()
         assert "exact            : 0" in lines
         assert "|I''|/|I'|       : n/a" in lines
+
+    def test_theta_exponent_past_tail_cutoff_is_kept(self, capsys):
+        # At N = 4000 the tail cutoff drops theta exponents from 3030 on, but
+        # 3800 <= N adds the integer p(200) to the coefficient, so the grid
+        # keeps it: the quadrature is not 0 and both arcs have a value.  The
+        # value is past float64's reach, so the run still exits 4.
+        argv = "circle --a 6 --c 7 --d 3800 --R 3 --S 1 --N 4000".split()
+        assert run(argv) == 4
+        lines = capsys.readouterr().out.splitlines()
+        fields = {k.strip(): v.strip() for k, _, v in (l.partition(":") for l in lines)}
+        assert fields["exact"] == "33143559323"
+        assert float(fields["quadrature value"]) != 0
+        assert math.isfinite(float(fields["|I''|/|I'|"]))
 
     def test_mismatch_exits_4(self, monkeypatch):
         monkeypatch.setattr(

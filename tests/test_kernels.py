@@ -187,6 +187,8 @@ def test_div_sparse_edge_inputs_match_scalar_loop():
     _check_div_sparse_against_scalar(base, [], [3, 9])
     _check_div_sparse_against_scalar(base, [4, 30], [])
     _check_div_sparse_against_scalar(base, [1], [])  # h[1 - 2e] at e = 1 is h[-1]
+    _check_div_sparse_against_scalar(base, [40, 45], [40, 99])  # no exponent below len(c)
+    _check_div_sparse_against_scalar(base, [2, 7], [5, 7, 11])  # 7 in both: its terms cancel
     # 300-bit coefficients
     big = [rng.randrange(-(1 << 300), 1 << 300) for _ in range(500)]
     _check_div_sparse_against_scalar(big, *theta_exponents(3, 1, 500))
