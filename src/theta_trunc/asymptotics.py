@@ -22,9 +22,12 @@ The B' ladder replaces R/12 by R/8 in E, uses x = 2*pi*sqrt(N/(2R)),
 s = pi/sqrt(2RN), and shifts the ladder to orders -1 .. -5/2 with
 coefficients sqrt(R/2a) and sqrt(R/2pi) in place of sqrt(pi/a) and 1.
 A family's blocks share a and E, and their signed sum cancels the first
-three rungs; ``family_rung`` derives the last from B3 alone, on the
-circle of ``families.family_quotient``.  What differs between the two
-circles, with the quotient of each, is the two entries of ``VARIANTS``.
+three rungs and leaves the last at (a/3) sum sign B3(h) = w S, with the
+paper's weight w = k, k, 2k+1, -4k for C, Cprime, D, Dprime.
+``family_rung`` states that rung, on the circle of
+``families.family_quotient``; the tests derive w S from the blocks.  What
+differs between the two circles, with the quotient of each, is the two
+entries of ``VARIANTS``.
 """
 
 from __future__ import annotations
@@ -32,9 +35,8 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction
-from functools import lru_cache
 
-from .families import FamilySpec, decompose_family, family_quotient
+from .families import FamilySpec, family_quotient
 
 _LN2 = math.log(2)
 
@@ -179,24 +181,16 @@ def power_scale(N: int, R: int, variant: str) -> float:
     return math.pi / math.sqrt(VARIANTS[variant].m * R * N)
 
 
-@lru_cache(maxsize=256)
 def family_rung(spec: FamilySpec):
     """(variant, coeff, power) of a family's main term coeff s^p I_{-p}(x),
-    on the circle of its quotient.
-
-    coeff is odd(R)/(2 sin0) times the signed sum of the blocks' last rung
-    rationals E B1(h) + a B3(h)/3.  The blocks of ``decompose_family`` share
-    a and E, with sum sign = 0 and sum sign B1(h) = 0, so that sum is
-    (a/3) sum sign B3(h), h = c/(2a): w S, with w = k, k, 2k+1, -4k for C,
-    Cprime, D, Dprime.  With A = 2a, C = 2c and A shared, it is one
-    integer sum over one division: sum sign C (C - A) (C - 2A) / (48 A^2).
-    """
+    on the circle of its quotient: coeff = w S odd(R)/(2 sin0), at the
+    paper's weight w (see the module docstring), which the tests derive
+    from the blocks of ``families.decompose_family``."""
     (variant,) = [name for name, v in VARIANTS.items() if v.quotient == family_quotient(spec)]
     v = VARIANTS[variant]
-    blocks = decompose_family(spec)  # (sign, ThetaParams) pairs
-    A = blocks[0][1].A
-    r = Fraction(sum(sign * p.C * (p.C - A) * (p.C - 2 * A) for sign, p in blocks), 48 * A * A)
-    return variant, float(r) * v.odd(spec.R) / (2 * math.sin(math.pi * spec.S / spec.R)), v.power
+    k = spec.k
+    w = {"C": k, "Cprime": k, "D": 2 * k + 1, "Dprime": -4 * k}[spec.family]
+    return variant, float(w * spec.S) * v.odd(spec.R) / (2 * math.sin(math.pi * spec.S / spec.R)), v.power
 
 
 def mainterm_family(spec: FamilySpec, N: int, form: str) -> LogValue:

@@ -83,12 +83,13 @@ COEFF_ROW = {"csv": "%d,%d\n", "json": '{"N": %d, "coefficient": "%d"}\n'}
 
 def _check_writable(path):
     """Raise the OSError that writing ``path`` (None: no file) would, before
-    any work is done; a file this check creates is removed again."""
+    any work is done; a file this check creates is removed again, the
+    target of a dangling symlink and not the link."""
     if path is not None:
         existed = os.path.exists(path)
         open(path, "a", encoding="utf-8").close()
         if not existed:
-            os.remove(path)
+            os.remove(os.path.realpath(path))
 
 
 def write_table(path, fmt, header, lines):

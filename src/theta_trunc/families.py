@@ -183,20 +183,22 @@ def _quotient(kind, R, S, order):
     ``_QUOTIENT_RS`` (R, S) used, with no knob.  For (3, 1) the four lists
     take 0.27 MB at order 2001, 1.7 MB at 10^4 and 32 MB at 10^5, where
     they take 12-15 s to build (Intel Xeon, sizes by sys.getsizeof of each
-    list and int).  Callers read coeffs and never change them.  An unknown
-    kind raises before the cache is touched.
+    list and int).  Callers read coeffs and never change them.  A call that
+    raises, for an unknown kind or a build that fails, leaves the cache as
+    it was: the entry is filed, and the oldest evicted, after the build.
     """
     if kind not in PRODUCTS and kind not in ("theta/pair", "Q/pair"):
         raise ValueError("unknown quotient %r" % (kind,))
     if order < 1:
         raise ValueError("order must be positive")
-    entry = _QUOTIENTS[R, S] = _QUOTIENTS.pop((R, S), {})
-    if len(_QUOTIENTS) > _QUOTIENT_RS:
-        del _QUOTIENTS[next(iter(_QUOTIENTS))]
+    entry = _QUOTIENTS.get((R, S), {})
     record = entry.get(kind)
     if record is None or len(record[0]) < order:
         coeffs = _build_quotient(kind, R, S, order)
         record = entry[kind] = [coeffs, max(map(abs, coeffs)).bit_length(), 0, 0]
+    _QUOTIENTS[R, S] = _QUOTIENTS.pop((R, S), entry)
+    if len(_QUOTIENTS) > _QUOTIENT_RS:
+        del _QUOTIENTS[next(iter(_QUOTIENTS))]
     return record
 
 

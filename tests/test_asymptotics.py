@@ -8,7 +8,7 @@ from math import gcd
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from theta_trunc.asymptotics import (
     THREE_R,
@@ -361,9 +361,16 @@ class TestCollapse:
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(family_specs(60, 30))
+    @example(FamilySpec("C", 3, 1, 10**6))
+    @example(FamilySpec("Cprime", 7, 3, 10**6))
+    @example(FamilySpec("D", 11, 5, 10**6))
+    @example(FamilySpec("D", 3, 1, 999983))
+    @example(FamilySpec("Dprime", 5, 2, 10**6))
+    @example(FamilySpec("Cprime", 60, 59, 123457))
     def test_one_rung_survives(self, spec):
         # sum sign = 0 and shared a, E cancel rungs 1 and 3, sum sign c = 0
-        # rung 2; the last rung is left at weight w S
+        # rung 2; the last rung is left at weight w S, which family_rung
+        # states: the pinned specs check it far past the drawn k <= 30
         variant, sums, rung = paper_family_rung(spec)
         assert sums == [0, 0, 0, PAPER_RUNGS[spec.family][1](spec.k) * spec.S]
         assert family_rung(spec) == (variant, *rung)

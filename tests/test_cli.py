@@ -435,7 +435,7 @@ class TestCompare:
         assert captured.err == "error: n must be >= 1\n"
 
     @pytest.mark.parametrize("flag, reason", [
-        ("--k", "integer division result too large for a float"),
+        ("--k", "int too large to convert to float"),
         ("--R", "int too large to convert to float"),
     ])
     def test_main_term_beyond_float_range_exits_2(self, flag, reason, tmp_path, capsys):
@@ -636,6 +636,30 @@ class TestClosedStdout:
         assert first.startswith(b"1,")
         assert err == b""
         assert proc.returncode == -signal.SIGPIPE
+
+
+class TestDanglingSymlink:
+    """An --out that is a symlink to a missing file is written through: the
+    writability check removes the target it created, never the link."""
+
+    def test_failed_compare_leaves_the_link_and_no_target(self, tmp_path, capsys):
+        link, target = tmp_path / "link.csv", tmp_path / "target.csv"
+        link.symlink_to(target)
+        argv = "compare --family C --R 3 --S 1 --k %s --n 10 --out" % ("1" + "0" * 400)
+        assert run(argv.split() + [str(link)]) == 2
+        assert capsys.readouterr().err.startswith("error: main term beyond float range")
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert not target.exists()
+
+    def test_coeffs_writes_through_the_link(self, tmp_path):
+        link, target = tmp_path / "link.csv", tmp_path / "target.csv"
+        link.symlink_to(target)
+        direct = tmp_path / "direct.csv"
+        argv = "coeffs --family C --R 3 --S 1 --k 1 --n-max 20 --out".split()
+        assert run(argv + [str(link)]) == 0
+        assert run(argv + [str(direct)]) == 0
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_text() == direct.read_text() != ""
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")

@@ -457,6 +457,17 @@ class TestCachedRoute:
         assert after == before
         assert [id(record[0]) for entry in families._QUOTIENTS.values() for record in entry.values()] == lists
 
+    def test_failed_build_leaves_the_cache_as_it_was(self):
+        # (R, S) that the product rejects file no empty entry and evict none.
+        families._QUOTIENTS.clear()
+        p = ThetaParams(Fraction(6), Fraction(7), 2)
+        for rs in GRID_RS:
+            block_coefficient(p, *rs, 20, "pair")
+        for rs in ((2, 4), (3, 3)):
+            with pytest.raises(ValueError, match="need 1 <= A <= B"):
+                block_coefficient(p, *rs, 20, "pair")
+        assert list(families._QUOTIENTS) == list(GRID_RS)
+
     @pytest.mark.parametrize("order", [0, -3])
     def test_order_below_one_is_a_value_error(self, order):
         p = ThetaParams(Fraction(3), Fraction(2), 1)
